@@ -192,9 +192,17 @@ def check_polygon(vertices, ref: Reference) -> tuple[float, list[str]]:
     The gap is the largest shortfall of the polygon's support function
     below ``ref.lower`` at the midpoints between sweep angles.  Problems:
     non-finite vertices; support above ``ref.upper`` by more than rounding
-    (the polygon is not inscribed); a gap above the a-priori bound
-    ``D*sin(dtheta/2) + phi_term`` that holds for any polygon through
-    support points at every sweep angle (D is the reference's diameter).
+    (the polygon is not inscribed); a gap above an a-priori bound that
+    holds for any polygon through support points at every sweep angle.
+
+    That bound: at a midpoint, the set lies in the wedge of the support
+    lines at the two neighbouring sweep angles, whose apex q sees the touch
+    points p1, p2 under the angle ``pi - dtheta``.  The nearer of them is
+    at most ``|p1 - p2| / (2 cos(dtheta/2))`` from q, and q lies
+    ``sin(dtheta/2)`` times that beyond it, so the gap is at most
+    ``D/2 * tan(dtheta/2)`` with D the diameter.  When the touch points
+    fall short of the support lines by up to ``phi_term`` (a union hull on
+    a phi grid), the apex moves out by ``phi_term / cos(dtheta/2)``.
     """
     z = np.asarray(vertices, dtype=complex)
     if z.size == 0 or not np.isfinite(z).all():
@@ -208,7 +216,7 @@ def check_polygon(vertices, ref: Reference) -> tuple[float, list[str]]:
     gap = float((ref.lower - h)[1::2].max())
     n = ref.num_theta
     diameter = float((ref.upper[:n] + ref.upper[n:]).max())
-    limit = diameter * np.sin(np.pi / (2 * n)) + ref.phi_term
+    limit = diameter / 2 * np.tan(np.pi / n) + ref.phi_term / np.cos(np.pi / n)
     if gap > limit:
         problems.append(f"support gap {gap:.3e} above the a-priori bound {limit:.3e}")
     return gap, problems
