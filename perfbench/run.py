@@ -39,6 +39,9 @@ WORKER_TIMEOUT_S = 150
 CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 N_THETA = 720
 QUICK = 192  # num_theta = num_phi of the quick verify profile
+# Time of worker.Calibration on the reference machine at its usual speed
+# (perfbench/README.md); times are scaled to that speed.
+CAL_REF_S = 0.110
 
 
 class Op:
@@ -126,13 +129,14 @@ def _child(args, timeout):
 
 
 def probe_setup(run_dir: Path) -> list[float]:
-    """Times of import plus a first small call, each in a fresh process."""
+    """Times of import plus a first small call, each in a fresh process and
+    at reference speed."""
     times = []
     for _ in range(PROBES):
         probe = json.loads(_child(["--probe", str(run_dir)], 60).stdout.splitlines()[-1])
         if probe["exit"] != 0:
             raise RuntimeError(f"set-up call exited with {probe['exit']}")
-        times.append(probe["setup_s"])
+        times.append(at_reference_speed(probe["setup_s"], probe["cal_s"]))
     return times
 
 
@@ -166,11 +170,19 @@ def check_outputs(ops, rounds) -> tuple[bool, int, int, float]:
     return not problems, attempted, failed, max(gaps, default=float("nan"))
 
 
+def at_reference_speed(seconds: float, cal_s: float) -> float:
+    """A time scaled to the machine speed at which the calibration mix
+    takes ``CAL_REF_S``, given what the mix took around it."""
+    return seconds * CAL_REF_S / cal_s
+
+
 def pass_seconds(rounds) -> float:
     """Time of one pass: the sum over operations of each one's median time
-    across the rounds, so a slow spell of the machine during one round
-    does not move it."""
-    per_op = zip(*[[op["seconds"] for op in r["ops"]] for r in rounds])
+    across the rounds, each time at reference speed, so neither a slow
+    spell of the machine during one round nor its speed in this run moves
+    it."""
+    per_op = zip(*[[at_reference_speed(op["seconds"], op["cal_s"]) for op in r["ops"]]
+                   for r in rounds])
     return sum(statistics.median(times) for times in per_op)
 
 
