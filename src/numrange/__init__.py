@@ -9,17 +9,12 @@ range boundaries, and verifies the resulting set identities numerically.
 """
 
 from .linalg import (
-    HermEigen,
     NoConvergenceError,
     NotHermitianError,
     adjoint,
     as_matrix,
-    eig_hermitian,
     extreme_pair,
-    frobenius_distance,
     hermitian_part,
-    jacobi_eig_hermitian,
-    mat_mul,
 )
 from .operators import (
     PeriodSpec,

@@ -12,6 +12,7 @@ Reports serialize to line-delimited JSON via :func:`reports_to_lines`.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -190,15 +191,15 @@ def check_spectrum_union(spec: PeriodSpec, s: int) -> CheckReport:
 
 def check_hull_convergence(
     spec: PeriodSpec,
-    k_max: int = 200,
-    cfg: SweepConfig = SweepConfig(),
+    k_max: int,
+    trunc: RangePolygon,
+    hull: RangePolygon,
+    cfg: SweepConfig,
     tolerance: float = 0.05,
 ) -> CheckReport:
-    """Hausdorff gap between a deep truncation range and the symbol-union hull."""
+    """Hausdorff gap between the k_max truncation range and the symbol-union hull."""
     if k_max < 2 * spec.p:
         raise ValueError("k_max must be at least twice the period")
-    trunc = truncation_range(spec, k_max, cfg)
-    hull = symbol_union_hull(spec, cfg)
     containment = float(distance_to_region(trunc.vertices, hull).max())
     return CheckReport(
         name="hull_convergence",
@@ -216,13 +217,13 @@ def check_hull_convergence(
 
 def check_truncation_containment(
     spec: PeriodSpec,
-    k_max: int = 200,
-    cfg: SweepConfig = SweepConfig(),
+    k_max: int,
+    trunc: RangePolygon,
+    hull: RangePolygon,
+    cfg: SweepConfig,
     tolerance: float = 1e-6,
 ) -> CheckReport:
-    """One-sided inclusion: truncation ranges sit inside the symbol hull."""
-    trunc = truncation_range(spec, k_max, cfg)
-    hull = symbol_union_hull(spec, cfg)
+    """One-sided inclusion: the truncation range sits inside the symbol hull."""
     return CheckReport(
         name="hull_containment",
         parameters={**_spec_params(spec), "k_max": k_max, "num_theta": cfg.num_theta},
@@ -260,11 +261,14 @@ def _hull_of_pair_ranges(n: int, cfg: SweepConfig) -> RangePolygon:
     )
 
 
-def check_stadium_identity(cfg: SweepConfig = SweepConfig(), tolerance: float = 2e-3) -> CheckReport:
+def check_stadium_identity(
+    hull01: RangePolygon,
+    stadium: RangePolygon,
+    pair_hull: RangePolygon,
+    cfg: SweepConfig,
+    tolerance: float = 2e-3,
+) -> CheckReport:
     """Period word 01: symbol hull vs the stadium vs the two-matrix hull."""
-    hull01 = symbol_union_hull(PeriodSpec.from_word("01"), cfg)
-    stadium = stadium_region(cfg.num_theta)
-    pair_hull = _hull_of_pair_ranges(1, cfg)
     d_hull_stadium = hausdorff(hull01, stadium)
     d_stadium_pair = hausdorff(stadium, pair_hull)
     return CheckReport(
@@ -281,19 +285,18 @@ def check_stadium_identity(cfg: SweepConfig = SweepConfig(), tolerance: float = 
 
 
 def check_stadium_support_widths(
-    cfg: SweepConfig = SweepConfig(), tolerance: float = 1e-3
+    hull01: RangePolygon,
+    stadium: RangePolygon,
+    pair_hull: RangePolygon,
+    cfg: SweepConfig,
+    tolerance: float = 1e-3,
 ) -> CheckReport:
     """Support widths of all three period-01 sets at the four axis directions."""
-    regions = [
-        symbol_union_hull(PeriodSpec.from_word("01"), cfg),
-        stadium_region(cfg.num_theta),
-        _hull_of_pair_ranges(1, cfg),
-    ]
     angles = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
     expected = [1.5, 0.5, 1.5, 0.5]
     worst = max(
         abs(support_width(region, angle) - target)
-        for region in regions
+        for region in (hull01, stadium, pair_hull)
         for angle, target in zip(angles, expected)
     )
     return CheckReport(
@@ -305,7 +308,11 @@ def check_stadium_support_widths(
 
 
 def check_conjecture(
-    n: int, cfg: SweepConfig = SweepConfig(), tolerance: float | None = None
+    n: int,
+    hull: RangePolygon,
+    pair_hull: RangePolygon,
+    cfg: SweepConfig,
+    tolerance: float | None = None,
 ) -> CheckReport:
     """Symbol-union hull of word 0^n 1 vs the hull of the two matrix ranges.
 
@@ -318,12 +325,9 @@ def check_conjecture(
     advisory = n == 4
     if tolerance is None:
         tolerance = float("inf") if advisory else 0.02
-    word = "0" * n + "1"
-    hull = symbol_union_hull(PeriodSpec.from_word(word), cfg)
-    pair_hull = _hull_of_pair_ranges(n, cfg)
     params = {
         "n": n,
-        "word": word,
+        "word": "0" * n + "1",
         "num_theta": cfg.num_theta,
         "num_phi": cfg.num_phi,
     }
@@ -380,16 +384,14 @@ def check_pair_ellipse_axes(
 
 
 def check_stadium_separation(
-    word: str = "11",
-    cfg: SweepConfig = SweepConfig(),
+    word: str,
+    hull: RangePolygon,
+    stadium: RangePolygon,
     min_separation: float = 0.1,
 ) -> CheckReport:
-    """Negative control: the hull of the given word must stay away from the
+    """Negative control: the symbol hull of ``word`` must stay away from the
     stadium.  The metric is the shortfall below the required separation."""
-    gap = hausdorff(
-        symbol_union_hull(PeriodSpec.from_word(word), cfg),
-        stadium_region(cfg.num_theta),
-    )
+    gap = hausdorff(hull, stadium)
     return CheckReport(
         name="conjecture_negative_control",
         parameters={"word": word, "required_separation": min_separation, "hausdorff": gap},
@@ -456,6 +458,13 @@ def run_all(
     params = PROFILES[profile]
     cfg: SweepConfig = params["cfg"]
 
+    # Polygons are built on first use and shared by every check that compares
+    # them; the caches live only for this call.
+    union_hull = functools.cache(lambda word: symbol_union_hull(PeriodSpec.from_word(word), cfg))
+    trunc_range = functools.cache(lambda word, k: truncation_range(PeriodSpec.from_word(word), k, cfg))
+    pair_hull = functools.cache(lambda n: _hull_of_pair_ranges(n, cfg))
+    stadium = functools.cache(lambda: stadium_region(cfg.num_theta))
+
     jobs: list[tuple[str, object]] = []
     for spec, s in random_period_specs(params["random_trials"], seed):
         jobs.append(("block_diagonalization", lambda sp=spec, ss=s: check_block_diagonalization(sp, ss)))
@@ -465,9 +474,10 @@ def run_all(
     for word in params["main_words"]:
         spec = PeriodSpec.from_word(word)
         k = params["k_main"] + (len(word) - params["k_main"] % len(word)) % len(word)
-        jobs.append(("hull_convergence", lambda sp=spec, kk=k: check_hull_convergence(sp, kk, cfg)))
+        polygons = lambda w=word, kk=k: (trunc_range(w, kk), union_hull(w))
+        jobs.append(("hull_convergence", lambda sp=spec, kk=k, pp=polygons: check_hull_convergence(sp, kk, *pp(), cfg)))
         jobs.append(
-            ("hull_containment", lambda sp=spec, kk=k: check_truncation_containment(sp, kk, cfg))
+            ("hull_containment", lambda sp=spec, kk=k, pp=polygons: check_truncation_containment(sp, kk, *pp(), cfg))
         )
 
     sa_spec = PeriodSpec(a=(1.0, 1.0), b=0.0, c=(1.0, 1.0))
@@ -481,18 +491,23 @@ def run_all(
         )
     )
 
-    jobs.append(("stadium_identity", lambda: check_stadium_identity(cfg)))
-    jobs.append(("stadium_support_widths", lambda: check_stadium_support_widths(cfg)))
+    word01_sets = lambda: (union_hull("01"), stadium(), pair_hull(1))
+    jobs.append(("stadium_identity", lambda: check_stadium_identity(*word01_sets(), cfg)))
+    jobs.append(("stadium_support_widths", lambda: check_stadium_support_widths(*word01_sets(), cfg)))
 
     ns = params["conjecture_ns"]
     if conjecture_n is not None:
         ns = [n for n in ns if n == conjecture_n]
     for n in ns:
-        jobs.append(("conjecture_hull", lambda nn=n: check_conjecture(nn, cfg)))
+        jobs.append(
+            ("conjecture_hull", lambda nn=n: check_conjecture(nn, union_hull("0" * nn + "1"), pair_hull(nn), cfg))
+        )
         jobs.append(("conjecture_symmetry", lambda nn=n: check_range_negation_symmetry(nn, cfg)))
         if n == 2:
             jobs.append(("conjecture_ellipse_axes", lambda: check_pair_ellipse_axes(cfg)))
-    jobs.append(("conjecture_negative_control", lambda: check_stadium_separation(cfg=cfg)))
+    jobs.append(
+        ("conjecture_negative_control", lambda: check_stadium_separation("11", union_hull("11"), stadium()))
+    )
 
     if only is not None:
         jobs = [(name, fn) for name, fn in jobs if only in name]

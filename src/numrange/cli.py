@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .checks import reports_to_lines, run_all
-from .geometry import polygon_to_csv
+from .geometry import polygon_csv
 from .linalg import NoConvergenceError, NotHermitianError
 from .operators import PeriodSpec, SpecParseError, conjecture_matrices
 from .sweep import (
@@ -29,6 +29,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+_NUMERIC_ERRORS = (
+    NoConvergenceError,
+    NotHermitianError,
+    NotSelfAdjointError,
+    FloatingPointError,
+    MemoryError,
+)
 
 _SVG_COLORS = {"blue": "#1f4fd8", "red": "#d82f2f", "green": "#1d8f3c"}
 
@@ -131,20 +139,11 @@ def _cmd_range(args) -> int:
     except (SpecParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        if args.mode == "truncation":
-            poly = truncation_range(spec, args.k, cfg)
-        else:
-            poly = symbol_union_hull(spec, cfg)
-    except (NoConvergenceError, NotHermitianError, NotSelfAdjointError, FloatingPointError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    if args.out == "-":
-        sys.stdout.write("re,im\n")
-        for z in poly.vertices:
-            sys.stdout.write(f"{z.real:.17g},{z.imag:.17g}\n")
+    if args.mode == "truncation":
+        poly = truncation_range(spec, args.k, cfg)
     else:
-        polygon_to_csv(poly, args.out)
+        poly = symbol_union_hull(spec, cfg)
+    _emit(polygon_csv(poly), args.out)
     return EXIT_OK
 
 
@@ -153,12 +152,11 @@ def _cmd_verify(args) -> int:
         reports = run_all(
             args.profile, seed=args.seed, only=args.filter, conjecture_n=args.n
         )
+    except _NUMERIC_ERRORS:  # some are ValueErrors, but not usage errors
+        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoConvergenceError, NotHermitianError, NotSelfAdjointError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     _emit(reports_to_lines(reports), args.out)
     failed = [r for r in reports if not r.passed]
     for r in failed:
@@ -169,18 +167,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_figure(args) -> int:
     n = args.n
-    word = "0" * n + "1"
-    try:
-        spec = PeriodSpec.parse(f"word={word}")
-        cfg = SweepConfig(num_theta=args.num_theta, num_phi=args.num_theta)
-        plus, minus = conjecture_matrices(n)
-        k = max(args.k, 2 * spec.p)
-        blue = truncation_range(spec, k, cfg).vertices
-        red = range_boundary(plus, cfg).vertices
-        green = range_boundary(minus, cfg).vertices
-    except (NoConvergenceError, NotHermitianError, FloatingPointError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    spec = PeriodSpec.from_word("0" * n + "1")
+    cfg = SweepConfig(num_theta=args.num_theta, num_phi=args.num_theta)
+    plus, minus = conjecture_matrices(n)
+    k = max(args.k, 2 * spec.p)
+    blue = truncation_range(spec, k, cfg).vertices
+    red = range_boundary(plus, cfg).vertices
+    green = range_boundary(minus, cfg).vertices
     write_svg(
         args.out,
         [
@@ -194,11 +187,12 @@ def _cmd_figure(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "range":
-        return _cmd_range(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_figure(args)
+    command = {"range": _cmd_range, "verify": _cmd_verify, "figure": _cmd_figure}[args.command]
+    try:
+        return command(args)
+    except _NUMERIC_ERRORS as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

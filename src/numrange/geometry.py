@@ -20,6 +20,7 @@ __all__ = [
     "hausdorff",
     "contains",
     "support_width",
+    "polygon_csv",
     "polygon_to_csv",
     "polygon_from_csv",
 ]
@@ -162,12 +163,16 @@ def support_width(polygon: RangePolygon, theta: float) -> float:
     return float((polygon.vertices * np.exp(-1j * theta)).real.max())
 
 
+def polygon_csv(polygon: RangePolygon) -> str:
+    """Vertices as CSV text: an ``re,im`` header, then one line per vertex
+    with 17 significant digits."""
+    return "re,im\n" + "".join(f"{z.real:.17g},{z.imag:.17g}\n" for z in polygon.vertices)
+
+
 def polygon_to_csv(polygon: RangePolygon, path) -> None:
-    """Write vertices as ``re,im`` lines (17 significant digits)."""
+    """Write :func:`polygon_csv` text to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("re,im\n")
-        for z in polygon.vertices:
-            fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+        fh.write(polygon_csv(polygon))
 
 
 def polygon_from_csv(path) -> RangePolygon:

@@ -1,4 +1,4 @@
-"""Dense complex matrix helpers and Hermitian eigendecompositions.
+"""Dense complex matrix helpers and the Hermitian eigensolver.
 
 Matrices are plain square ``numpy.ndarray`` objects with dtype complex128.
 Everything here is a pure function; inputs are never mutated.
@@ -6,22 +6,16 @@ Everything here is a pure function; inputs are never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "NotHermitianError",
     "NoConvergenceError",
-    "HermEigen",
     "as_matrix",
-    "mat_mul",
     "adjoint",
     "hermitian_part",
-    "frobenius_distance",
-    "eig_hermitian",
+    "eigh",
     "extreme_pair",
-    "jacobi_eig_hermitian",
 ]
 
 HERMITIAN_TOL = 1e-13
@@ -32,7 +26,7 @@ class NotHermitianError(ValueError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Raised when an eigenvalue iteration exceeds its sweep budget."""
+    """Raised when the eigensolver fails to converge."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -47,14 +41,6 @@ def as_matrix(a) -> np.ndarray:
     if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def mat_mul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
 
 
 def adjoint(a) -> np.ndarray:
@@ -73,27 +59,6 @@ def hermitian_part(a, theta: float = 0.0) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def frobenius_distance(a, b) -> float:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.linalg.norm(a - b))
-
-
-@dataclass(frozen=True)
-class HermEigen:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    ``values`` is sorted ascending; column ``j`` of ``vectors`` is a unit
-    eigenvector for ``values[j]``.  Eigenvectors of repeated eigenvalues are
-    any orthonormal basis of the eigenspace.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def _require_hermitian(a) -> np.ndarray:
     h = as_matrix(a)
     scale = max(1.0, float(np.abs(h).max())) if h.size else 1.0
@@ -105,87 +70,20 @@ def _require_hermitian(a) -> np.ndarray:
     return h
 
 
-def eig_hermitian(h) -> HermEigen:
-    """Eigendecomposition of a Hermitian matrix, values ascending.
+def eigh(h) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.linalg.eigh`` of one Hermitian matrix or a stack of them.
 
-    Backed by LAPACK (``numpy.linalg.eigh``); deterministic for a fixed
-    input on a fixed platform.
+    Values come ascending along the last axis, with unit eigenvectors in
+    the matching columns.  A LAPACK failure is raised as
+    :class:`NoConvergenceError`.
     """
-    h = _require_hermitian(h)
     try:
-        values, vectors = np.linalg.eigh(h)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK safety net
         raise NoConvergenceError(str(exc)) from exc
-    return HermEigen(values=values, vectors=vectors)
 
 
 def extreme_pair(h) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Smallest and largest eigenvalue of ``h`` with unit eigenvectors."""
-    eig = eig_hermitian(h)
-    return (
-        float(eig.values[0]),
-        eig.vectors[:, 0].copy(),
-        float(eig.values[-1]),
-        eig.vectors[:, -1].copy(),
-    )
-
-
-def jacobi_eig_hermitian(h, tol: float = 1e-14, max_sweeps: int = 60) -> HermEigen:
-    """Cyclic Jacobi eigendecomposition for complex Hermitian matrices.
-
-    Row-cyclic two-sided unitary 2x2 eliminations; stops once the
-    off-diagonal Frobenius mass drops below ``tol * ||h||_F``.  Quadratic
-    convergence makes 60 sweeps ample at the dimensions used here.  This is
-    an independent reference for :func:`eig_hermitian`; it is O(n^3) per
-    sweep in pure Python, so keep dimensions modest.
-    """
-    a = _require_hermitian(h).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n <= 1:
-        return HermEigen(values=a.real.diagonal().copy(), vectors=v)
-
-    target = tol * max(np.linalg.norm(a), np.finfo(float).tiny)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(a.diagonal()))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                # unitary that zeroes a[p,q]: a phase to make the pivot real,
-                # then the classic symmetric Schur rotation
-                u = apq / abs(apq)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * u * row_q
-                a[q, :] = s * row_p + c * u * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(u) * col_q
-                a[:, q] = s * col_p + c * np.conj(u) * col_q
-
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * np.conj(u) * vec_q
-                v[:, q] = s * vec_p + c * np.conj(u) * vec_q
-    else:
-        off = np.linalg.norm(a - np.diag(a.diagonal()))
-        if off > target:
-            raise NoConvergenceError(
-                f"Jacobi sweep limit ({max_sweeps}) exceeded at dimension {n}"
-            )
-
-    values = a.real.diagonal().copy()
-    order = np.argsort(values, kind="stable")
-    return HermEigen(values=values[order], vectors=v[:, order])
+    """Smallest and largest eigenvalue of Hermitian ``h`` with unit eigenvectors."""
+    values, vectors = eigh(_require_hermitian(h))
+    return float(values[0]), vectors[:, 0].copy(), float(values[-1]), vectors[:, -1].copy()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RangePolygon, convex_hull
-from .linalg import NoConvergenceError, as_matrix
+from .linalg import as_matrix, eigh
 from .operators import PeriodSpec, build_symbol, build_truncation, phi_grid
 
 __all__ = [
@@ -49,13 +49,6 @@ class SweepConfig:
             raise ValueError("num_phi must be >= 1")
 
 
-def _batched_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK safety net
-        raise NoConvergenceError(str(exc)) from exc
-
-
 DEGENERATE_GAP = 1e-10
 
 
@@ -78,7 +71,7 @@ def boundary_points(a, cfg: SweepConfig = SweepConfig()) -> np.ndarray:
     h = 0.5 * (
         phase[:, None, None] * a + np.conj(phase)[:, None, None] * a.conj().T
     )
-    values, vecs = _batched_eigh(h)
+    values, vecs = eigh(h)
     top = vecs[:, :, -1]
     points = [np.einsum("ti,ij,tj->t", top.conj(), a, top)]
 
@@ -90,7 +83,7 @@ def boundary_points(a, cfg: SweepConfig = SweepConfig()) -> np.ndarray:
             skew = (rotated - rotated.conj().T) / 2j
             compressed = span.conj().T @ (skew @ span)
             compressed = 0.5 * (compressed + compressed.conj().T)
-            _, w = _batched_eigh(compressed)
+            _, w = eigh(compressed)
             ends = span @ w[:, [0, -1]]
             points.append(np.einsum("it,ij,jt->t", ends.conj(), a, ends))
     return np.concatenate(points)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import numrange.checks as checks
 from numrange.checks import (
     CheckReport,
+    _hull_of_pair_ranges,
     check_block_diagonalization,
     check_conjecture,
     check_pair_ellipse_axes,
@@ -30,10 +32,16 @@ from numrange.operators import (
     build_symbol,
     phi_grid,
 )
-from numrange.sweep import NotSelfAdjointError, SweepConfig
+from numrange.ellipse import stadium_region
+from numrange.geometry import RangePolygon
+from numrange.sweep import NotSelfAdjointError, SweepConfig, symbol_union_hull, truncation_range
 
 CFG = SweepConfig(num_theta=192, num_phi=192)
 WORD01 = PeriodSpec.from_word("01")
+
+
+def word_hull(word: str, cfg: SweepConfig = CFG):
+    return symbol_union_hull(PeriodSpec.from_word(word), cfg)
 
 
 def test_report_invariant_and_serialization():
@@ -90,27 +98,30 @@ def test_spectrum_union_selfadjoint_uses_tight_tolerance():
 
 
 def test_hull_convergence_word01():
-    report = check_hull_convergence(WORD01, k_max=120, cfg=CFG)
+    polygons = truncation_range(WORD01, 120, CFG), word_hull("01")
+    report = check_hull_convergence(WORD01, 120, *polygons, CFG)
     assert report.passed
     assert report.metric <= 0.05
-    containment = check_truncation_containment(WORD01, k_max=120, cfg=CFG)
+    containment = check_truncation_containment(WORD01, 120, *polygons, CFG)
     assert containment.passed
     assert containment.metric <= 1e-6
 
 
 def test_hull_convergence_word001():
     spec = PeriodSpec.from_word("001")
-    report = check_hull_convergence(spec, k_max=120, cfg=CFG)
+    report = check_hull_convergence(spec, 120, truncation_range(spec, 120, CFG), word_hull("001"), CFG)
     assert report.passed
     assert report.parameters["containment_defect"] <= 1e-6
 
 
 def test_hull_convergence_diagonal_spec_is_exact():
     spec = PeriodSpec(a=0, b=(1.0, 1j), c=0)
-    report = check_hull_convergence(spec, k_max=8, cfg=SweepConfig(64, 16))
+    cfg = SweepConfig(64, 16)
+    hull = symbol_union_hull(spec, cfg)
+    report = check_hull_convergence(spec, 8, truncation_range(spec, 8, cfg), hull, cfg)
     assert report.metric <= 1e-12
     with pytest.raises(ValueError, match="k_max"):
-        check_hull_convergence(spec, k_max=2, cfg=CFG)
+        check_hull_convergence(spec, 2, truncation_range(spec, 2, cfg), hull, cfg)
 
 
 def test_selfadjoint_theorem_and_shift():
@@ -128,27 +139,30 @@ def test_selfadjoint_theorem_and_shift():
 
 
 def test_stadium_checks():
-    assert check_stadium_identity(CFG).passed
-    widths = check_stadium_support_widths(CFG)
+    word01_sets = word_hull("01"), stadium_region(CFG.num_theta), _hull_of_pair_ranges(1, CFG)
+    assert check_stadium_identity(*word01_sets, CFG).passed
+    widths = check_stadium_support_widths(*word01_sets, CFG)
     assert widths.passed and widths.metric <= 1e-3
 
 
 def test_conjecture_small_n():
     for n in (1, 2):
-        report = check_conjecture(n, CFG)
+        report = check_conjecture(n, word_hull("0" * n + "1"), _hull_of_pair_ranges(n, CFG), CFG)
         assert report.passed
         assert report.tolerance == 0.02
         assert report.parameters["word"] == "0" * n + "1"
 
 
 def test_conjecture_n4_is_advisory():
-    report = check_conjecture(4, SweepConfig(96, 96))
+    cfg = SweepConfig(96, 96)
+    report = check_conjecture(4, word_hull("00001", cfg), _hull_of_pair_ranges(4, cfg), cfg)
     assert report.parameters["advisory"] is True
     assert report.tolerance == float("inf")
     assert report.passed  # advisory reports never gate
+    point = RangePolygon(np.array([0j]))
     for bad in (0, 5):
         with pytest.raises(ValueError):
-            check_conjecture(bad, CFG)
+            check_conjecture(bad, point, point, CFG)
 
 
 def test_negation_symmetry():
@@ -165,11 +179,12 @@ def test_pair_ellipse_axes():
 
 
 def test_stadium_separation_negative_control():
-    report = check_stadium_separation("11", CFG)
+    stadium = stadium_region(CFG.num_theta)
+    report = check_stadium_separation("11", word_hull("11"), stadium)
     assert report.passed
     assert report.parameters["hausdorff"] >= 0.1
     # word 01 matches the stadium, so the separation requirement must fail
-    matching = check_stadium_separation("01", CFG)
+    matching = check_stadium_separation("01", word_hull("01"), stadium)
     assert not matching.passed
 
 
@@ -225,3 +240,31 @@ def test_run_all_filter_and_n(quick_reports):
     }
     hulls = [r for r in conj if r.name == "conjecture_hull"]
     assert len(hulls) == 1 and hulls[0].parameters["n"] == 2
+
+
+def test_run_all_builds_each_polygon_once(monkeypatch):
+    """Within one call every union hull and truncation range is built once
+    and shared; nothing is cached across calls."""
+    hull_words, truncations = [], []
+    build_hull, build_truncation = checks.symbol_union_hull, checks.truncation_range
+
+    def counting_hull(spec, cfg):
+        hull_words.append("".join(str(int(x)) for x in spec.a.real))
+        return build_hull(spec, cfg)
+
+    def counting_truncation(spec, k, cfg):
+        truncations.append(k)
+        return build_truncation(spec, k, cfg)
+
+    monkeypatch.setattr(checks, "symbol_union_hull", counting_hull)
+    monkeypatch.setattr(checks, "truncation_range", counting_truncation)
+
+    run_all("quick")
+    assert sorted(hull_words) == ["001", "01", "11"] and truncations == [120]
+    run_all("quick")
+    assert len(hull_words) == 6 and truncations == [120, 120]
+
+    hull_words.clear()
+    truncations.clear()
+    run_all("quick", only="conjecture", conjecture_n=2)
+    assert sorted(hull_words) == ["001", "11"] and truncations == []

@@ -8,6 +8,7 @@ import pytest
 import numrange.cli as cli
 from numrange.checks import CheckReport
 from numrange.geometry import polygon_from_csv
+from numrange.sweep import NotSelfAdjointError
 
 
 def test_range_word01_symbol_hull_is_stadium(tmp_path):
@@ -24,15 +25,19 @@ def test_range_word01_symbol_hull_is_stadium(tmp_path):
     assert xs.min() == pytest.approx(-1.5, abs=1e-3)
 
 
-def test_range_constant_diagonal_is_single_point(capsys):
-    code = cli.main(["range", "--spec", "p=2;a=0,0;b=1,1;c=0,0", "--num-theta", "16",
-                     "--num-phi", "4"])
+def test_range_constant_diagonal_is_single_point(capsys, tmp_path):
+    args = ["range", "--spec", "p=2;a=0,0;b=1,1;c=0,0", "--num-theta", "16", "--num-phi", "4"]
+    code = cli.main(args)
     assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    text = capsys.readouterr().out
+    lines = text.strip().splitlines()
     assert lines[0] == "re,im"
     assert len(lines) == 2
     re_s, im_s = lines[1].split(",")
     assert float(re_s) == 1.0 and float(im_s) == 0.0
+    out = tmp_path / "point.csv"
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert out.read_text() == text
 
 
 def test_range_truncation_mode(tmp_path):
@@ -78,6 +83,28 @@ def test_verify_pair_axes_metrics_present(capsys):
     axes = [r for r in records if r["name"] == "conjecture_ellipse_axes"]
     assert len(axes) == 1
     assert axes[0]["metric"] <= 1e-6
+
+
+def _raises(error):
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "target, argv, error",
+    [
+        ("truncation_range", ["range", "--word", "01", "--mode", "truncation", "--k", "800"],
+         MemoryError("Unable to allocate 7.4 GiB")),
+        ("run_all", ["verify"], MemoryError("Unable to allocate 7.4 GiB")),
+        ("run_all", ["verify"], NotSelfAdjointError("spec is not self-adjoint")),
+    ],
+)
+def test_numeric_errors_exit_3(monkeypatch, capsys, target, argv, error):
+    monkeypatch.setattr(cli, target, _raises(error))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"numeric error: {error}\n"
 
 
 def test_verify_unknown_filter_exits_2(capsys):
