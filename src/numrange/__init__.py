@@ -11,7 +11,6 @@ range boundaries, and verifies the resulting set identities numerically.
 from .linalg import (
     NoConvergenceError,
     NotHermitianError,
-    adjoint,
     as_matrix,
     extreme_pair,
     hermitian_part,
@@ -47,6 +46,7 @@ from .sweep import (
     selfadjoint_interval,
     symbol_union_hull,
     truncation_range,
+    truncation_support,
 )
 from .ellipse import (
     EllipseParams,

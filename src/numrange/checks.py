@@ -20,13 +20,11 @@ import numpy as np
 
 from .ellipse import stadium_region
 from .geometry import RangePolygon, convex_hull, distance_to_region, hausdorff, support_width
-from .linalg import extreme_pair
 from .operators import (
     PeriodSpec,
     build_block_unitary,
     build_circulant,
     build_symbol,
-    build_truncation,
     conjecture_matrices,
     lift_eigenvector,
     phi_grid,
@@ -38,6 +36,7 @@ from .sweep import (
     selfadjoint_interval,
     symbol_union_hull,
     truncation_range,
+    truncation_support,
 )
 
 __all__ = [
@@ -238,9 +237,14 @@ def check_selfadjoint_convergence(
     cfg: SweepConfig = SweepConfig(),
     tolerance: float = 0.05,
 ) -> CheckReport:
-    """Interval endpoints from symbols against deep-truncation eigenvalue extremes."""
+    """Interval endpoints from symbols against deep-truncation eigenvalue extremes.
+
+    The truncation's largest eigenvalue is its support value at theta = 0,
+    and minus its smallest is the support value at theta = pi.
+    """
     lo, hi = selfadjoint_interval(spec, cfg)
-    lam_min, _, lam_max, _ = extreme_pair(build_truncation(spec, k_max))
+    lam_max, neg_lam_min = truncation_support(spec, k_max, [0.0, np.pi])
+    lam_min = -neg_lam_min
     return CheckReport(
         name="selfadjoint_interval",
         parameters={

@@ -12,7 +12,6 @@ __all__ = [
     "NotHermitianError",
     "NoConvergenceError",
     "as_matrix",
-    "adjoint",
     "hermitian_part",
     "eigh",
     "extreme_pair",
@@ -41,11 +40,6 @@ def as_matrix(a) -> np.ndarray:
     if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
 
 
 def hermitian_part(a, theta: float = 0.0) -> np.ndarray:

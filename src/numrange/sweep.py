@@ -7,6 +7,11 @@ convex hull of the touch points yields an inscribed polygon whose support
 function is within O(1/num_theta^2) of the true one.  Where the support
 line meets the range along a flat edge (degenerate top eigenvalue) the
 sweep emits the edge's endpoints, so flat pieces are exact.
+
+Truncations of periodic operators have tridiagonal Hermitian parts; their
+sweep runs on the similar real symmetric tridiagonals in O(k) per angle
+(Sturm bisection and inverse iteration; Parlett, *The Symmetric Eigenvalue
+Problem*, ch. 7), not on dense matrices.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "selfadjoint_interval",
     "symbol_union_hull",
     "truncation_range",
+    "truncation_support",
     "rayleigh_samples",
 ]
 
@@ -50,6 +56,53 @@ class SweepConfig:
 
 
 DEGENERATE_GAP = 1e-10
+# Pivot guard of the Sturm counts, in units of the scaled tridiagonal (largest
+# entry in [1/2, 1)).  It sits at the rounding level rather than LAPACK's
+# underflow level, so the same pivots also drive inverse iteration without
+# overflow; replacing a pivot by -PIVMIN moves one diagonal entry by less
+# than 2 * PIVMIN.
+PIVMIN = np.finfo(float).eps
+
+
+def _angles(num_theta: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(num_theta) / num_theta
+
+
+def _gap_tol(top):
+    """How close to the top eigenvalue another one counts as degenerate."""
+    return DEGENERATE_GAP * (1.0 + np.abs(top))
+
+
+def _require_finite(x, what: str):
+    if not np.isfinite(x).all():
+        raise FloatingPointError(f"non-finite {what}")
+    return x
+
+
+def _hermitian_parts(a, phase) -> np.ndarray:
+    """Hermitian part of ``phase * a``, one matrix per entry of ``phase``."""
+    phase = np.asarray(phase)[..., None, None]
+    return _require_finite(
+        0.5 * (phase * a + np.conj(phase) * a.conj().T), "Hermitian part"
+    )
+
+
+def _flat_edge_ends(a, phase, values, vecs) -> np.ndarray:
+    """Both ends of the flat edge along which the support line meets W(a).
+
+    ``values, vecs`` are the ``eigh`` of the Hermitian part of ``phase * a``.
+    The ends are the extremes of the rotated matrix's skew part compressed
+    to the top eigenspace, which keeps the point set exactly compatible
+    with the symmetries of ``a``.
+    """
+    span = vecs[:, values >= values[-1] - _gap_tol(values[-1])]
+    rotated = phase * a
+    skew = (rotated - rotated.conj().T) / 2j
+    compressed = span.conj().T @ (skew @ span)
+    compressed = 0.5 * (compressed + compressed.conj().T)
+    _, w = eigh(compressed)
+    ends = span @ w[:, [0, -1]]
+    return np.einsum("it,ij,jt->t", ends.conj(), a, ends)
 
 
 def boundary_points(a, cfg: SweepConfig = SweepConfig()) -> np.ndarray:
@@ -59,34 +112,22 @@ def boundary_points(a, cfg: SweepConfig = SweepConfig()) -> np.ndarray:
     When the top eigenvalue of the rotated Hermitian part is (near-)
     degenerate the support line touches W(a) along a flat segment; an
     arbitrary eigenvector would land somewhere inside it, so both segment
-    endpoints are emitted as well.  They are the extremes of the rotated
-    matrix's skew part compressed to the top eigenspace, which keeps the
-    point set exactly compatible with the symmetries of ``a``.
+    endpoints are emitted as well.  A non-finite intermediate raises
+    ``FloatingPointError``.
     """
     a = as_matrix(a)
     if a.shape[0] < 1:
         raise ValueError("matrix must have dimension >= 1")
-    thetas = 2.0 * np.pi * np.arange(cfg.num_theta) / cfg.num_theta
-    phase = np.exp(-1j * thetas)
-    h = 0.5 * (
-        phase[:, None, None] * a + np.conj(phase)[:, None, None] * a.conj().T
-    )
-    values, vecs = eigh(h)
+    phase = np.exp(-1j * _angles(cfg.num_theta))
+    values, vecs = eigh(_hermitian_parts(a, phase))
     top = vecs[:, :, -1]
     points = [np.einsum("ti,ij,tj->t", top.conj(), a, top)]
-
     if a.shape[0] > 1:
-        gap_tol = DEGENERATE_GAP * (1.0 + np.abs(values[:, -1]))
-        for t in np.nonzero(values[:, -1] - values[:, -2] <= gap_tol)[0]:
-            span = vecs[t][:, values[t] >= values[t, -1] - gap_tol[t]]
-            rotated = phase[t] * a
-            skew = (rotated - rotated.conj().T) / 2j
-            compressed = span.conj().T @ (skew @ span)
-            compressed = 0.5 * (compressed + compressed.conj().T)
-            _, w = eigh(compressed)
-            ends = span @ w[:, [0, -1]]
-            points.append(np.einsum("it,ij,jt->t", ends.conj(), a, ends))
-    return np.concatenate(points)
+        flat = values[:, -1] - values[:, -2] <= _gap_tol(values[:, -1])
+        points += [
+            _flat_edge_ends(a, phase[t], values[t], vecs[t]) for t in np.nonzero(flat)[0]
+        ]
+    return _require_finite(np.concatenate(points), "touch point")
 
 
 def range_boundary(a, cfg: SweepConfig = SweepConfig()) -> RangePolygon:
@@ -111,21 +152,169 @@ def selfadjoint_interval(
     """
     _require_selfadjoint(spec)
     symbols = np.stack([build_symbol(spec, phi) for phi in phi_grid(cfg.num_phi)])
+    _require_finite(symbols, "symbol entry")
     values = np.linalg.eigvalsh(symbols)
     return float(values[:, 0].min()), float(values[:, -1].max())
 
 
 def symbol_union_hull(spec: PeriodSpec, cfg: SweepConfig = SweepConfig()) -> RangePolygon:
     """Convex hull of the union of symbol numerical ranges over the phi grid."""
-    pts = [boundary_points(build_symbol(spec, phi), cfg) for phi in phi_grid(cfg.num_phi)]
+    pts = [
+        boundary_points(_require_finite(build_symbol(spec, phi), "symbol entry"), cfg)
+        for phi in phi_grid(cfg.num_phi)
+    ]
     return convex_hull(np.concatenate(pts))
+
+
+def _scaled_tridiagonals(spec: PeriodSpec, thetas: np.ndarray):
+    """One period of the Hermitian part of ``e^{-i theta} T``, per angle.
+
+    Row j of a truncation (j taken mod p) has the diagonal entry
+    ``Re(e^{-i theta} b_j)`` and, right of it,
+    ``beta_j = (e^{-i theta} c_j + conj(e^{-i theta} a_{j+1})) / 2``.  The
+    unitary diagonal similarity with ``D_{j+1} / D_j = conj(beta_j) / |beta_j|``
+    turns it into the real symmetric S(theta) with diagonal ``d`` and
+    off-diagonal ``e = |beta|``.  Returns ``d, e`` as (p, num_theta) arrays
+    divided by ``2**exponent``, which brings their largest entry into
+    [1/2, 1) exactly, so that squares neither overflow nor underflow; and
+    ``beta`` itself, shape (num_theta, p).
+    """
+    w = np.exp(-1j * thetas)[:, None]
+    diag = _require_finite((w * spec.b).real, "diagonal entry")
+    beta = (w * spec.c + np.conj(w * np.roll(spec.a, -1))) / 2
+    modulus = _require_finite(np.abs(beta), "off-diagonal entry")
+    exponent = int(np.frexp(max(np.abs(diag).max(), modulus.max()))[1])
+    scaled = [np.ascontiguousarray(np.ldexp(x.T, -exponent)) for x in (diag, modulus)]
+    return *scaled, beta, exponent
+
+
+def _ldl_pivots(d, e2, sigma, k: int) -> np.ndarray:
+    """Pivots of ``S - sigma = L D L^T`` for the k-by-k S of every angle.
+
+    ``d`` and ``e2`` are one period of the diagonal and of the squared
+    off-diagonal, shape (p, num_theta); the result has shape (k, num_theta).
+    A pivot of modulus below ``PIVMIN`` becomes ``-PIVMIN``, as in LAPACK's
+    ``dstebz``.  By Sylvester's law of inertia the number of negative pivots
+    is the number of eigenvalues below ``sigma`` (the Sturm count).
+    """
+    p = d.shape[0]
+    shifted = d - sigma
+    q = np.empty((k, np.size(sigma)))
+    q[0] = shifted[0]
+    np.putmask(q[0], np.abs(q[0]) < PIVMIN, -PIVMIN)
+    for i in range(1, k):
+        np.divide(e2[(i - 1) % p], q[i - 1], out=q[i])
+        np.subtract(shifted[i % p], q[i], out=q[i])
+        np.putmask(q[i], np.abs(q[i]) < PIVMIN, -PIVMIN)
+    return q
+
+
+def _count_above(d, e2, sigma, k: int) -> np.ndarray:
+    """Number of eigenvalues of each S at or above ``sigma``."""
+    return k - np.count_nonzero(_ldl_pivots(d, e2, sigma, k) < 0, axis=0)
+
+
+def _top_eigenvalues(d, e, k: int) -> np.ndarray:
+    """Largest eigenvalue of each k-by-k S by Sturm bisection.
+
+    The bracket starts between the largest diagonal entry (a Rayleigh
+    quotient) and the Gershgorin bound, and shrinks to a few ulps.  Its
+    upper end is returned: no eigenvalue lies above it, so ``S`` minus it
+    factors without pivoting as a negative (semi)definite matrix.
+    """
+    rows = np.arange(min(k, d.shape[0]))
+    lo = d[rows].max(axis=0)
+    hi = (d + e + np.roll(e, 1, axis=0))[rows].max(axis=0)
+    e2 = e * e
+    eps = np.finfo(float).eps
+    while np.any(hi - lo > 2 * eps * np.maximum(np.abs(lo), np.abs(hi)) + PIVMIN):
+        mid = 0.5 * (lo + hi)
+        inside = _count_above(d, e2, mid, k) >= 1
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return hi
+
+
+def _top_eigenvectors(d, e, top, k: int) -> np.ndarray:
+    """Top eigenvectors of each S, as the columns of a (k, num_theta) array.
+
+    Inverse iteration with the pivots of ``S - top``, ``top`` from
+    :func:`_top_eigenvalues`.  The off-diagonal of S is nonnegative, so by
+    Perron-Frobenius its top eigenvector can be taken nonnegative and the
+    all-ones start vector is never orthogonal to it.  Each of the three
+    sweeps shrinks the other components by (a few ulps) / (spectral gap),
+    and outside the flat-edge angles that gap exceeds ``DEGENERATE_GAP``.
+    """
+    q = _ldl_pivots(d, e * e, top, k)
+    mult = e[np.arange(k - 1) % d.shape[0]] / q[:-1]
+    x = np.ones_like(q)
+    for _ in range(3):
+        for i in range(1, k):
+            x[i] -= mult[i - 1] * x[i - 1]
+        x /= q
+        for i in range(k - 2, -1, -1):
+            x[i] -= mult[i] * x[i + 1]
+        x /= np.abs(x).max(axis=0)
+    return x
+
+
+def _touch_points(spec: PeriodSpec, beta, x) -> np.ndarray:
+    """Rayleigh quotients of T_k at the eigenvectors ``D x`` of its Hermitian parts.
+
+    With ``u_j = D_{j+1} / D_j`` the phase of ``conj(beta_j)`` (1 where
+    ``beta_j = 0``), ``(D x)^* T_k (D x)`` is
+    ``sum b_j x_j^2 + sum (c_j u_j + a_{j+1} conj(u_j)) x_j x_{j+1}``.
+    """
+    rows = np.arange(x.shape[0]) % spec.p
+    u = np.exp(-1j * np.angle(beta))
+    coupling = spec.c * u + np.roll(spec.a, -1) * np.conj(u)
+    xx = x * x
+    quotient = spec.b[rows] @ xx + (x[:-1] * x[1:] * coupling.T[rows[:-1]]).sum(axis=0)
+    return quotient / xx.sum(axis=0)
+
+
+def truncation_support(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
+    """Support function of W(T_k) at ``thetas``: the largest eigenvalue of
+    the Hermitian part of ``e^{-i theta} T_k``, in O(k) per angle."""
+    if k < 1:
+        raise ValueError("truncation size must be >= 1")
+    d, e, _, exponent = _scaled_tridiagonals(spec, np.atleast_1d(np.asarray(thetas, dtype=float)))
+    return np.ldexp(_top_eigenvalues(d, e, k), exponent)
+
+
+def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray:
+    """:func:`boundary_points` of the k-by-k truncation, from its three diagonals.
+
+    The sweep runs on the real symmetric tridiagonal S(theta) similar to
+    each Hermitian part (Sturm bisection, then inverse iteration), in
+    O(num_theta * k) time and memory.  Where the top eigenvalue is
+    degenerate, by the test of :func:`boundary_points`, that angle's dense
+    k-by-k Hermitian part goes through the same flat-edge code, so flat
+    edges stay exact.
+    """
+    if k < 1:
+        raise ValueError("truncation size must be >= 1")
+    thetas = _angles(cfg.num_theta)
+    d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
+    scaled_top = _top_eigenvalues(d, e, k)
+    top = np.ldexp(scaled_top, exponent)
+    below = np.ldexp(top - _gap_tol(top), -exponent)
+    flat = np.nonzero(_count_above(d, e * e, below, k) >= 2)[0]
+    points = [_touch_points(spec, beta, _top_eigenvectors(d, e, scaled_top, k))]
+    if flat.size:
+        t_k = build_truncation(spec, k)
+        for t in flat:
+            phase = np.exp(-1j * thetas[t])
+            values, vecs = eigh(_hermitian_parts(t_k, phase))
+            points.append(_flat_edge_ends(t_k, phase, values, vecs))
+    return _require_finite(np.concatenate(points), "touch point")
 
 
 def truncation_range(
     spec: PeriodSpec, k: int, cfg: SweepConfig = SweepConfig()
 ) -> RangePolygon:
     """Numerical-range polygon of the k-by-k leading compression."""
-    return range_boundary(build_truncation(spec, k), cfg)
+    return convex_hull(_truncation_points(spec, k, cfg))
 
 
 def rayleigh_samples(a, trials: int, seed: int) -> np.ndarray:

@@ -107,6 +107,16 @@ def test_numeric_errors_exit_3(monkeypatch, capsys, target, argv, error):
     assert capsys.readouterr().err == f"numeric error: {error}\n"
 
 
+@pytest.mark.parametrize("mode", ["symbol-hull", "truncation"])
+def test_range_overflow_exits_3(capsys, mode):
+    # finite input whose symbol entries and Hermitian parts overflow
+    argv = ["range", "--spec", "p=2;a=1e308,1e308;b=0;c=1e308", "--mode", mode,
+            "--k", "6", "--num-theta", "16", "--num-phi", "4"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("numeric error: non-finite")
+
+
 def test_verify_unknown_filter_exits_2(capsys):
     assert cli.main(["verify", "--filter", "nonexistent"]) == 2
     assert "matches no check" in capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 from numrange.linalg import (
     NoConvergenceError,
     NotHermitianError,
-    adjoint,
     as_matrix,
     eigh,
     extreme_pair,
@@ -32,23 +31,6 @@ def test_as_matrix_rejects_nonsquare_and_nonfinite():
         as_matrix(np.array([[np.nan, 0], [0, 0]]))
     with pytest.raises(ValueError, match="finite"):
         as_matrix(np.array([[np.inf, 0], [0, 0]]))
-
-
-def test_adjoint_basics_and_involution():
-    h = random_hermitian(4)
-    np.testing.assert_allclose(adjoint(h), h, atol=1e-15)
-    shift = np.array([[0, 1], [0, 0]], dtype=complex)
-    np.testing.assert_array_equal(adjoint(shift), np.array([[0, 0], [1, 0]]))
-    a = random_complex(5)
-    np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-
-
-def test_product_adjoint_identity():
-    for _ in range(5):
-        a, b = random_complex(4), random_complex(4)
-        np.testing.assert_allclose(
-            adjoint(a @ b), adjoint(b) @ adjoint(a), atol=1e-13
-        )
 
 
 def test_hermitian_part_hermitian_input_is_fixed_point():

@@ -1,5 +1,7 @@
 """The support-angle sweep and the operator-level range computations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,14 @@ from numrange.operators import PeriodSpec, build_truncation
 from numrange.sweep import (
     NotSelfAdjointError,
     SweepConfig,
+    _truncation_points,
     boundary_points,
     range_boundary,
     rayleigh_samples,
     selfadjoint_interval,
     symbol_union_hull,
     truncation_range,
+    truncation_support,
 )
 
 RNG = np.random.default_rng(42)
@@ -259,3 +263,100 @@ def test_truncation_range_converges_to_union_hull():
     hull = symbol_union_hull(WORD01, cfg)
     trunc = truncation_range(WORD01, 120, cfg)
     assert hausdorff(trunc, hull) <= 0.05
+
+
+# --- the tridiagonal truncation sweep against the dense sweep ---------------------
+
+
+def random_spec(rng, p: int) -> PeriodSpec:
+    draw = lambda: rng.standard_normal(p) + 1j * rng.standard_normal(p)
+    return PeriodSpec(a=draw(), b=draw(), c=draw())
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_truncation_points_match_dense_sweep(p):
+    rng = np.random.default_rng(100 + p)
+    cfg = SweepConfig(180, 1)
+    for k in (1, 2, 3, 7, 50, 200):
+        spec = random_spec(rng, p)
+        dense = boundary_points(build_truncation(spec, k), cfg)
+        points = _truncation_points(spec, k, cfg)
+        assert points.shape == dense.shape == (cfg.num_theta,)
+        assert np.abs(points - dense).max() <= 1e-12
+
+
+@pytest.mark.parametrize("word", ["01", "001", "0001"])
+def test_truncation_hull_matches_dense_at_flat_edges(word):
+    # the top eigenvalue is degenerate at theta = pi/2 and 3pi/2 (the
+    # Hermitian part splits into repeated blocks), where flat-edge ends are emitted
+    spec = PeriodSpec.from_word(word)
+    cfg = SweepConfig(360, 1)
+    for k in (60, 61):
+        points = _truncation_points(spec, k, cfg)
+        dense = boundary_points(build_truncation(spec, k), cfg)
+        assert points.size == dense.size > cfg.num_theta
+        fast = truncation_range(spec, k, cfg).vertices
+        slow = range_boundary(build_truncation(spec, k), cfg).vertices
+        assert fast.shape == slow.shape
+        assert np.abs(fast - slow).max() <= 1e-12
+
+
+def test_truncation_support_free_jacobi_closed_form():
+    # a = c = 1, b = 0: T_k has eigenvalues 2 cos(j pi / (k + 1)), j = 1..k
+    spec = PeriodSpec(a=1, b=0, c=1, p=2)
+    for k in (1, 2, 3, 10, 400, 1001):
+        top, minus_bottom = truncation_support(spec, k, [0.0, np.pi])
+        assert top == pytest.approx(2 * np.cos(np.pi / (k + 1)), abs=1e-12)
+        assert minus_bottom == pytest.approx(2 * np.cos(np.pi / (k + 1)), abs=1e-12)
+
+
+def test_truncation_support_matches_scipy_tridiagonal_at_k800():
+    eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
+    k, cfg = 800, SweepConfig(360, 1)
+    thetas = 2 * np.pi * np.arange(cfg.num_theta) / cfg.num_theta
+    j = np.arange(k)
+    expected = []
+    for theta in thetas:
+        w = np.exp(-1j * theta)
+        off = np.abs(w * WORD01.c[j[:-1] % 2] + np.conj(w * WORD01.a[j[1:] % 2])) / 2
+        expected.append(
+            eigh_tridiagonal(np.zeros(k), off, eigvals_only=True,
+                             select="i", select_range=(k - 1, k - 1))[0]
+        )
+    expected = np.array(expected)
+    assert np.abs(truncation_support(WORD01, k, thetas) - expected).max() <= 1e-12
+    poly = truncation_range(WORD01, k, cfg)
+    supports = np.array([support_width(poly, theta) for theta in thetas])
+    assert np.abs(supports - expected).max() <= 1e-12
+
+
+def test_truncation_range_memory_is_linear_in_k():
+    # the dense (num_theta, k, k) batch would need about 7.4 GB here, twice
+    # over with its eigenvectors; the tridiagonal sweep keeps (num_theta, k)
+    # work arrays plus, at the two flat-edge angles, k-by-k matrices
+    tracemalloc.start()
+    try:
+        poly = truncation_range(WORD01, 800, SweepConfig(num_theta=720))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(poly) > 720
+    assert peak < 160 * 2**20
+
+
+# finite entries whose Hermitian parts and p = 2 symbols overflow
+HUGE = PeriodSpec(p=2, a=1e308, b=0, c=1e308)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: truncation_range(HUGE, 5, SweepConfig(16, 1)),
+        lambda: truncation_support(HUGE, 5, [0.0]),
+        lambda: symbol_union_hull(HUGE, SweepConfig(16, 4)),
+        lambda: boundary_points(np.full((2, 2), 1e308), SweepConfig(16, 1)),
+    ],
+)
+def test_non_finite_intermediates_raise(sweep):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+        sweep()
