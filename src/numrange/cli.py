@@ -168,7 +168,11 @@ def _cmd_verify(args) -> int:
 def _cmd_figure(args) -> int:
     n = args.n
     spec = PeriodSpec.from_word("0" * n + "1")
-    cfg = SweepConfig(num_theta=args.num_theta, num_phi=args.num_theta)
+    try:
+        cfg = SweepConfig(num_theta=args.num_theta, num_phi=args.num_theta)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     plus, minus = conjecture_matrices(n)
     k = max(args.k, 2 * spec.p)
     blue = truncation_range(spec, k, cfg).vertices

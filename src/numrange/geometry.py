@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 CROSS_TOL = 1e-12
+# Interior-filter cascade of convex_hull: directions per pass, and floats per
+# projection chunk (2 MiB; 8 MiB chunks raise the peak RSS of small runs).
+_PRUNE_DIRECTIONS = (16, 128, 1024)
+_PRUNE_CHUNK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -73,31 +77,36 @@ def _monotone_chain(pts: np.ndarray) -> np.ndarray:
 
 
 def _prune_interior(pts: np.ndarray) -> np.ndarray:
-    """Akl-Toussaint style pruning: drop points strictly inside the polygon
-    of extreme points along eight directions.  Output contains every hull
-    vertex of the input."""
-    keys = (
-        pts.real,
-        -pts.real,
-        pts.imag,
-        -pts.imag,
-        pts.real + pts.imag,
-        pts.real - pts.imag,
-        -pts.real + pts.imag,
-        -pts.real - pts.imag,
-    )
-    corners = pts[np.unique([int(np.argmax(k)) for k in keys])]
-    poly = _monotone_chain(corners)
-    if poly.size < 3:
-        return pts
-    a = poly
-    b = np.roll(poly, -1)
-    margin = CROSS_TOL * max(1.0, float(np.abs(poly).max()))
-    cr = (b - a).real[None, :] * (pts[:, None] - a[None, :]).imag - (b - a).imag[
-        None, :
-    ] * (pts[:, None] - a[None, :]).real
-    strictly_inside = (cr > margin).all(axis=1)
-    return np.concatenate([pts[~strictly_inside], poly])
+    """Cascaded Akl-Toussaint filter.  Each pass takes the polygon P of the
+    extreme points along more directions and drops the points strictly
+    inside P, testing each against the edge of its wedge about P's vertex
+    centroid.  P's vertices are input points, so no hull vertex is dropped.
+    The cascade stops once a pass removes less than half of its input."""
+    for m in _PRUNE_DIRECTIONS:
+        t = 2 * np.pi * np.arange(m) / m
+        d = np.stack((np.cos(t), np.sin(t)), axis=1)
+        best, arg = np.full(m, -np.inf), np.zeros(m, dtype=np.intp)
+        step = _PRUNE_CHUNK_FLOATS // m
+        for s in range(0, pts.size, step):
+            z = pts[s : s + step]
+            proj = d @ np.stack((z.real, z.imag))
+            j = proj.argmax(axis=1)
+            val = proj[np.arange(m), j]
+            arg, best = np.where(val > best, j + s, arg), np.maximum(val, best)
+        poly = _monotone_chain(pts[np.unique(arg)])
+        c = poly.mean()
+        ang = np.angle(poly - c)
+        poly, ang = np.roll(poly, -ang.argmin()), np.roll(ang, -ang.argmin())
+        if poly.size < 3 or not (np.diff(ang) > 0).all():
+            break
+        i = np.searchsorted(ang, np.angle(pts - c), side="right") - 1
+        a, e = poly[i], (np.roll(poly, -1) - poly)[i]
+        margin = CROSS_TOL * max(1.0, float(np.abs(poly).max()))
+        inside = e.real * (pts.imag - a.imag) - e.imag * (pts.real - a.real) > margin
+        n, pts = pts.size, pts[~inside]
+        if 2 * pts.size > n:
+            break
+    return pts
 
 
 def convex_hull(points) -> RangePolygon:

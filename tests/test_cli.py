@@ -168,6 +168,13 @@ def test_figure_rejects_bad_n():
     assert exc.value.code == 2
 
 
+def test_figure_bad_num_theta_exits_2(capsys, tmp_path):
+    out = tmp_path / "x.svg"
+    assert cli.main(["figure", "--n", "1", "--num-theta", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_write_svg_validates_layers(tmp_path):
     with pytest.raises(ValueError, match="layer"):
         cli.write_svg(str(tmp_path / "empty.svg"), [])

@@ -1,10 +1,13 @@
 """Convex hulls, Hausdorff distances, containment, support widths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from numrange.geometry import (
     RangePolygon,
+    _monotone_chain,
     contains,
     convex_hull,
     distance_to_region,
@@ -13,6 +16,8 @@ from numrange.geometry import (
     polygon_to_csv,
     support_width,
 )
+from numrange.operators import PeriodSpec, build_symbol
+from numrange.sweep import SweepConfig, boundary_points, phi_grid
 
 RNG = np.random.default_rng(31)
 
@@ -97,13 +102,49 @@ def test_hull_idempotent():
     np.testing.assert_array_equal(once.vertices, twice.vertices)
 
 
-def test_hull_prune_path_matches_direct():
-    # >512 points triggers the interior-pruning fast path
+def _union_cloud_001() -> np.ndarray:
+    cfg = SweepConfig(num_theta=96, num_phi=96)
+    spec = PeriodSpec.from_word("001")
+    return np.concatenate(
+        [boundary_points(build_symbol(spec, phi), cfg) for phi in phi_grid(cfg.num_phi)]
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RNG.standard_normal(5000) + 1j * RNG.standard_normal(5000),
+        lambda: np.exp(2j * np.pi * np.arange(4096) / 4096),
+        _union_cloud_001,
+        lambda: (0.5 + 1j) * np.arange(600) - 3.0,
+        lambda: np.repeat(RNG.standard_normal(60) + 1j * RNG.standard_normal(60), 20),
+        lambda: (np.arange(-20, 21)[:, None] + 1j * np.arange(-20, 21)[None, :]).ravel(),
+    ],
+    ids=["gaussian", "circle", "union-001", "collinear", "duplicates", "lattice"],
+)
+def test_hull_prune_path_matches_direct(make):
+    # >512 points takes the cascaded interior filter before the monotone chain
+    pts = make()
+    assert pts.size > 512
+    fast = convex_hull(pts).vertices
+    direct = _monotone_chain(pts)
+    assert fast.tobytes() == direct.tobytes()
+
+
+def test_hull_prune_matches_gift_wrapping_oracle():
     pts = RNG.standard_normal(5000) + 1j * RNG.standard_normal(5000)
-    fast = convex_hull(pts)
-    slow = convex_hull(pts[:511])
-    assert set(fast.vertices.tolist()) == gift_wrap(pts)
-    del slow
+    assert set(convex_hull(pts).vertices.tolist()) == gift_wrap(pts)
+
+
+def test_hull_memory_is_bounded():
+    pts = RNG.standard_normal(500_000) + 1j * RNG.standard_normal(500_000)
+    tracemalloc.start()
+    try:
+        convex_hull(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # --- distances -----------------------------------------------------------------
