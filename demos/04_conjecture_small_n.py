@@ -12,11 +12,11 @@ import numpy as np
 from numrange import (
     PeriodSpec,
     SweepConfig,
-    boundary_points,
     check_range_negation_symmetry,
     conjecture_matrices,
     convex_hull,
     hausdorff,
+    range_boundary,
     stadium_region,
     symbol_union_hull,
 )
@@ -27,11 +27,9 @@ print(f"{'n':>3} {'word':>8} {'hausdorff gap':>16} {'negation symmetry':>20}")
 for n in range(1, 5):
     word = "0" * n + "1"
     hull = symbol_union_hull(PeriodSpec.from_word(word), cfg)
-    plus, minus = conjecture_matrices(n)
-    pair = convex_hull(
-        np.concatenate([boundary_points(plus, cfg), boundary_points(minus, cfg)])
-    )
-    sym = check_range_negation_symmetry(n, cfg)
+    plus, minus = (range_boundary(m, cfg) for m in conjecture_matrices(n))
+    pair = convex_hull(np.concatenate([plus.vertices, minus.vertices]))
+    sym = check_range_negation_symmetry(n, plus, minus, cfg)
     print(f"{n:>3} {word:>8} {hausdorff(hull, pair):>16.3e} {sym.metric:>20.3e}")
 
 control = hausdorff(

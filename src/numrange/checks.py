@@ -31,7 +31,6 @@ from .operators import (
 )
 from .sweep import (
     SweepConfig,
-    boundary_points,
     range_boundary,
     selfadjoint_interval,
     symbol_union_hull,
@@ -258,11 +257,14 @@ def check_selfadjoint_convergence(
     )
 
 
-def _hull_of_pair_ranges(n: int, cfg: SweepConfig) -> RangePolygon:
+def _pair_ranges(n: int, cfg: SweepConfig) -> tuple[RangePolygon, RangePolygon]:
+    """Range polygons of the two matrices of :func:`conjecture_matrices`."""
     plus, minus = conjecture_matrices(n)
-    return convex_hull(
-        np.concatenate([boundary_points(plus, cfg), boundary_points(minus, cfg)])
-    )
+    return range_boundary(plus, cfg), range_boundary(minus, cfg)
+
+
+def _hull_of_pair_ranges(plus: RangePolygon, minus: RangePolygon) -> RangePolygon:
+    return convex_hull(np.concatenate([plus.vertices, minus.vertices]))
 
 
 def check_stadium_identity(
@@ -346,29 +348,28 @@ def check_conjecture(
 
 
 def check_range_negation_symmetry(
-    n: int, cfg: SweepConfig = SweepConfig(), tolerance: float = 1e-8
+    n: int,
+    plus: RangePolygon,
+    minus: RangePolygon,
+    cfg: SweepConfig,
+    tolerance: float = 1e-8,
 ) -> CheckReport:
     """The two paired matrix ranges are negations of each other."""
-    plus, minus = conjecture_matrices(n)
-    p_plus = range_boundary(plus, cfg)
-    p_minus_neg = convex_hull(-range_boundary(minus, cfg).vertices)
     return CheckReport(
         name="conjecture_symmetry",
         parameters={"n": n, "num_theta": cfg.num_theta},
-        metric=hausdorff(p_plus, p_minus_neg),
+        metric=hausdorff(plus, convex_hull(-minus.vertices)),
         tolerance=tolerance,
     )
 
 
 def check_pair_ellipse_axes(
-    cfg: SweepConfig = SweepConfig(), tolerance: float = 1e-6
+    plus: RangePolygon, minus: RangePolygon, cfg: SweepConfig, tolerance: float = 1e-6
 ) -> CheckReport:
     """The n = 2 matrix ranges are the ellipses centred at +-1/2 with
     major axis sqrt(3) and minor axis sqrt(2), read off support widths."""
-    plus, minus = conjecture_matrices(2)
     deviations = []
-    for mat, center in ((plus, 0.5), (minus, -0.5)):
-        poly = range_boundary(mat, cfg)
+    for poly, center in ((plus, 0.5), (minus, -0.5)):
         s_right = support_width(poly, 0.0)
         s_up = support_width(poly, np.pi / 2)
         s_left = support_width(poly, np.pi)
@@ -463,10 +464,11 @@ def run_all(
     cfg: SweepConfig = params["cfg"]
 
     # Polygons are built on first use and shared by every check that compares
-    # them; the caches live only for this call.
+    # them (each pair matrix is swept once); the caches live only for this call.
     union_hull = functools.cache(lambda word: symbol_union_hull(PeriodSpec.from_word(word), cfg))
     trunc_range = functools.cache(lambda word, k: truncation_range(PeriodSpec.from_word(word), k, cfg))
-    pair_hull = functools.cache(lambda n: _hull_of_pair_ranges(n, cfg))
+    pair_ranges = functools.cache(lambda n: _pair_ranges(n, cfg))
+    pair_hull = functools.cache(lambda n: _hull_of_pair_ranges(*pair_ranges(n)))
     stadium = functools.cache(lambda: stadium_region(cfg.num_theta))
 
     jobs: list[tuple[str, object]] = []
@@ -506,9 +508,11 @@ def run_all(
         jobs.append(
             ("conjecture_hull", lambda nn=n: check_conjecture(nn, union_hull("0" * nn + "1"), pair_hull(nn), cfg))
         )
-        jobs.append(("conjecture_symmetry", lambda nn=n: check_range_negation_symmetry(nn, cfg)))
+        jobs.append(
+            ("conjecture_symmetry", lambda nn=n: check_range_negation_symmetry(nn, *pair_ranges(nn), cfg))
+        )
         if n == 2:
-            jobs.append(("conjecture_ellipse_axes", lambda: check_pair_ellipse_axes(cfg)))
+            jobs.append(("conjecture_ellipse_axes", lambda: check_pair_ellipse_axes(*pair_ranges(2), cfg)))
     jobs.append(
         ("conjecture_negative_control", lambda: check_stadium_separation("11", union_hull("11"), stadium()))
     )

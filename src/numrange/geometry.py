@@ -76,12 +76,33 @@ def _monotone_chain(pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _collinear_hull(pts: np.ndarray) -> np.ndarray:
+    """``_monotone_chain(pts)`` when it surely pops every point between the
+    lexicographic extremes lo and hi (which lie more than eps apart), else
+    ``pts`` itself.  The points lie within h of the line through lo and hi
+    and span S along it, so no exact cross product of three of them exceeds
+    4 S h; the chain pops whatever is at most its eps, and 4 S h is held to
+    eps/4.
+    """
+    order = np.lexsort((pts.imag, pts.real))
+    lo, hi = pts[order[0]], pts[order[-1]]
+    eps = CROSS_TOL * max(1.0, float(np.abs(pts).max()))
+    if abs(hi - lo) <= eps:
+        return pts
+    rel = (pts - lo) * np.conj(hi - lo) / abs(hi - lo)
+    if 16 * float(np.ptp(rel.real)) * float(np.abs(rel.imag).max()) > eps:
+        return pts
+    return np.array([lo, hi])
+
+
 def _prune_interior(pts: np.ndarray) -> np.ndarray:
     """Cascaded Akl-Toussaint filter.  Each pass takes the polygon P of the
     extreme points along more directions and drops the points strictly
     inside P, testing each against the edge of its wedge about P's vertex
     centroid.  P's vertices are input points, so no hull vertex is dropped.
-    The cascade stops once a pass removes less than half of its input."""
+    The cascade stops once a pass removes less than 1/32 of its input.  A
+    degenerate P (collinear input) ends the cascade, with the chain's own
+    answer when the points are certainly collinear to within its eps."""
     for m in _PRUNE_DIRECTIONS:
         t = 2 * np.pi * np.arange(m) / m
         d = np.stack((np.cos(t), np.sin(t)), axis=1)
@@ -97,14 +118,16 @@ def _prune_interior(pts: np.ndarray) -> np.ndarray:
         c = poly.mean()
         ang = np.angle(poly - c)
         poly, ang = np.roll(poly, -ang.argmin()), np.roll(ang, -ang.argmin())
-        if poly.size < 3 or not (np.diff(ang) > 0).all():
+        if poly.size < 3:
+            return _collinear_hull(pts)
+        if not (np.diff(ang) > 0).all():
             break
         i = np.searchsorted(ang, np.angle(pts - c), side="right") - 1
         a, e = poly[i], (np.roll(poly, -1) - poly)[i]
         margin = CROSS_TOL * max(1.0, float(np.abs(poly).max()))
         inside = e.real * (pts.imag - a.imag) - e.imag * (pts.real - a.real) > margin
         n, pts = pts.size, pts[~inside]
-        if 2 * pts.size > n:
+        if 32 * (n - pts.size) < n:
             break
     return pts
 

@@ -9,6 +9,7 @@ import numrange.checks as checks
 from numrange.checks import (
     CheckReport,
     _hull_of_pair_ranges,
+    _pair_ranges,
     check_block_diagonalization,
     check_conjecture,
     check_pair_ellipse_axes,
@@ -42,6 +43,10 @@ WORD01 = PeriodSpec.from_word("01")
 
 def word_hull(word: str, cfg: SweepConfig = CFG):
     return symbol_union_hull(PeriodSpec.from_word(word), cfg)
+
+
+def pair_hull(n: int, cfg: SweepConfig = CFG):
+    return _hull_of_pair_ranges(*_pair_ranges(n, cfg))
 
 
 def test_report_invariant_and_serialization():
@@ -139,7 +144,7 @@ def test_selfadjoint_theorem_and_shift():
 
 
 def test_stadium_checks():
-    word01_sets = word_hull("01"), stadium_region(CFG.num_theta), _hull_of_pair_ranges(1, CFG)
+    word01_sets = word_hull("01"), stadium_region(CFG.num_theta), pair_hull(1)
     assert check_stadium_identity(*word01_sets, CFG).passed
     widths = check_stadium_support_widths(*word01_sets, CFG)
     assert widths.passed and widths.metric <= 1e-3
@@ -147,7 +152,7 @@ def test_stadium_checks():
 
 def test_conjecture_small_n():
     for n in (1, 2):
-        report = check_conjecture(n, word_hull("0" * n + "1"), _hull_of_pair_ranges(n, CFG), CFG)
+        report = check_conjecture(n, word_hull("0" * n + "1"), pair_hull(n), CFG)
         assert report.passed
         assert report.tolerance == 0.02
         assert report.parameters["word"] == "0" * n + "1"
@@ -155,7 +160,7 @@ def test_conjecture_small_n():
 
 def test_conjecture_n4_is_advisory():
     cfg = SweepConfig(96, 96)
-    report = check_conjecture(4, word_hull("00001", cfg), _hull_of_pair_ranges(4, cfg), cfg)
+    report = check_conjecture(4, word_hull("00001", cfg), pair_hull(4, cfg), cfg)
     assert report.parameters["advisory"] is True
     assert report.tolerance == float("inf")
     assert report.passed  # advisory reports never gate
@@ -167,13 +172,13 @@ def test_conjecture_n4_is_advisory():
 
 def test_negation_symmetry():
     for n in (1, 2, 3):
-        report = check_range_negation_symmetry(n, CFG)
+        report = check_range_negation_symmetry(n, *_pair_ranges(n, CFG), CFG)
         assert report.passed
         assert report.metric <= 1e-8
 
 
 def test_pair_ellipse_axes():
-    report = check_pair_ellipse_axes(CFG)
+    report = check_pair_ellipse_axes(*_pair_ranges(2, CFG), CFG)
     assert report.passed
     assert report.metric <= 1e-6
 
@@ -243,10 +248,11 @@ def test_run_all_filter_and_n(quick_reports):
 
 
 def test_run_all_builds_each_polygon_once(monkeypatch):
-    """Within one call every union hull and truncation range is built once
-    and shared; nothing is cached across calls."""
-    hull_words, truncations = [], []
+    """Within one call every union hull, truncation range and pair-matrix
+    range is built once and shared; nothing is cached across calls."""
+    hull_words, truncations, pair_sizes = [], [], []
     build_hull, build_truncation = checks.symbol_union_hull, checks.truncation_range
+    build_range = checks.range_boundary
 
     def counting_hull(spec, cfg):
         hull_words.append("".join(str(int(x)) for x in spec.a.real))
@@ -256,15 +262,23 @@ def test_run_all_builds_each_polygon_once(monkeypatch):
         truncations.append(k)
         return build_truncation(spec, k, cfg)
 
+    def counting_range(a, cfg):
+        pair_sizes.append(a.shape[0])
+        return build_range(a, cfg)
+
     monkeypatch.setattr(checks, "symbol_union_hull", counting_hull)
     monkeypatch.setattr(checks, "truncation_range", counting_truncation)
+    monkeypatch.setattr(checks, "range_boundary", counting_range)
 
     run_all("quick")
     assert sorted(hull_words) == ["001", "01", "11"] and truncations == [120]
+    # the plus and minus matrices of n = 1 and n = 2, one sweep each
+    assert sorted(pair_sizes) == [2, 2, 3, 3]
     run_all("quick")
-    assert len(hull_words) == 6 and truncations == [120, 120]
+    assert len(hull_words) == 6 and truncations == [120, 120] and len(pair_sizes) == 8
 
     hull_words.clear()
     truncations.clear()
+    pair_sizes.clear()
     run_all("quick", only="conjecture", conjecture_n=2)
-    assert sorted(hull_words) == ["001", "11"] and truncations == []
+    assert sorted(hull_words) == ["001", "11"] and truncations == [] and pair_sizes == [3, 3]

@@ -8,6 +8,7 @@ import pytest
 from numrange.geometry import (
     RangePolygon,
     _monotone_chain,
+    _prune_interior,
     contains,
     convex_hull,
     distance_to_region,
@@ -102,12 +103,25 @@ def test_hull_idempotent():
     np.testing.assert_array_equal(once.vertices, twice.vertices)
 
 
-def _union_cloud_001() -> np.ndarray:
-    cfg = SweepConfig(num_theta=96, num_phi=96)
-    spec = PeriodSpec.from_word("001")
+def _union_cloud(word: str, n: int) -> np.ndarray:
+    cfg = SweepConfig(num_theta=n, num_phi=n)
+    spec = PeriodSpec.from_word(word)
     return np.concatenate(
         [boundary_points(build_symbol(spec, phi), cfg) for phi in phi_grid(cfg.num_phi)]
     )
+
+
+def _annulus() -> np.ndarray:
+    radii = RNG.uniform(0.99, 1.0, 100_000)
+    return radii * np.exp(1j * RNG.uniform(0, 2 * np.pi, 100_000))
+
+
+def _sliver() -> np.ndarray:
+    # the extremes along all 16 first-pass directions are the two ends, but
+    # the middle point sits 1e-6 off their line: the hull is a triangle
+    pts = np.exp(0.1j) * np.linspace(-1.0, 1.0, 1001)
+    pts[500] += 1e-6j * np.exp(0.1j)
+    return pts
 
 
 @pytest.mark.parametrize(
@@ -115,12 +129,25 @@ def _union_cloud_001() -> np.ndarray:
     [
         lambda: RNG.standard_normal(5000) + 1j * RNG.standard_normal(5000),
         lambda: np.exp(2j * np.pi * np.arange(4096) / 4096),
-        _union_cloud_001,
+        lambda: _union_cloud("001", 96),
         lambda: (0.5 + 1j) * np.arange(600) - 3.0,
         lambda: np.repeat(RNG.standard_normal(60) + 1j * RNG.standard_normal(60), 20),
         lambda: (np.arange(-20, 21)[:, None] + 1j * np.arange(-20, 21)[None, :]).ravel(),
+        _annulus,
+        lambda: _union_cloud("11", 192),
+        _sliver,
     ],
-    ids=["gaussian", "circle", "union-001", "collinear", "duplicates", "lattice"],
+    ids=[
+        "gaussian",
+        "circle",
+        "union-001",
+        "collinear",
+        "duplicates",
+        "lattice",
+        "annulus",
+        "union-11",
+        "sliver",
+    ],
 )
 def test_hull_prune_path_matches_direct(make):
     # >512 points takes the cascaded interior filter before the monotone chain
@@ -129,6 +156,12 @@ def test_hull_prune_path_matches_direct(make):
     fast = convex_hull(pts).vertices
     direct = _monotone_chain(pts)
     assert fast.tobytes() == direct.tobytes()
+
+
+def test_hull_prune_continues_while_passes_remove_points():
+    # the 16-direction pass keeps about 86% of a thin annulus; the later
+    # passes bring it down to the few hundred points near the outer circle
+    assert _prune_interior(_annulus()).size < 2000
 
 
 def test_hull_prune_matches_gift_wrapping_oracle():

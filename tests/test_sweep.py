@@ -7,15 +7,19 @@ import pytest
 
 from numrange.geometry import (
     RangePolygon,
+    convex_hull,
     distance_to_region,
     hausdorff,
     support_width,
 )
 from numrange.linalg import hermitian_part
-from numrange.operators import PeriodSpec, build_truncation
+from numrange.operators import PeriodSpec, build_symbol, build_truncation, phi_grid
 from numrange.sweep import (
     NotSelfAdjointError,
     SweepConfig,
+    _cycle_polynomial,
+    _scaled_tridiagonals,
+    _symbol_points,
     _truncation_points,
     boundary_points,
     range_boundary,
@@ -342,6 +346,86 @@ def test_truncation_range_memory_is_linear_in_k():
         tracemalloc.stop()
     assert len(poly) > 720
     assert peak < 160 * 2**20
+
+
+# --- the Floquet symbol sweep against the per-phi dense sweep ---------------------
+
+
+def dense_symbol_points(spec: PeriodSpec, cfg: SweepConfig) -> list[np.ndarray]:
+    """The reference: boundary_points of every symbol, one phi at a time."""
+    return [boundary_points(build_symbol(spec, phi), cfg) for phi in phi_grid(cfg.num_phi)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_symbol_determinant_identity(p):
+    # det(lam - H) = D_theta(lam) - 2 Re(e^{i phi} Pi_theta), in the scaled units
+    rng = np.random.default_rng(300 + p)
+    spec = random_spec(rng, p)
+    for theta, phi in rng.uniform(0, 2 * np.pi, (4, 2)):
+        d, e, beta, exponent = _scaled_tridiagonals(spec, np.array([theta]))
+        scale = 2.0**-exponent
+        pi = (beta * scale).prod()
+        h = hermitian_part(build_symbol(spec, phi), theta) * scale
+        for lam in rng.uniform(-2, 2, 5):
+            value, slope = _cycle_polynomial(d, e * e, np.array([lam]))
+            expected = np.linalg.det(lam * np.eye(p) - h).real
+            assert value[0] - 2 * (np.exp(1j * phi) * pi).real == pytest.approx(
+                expected, abs=1e-12
+            )
+            step = 1e-6
+            numeric = (
+                np.linalg.det((lam + step) * np.eye(p) - h) - np.linalg.det((lam - step) * np.eye(p) - h)
+            ).real / (2 * step)
+            assert slope[0] == pytest.approx(numeric, abs=1e-6)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_symbol_points_match_dense_sweep(p):
+    # 120 x 150 pairs span two chunks; the first num_theta * num_phi points
+    # are the top touch points, phi-major
+    rng = np.random.default_rng(400 + p)
+    cfg = SweepConfig(120, 150)
+    for _ in range(3):
+        spec = random_spec(rng, p)
+        dense = dense_symbol_points(spec, cfg)
+        points = _symbol_points(spec, cfg)
+        assert points.size == sum(x.size for x in dense)
+        tops = np.concatenate([x[: cfg.num_theta] for x in dense])
+        assert np.abs(points[: tops.size] - tops).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PeriodSpec.from_word("01"),
+        PeriodSpec.from_word("001"),
+        PeriodSpec.from_word("0001"),
+        PeriodSpec(a=0, b=(1.0, 1j), c=0),
+        PeriodSpec(a=(0.0, 1.0), b=0.0, c=(1.0, 0.0)),
+        PeriodSpec(a=1, b=0, c=1, p=2),
+    ],
+    ids=["01", "001", "0001", "diagonal", "split", "selfadjoint"],
+)
+def test_symbol_union_hull_matches_dense_sweep(spec):
+    # the same flat-edge pairs, so the same points, and the same hull
+    cfg = SweepConfig(96, 96)
+    dense = np.concatenate(dense_symbol_points(spec, cfg))
+    assert _symbol_points(spec, cfg).size == dense.size
+    fast = symbol_union_hull(spec, cfg).vertices
+    slow = convex_hull(dense).vertices
+    assert fast.shape == slow.shape
+    assert np.abs(fast - slow).max() <= 1e-12
+
+
+def test_symbol_union_hull_memory_is_bounded():
+    # the (theta, phi) pairs run in chunks into one preallocated output
+    tracemalloc.start()
+    try:
+        symbol_union_hull(PeriodSpec.from_word("0001"), SweepConfig(720, 720))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * 2**20
 
 
 # finite entries whose Hermitian parts and p = 2 symbols overflow
