@@ -100,13 +100,9 @@ def _spec_params(spec: PeriodSpec) -> dict:
 
 
 def _symbol_blocks(spec: PeriodSpec, s: int) -> np.ndarray:
-    m = s * spec.p
-    blocks = np.zeros((m, m), dtype=complex)
-    for k, phi in enumerate(phi_grid(s)):
-        blocks[k * spec.p : (k + 1) * spec.p, k * spec.p : (k + 1) * spec.p] = build_symbol(
-            spec, phi
-        )
-    return blocks
+    blocks = np.zeros((s, spec.p, s, spec.p), dtype=complex)
+    blocks[np.arange(s), :, np.arange(s), :] = build_symbol(spec, phi_grid(s))
+    return blocks.reshape(s * spec.p, s * spec.p)
 
 
 def check_block_diagonalization(spec: PeriodSpec, s: int) -> CheckReport:
@@ -167,17 +163,14 @@ def check_spectrum_union(spec: PeriodSpec, s: int) -> CheckReport:
     sign specs), so the non-normal route uses a 1e-4 tolerance.
     """
     selfadjoint = spec.is_selfadjoint()
+    circulant, symbols = build_circulant(spec, s), build_symbol(spec, phi_grid(s))
     if selfadjoint:
-        circ_eigs = np.linalg.eigvalsh(build_circulant(spec, s)).astype(complex)
-        symbol_eigs = np.concatenate(
-            [np.linalg.eigvalsh(build_symbol(spec, phi)) for phi in phi_grid(s)]
-        ).astype(complex)
+        circ_eigs = np.linalg.eigvalsh(circulant).astype(complex)
+        symbol_eigs = np.linalg.eigvalsh(symbols).ravel().astype(complex)
         tolerance = 1e-8
     else:
-        circ_eigs = np.linalg.eigvals(build_circulant(spec, s))
-        symbol_eigs = np.concatenate(
-            [np.linalg.eigvals(build_symbol(spec, phi)) for phi in phi_grid(s)]
-        )
+        circ_eigs = np.linalg.eigvals(circulant)
+        symbol_eigs = np.linalg.eigvals(symbols).ravel()
         tolerance = 1e-4
     return CheckReport(
         name="spectrum_union",
@@ -231,17 +224,14 @@ def check_truncation_containment(
 
 
 def check_selfadjoint_convergence(
-    spec: PeriodSpec,
-    k_max: int = 400,
-    cfg: SweepConfig = SweepConfig(),
-    tolerance: float = 0.05,
+    spec: PeriodSpec, k_max: int = 400, tolerance: float = 0.05
 ) -> CheckReport:
     """Interval endpoints from symbols against deep-truncation eigenvalue extremes.
 
     The truncation's largest eigenvalue is its support value at theta = 0,
     and minus its smallest is the support value at theta = pi.
     """
-    lo, hi = selfadjoint_interval(spec, cfg)
+    lo, hi = selfadjoint_interval(spec)
     lam_max, neg_lam_min = truncation_support(spec, k_max, [0.0, np.pi])
     lam_min = -neg_lam_min
     return CheckReport(
@@ -249,7 +239,6 @@ def check_selfadjoint_convergence(
         parameters={
             **_spec_params(spec),
             "k_max": k_max,
-            "num_phi": cfg.num_phi,
             "interval": [lo, hi],
         },
         metric=max(abs(lo - lam_min), abs(hi - lam_max)),
@@ -455,8 +444,9 @@ def run_all(
 
     ``only`` keeps checks whose name contains the given substring and is an
     error when nothing matches.  ``conjecture_n`` restricts the per-n
-    conjecture checks.  Reports come back sorted by name (stable within a
-    name, so repeated runs are identical).
+    conjecture checks and is an error when the profile has no such n.
+    Reports come back sorted by name (stable within a name, so repeated
+    runs are identical).
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
@@ -487,13 +477,11 @@ def run_all(
         )
 
     sa_spec = PeriodSpec(a=(1.0, 1.0), b=0.0, c=(1.0, 1.0))
-    jobs.append(
-        ("selfadjoint_interval", lambda: check_selfadjoint_convergence(sa_spec, params["k_selfadjoint"], cfg))
-    )
+    jobs.append(("selfadjoint_interval", lambda: check_selfadjoint_convergence(sa_spec, params["k_selfadjoint"])))
     jobs.append(
         (
             "selfadjoint_interval",
-            lambda: check_selfadjoint_convergence(_random_selfadjoint_spec(seed + 1), params["k_selfadjoint"], cfg),
+            lambda: check_selfadjoint_convergence(_random_selfadjoint_spec(seed + 1), params["k_selfadjoint"]),
         )
     )
 
@@ -503,7 +491,9 @@ def run_all(
 
     ns = params["conjecture_ns"]
     if conjecture_n is not None:
-        ns = [n for n in ns if n == conjecture_n]
+        if conjecture_n not in ns:
+            raise ValueError(f"n={conjecture_n} is not one of the {profile!r} profile's conjecture sizes {ns}")
+        ns = [conjecture_n]
     for n in ns:
         jobs.append(
             ("conjecture_hull", lambda nn=n: check_conjecture(nn, union_hull("0" * nn + "1"), pair_hull(nn), cfg))

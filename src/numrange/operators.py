@@ -161,26 +161,21 @@ def build_circulant(spec: PeriodSpec, s: int) -> np.ndarray:
     return cm
 
 
-def build_symbol(spec: PeriodSpec, phi: float) -> np.ndarray:
+def build_symbol(spec: PeriodSpec, phi) -> np.ndarray:
     """Symbol matrix: one period with phase-twisted wrap entries.
 
-    For p >= 3 this is the p-by-p truncation pattern with corners
-    ``a[0] e^{-i phi}`` at (0, p-1) and ``c[p-1] e^{i phi}`` at (p-1, 0).
-    For p = 2 those wrap entries land on the off-diagonal and add up::
+    This is the p-by-p truncation plus ``a[0] e^{-i phi}`` at (0, p-1) and
+    ``c[p-1] e^{i phi}`` at (p-1, 0).  For p = 2 those wrap entries land on
+    the off-diagonal and add up::
 
         [[b0, c0 + a0 e^{-i phi}], [a1 + c1 e^{i phi}, b1]]
+
+    An array of angles gives the stack of their symbols.
     """
-    a, b, c = spec.a, spec.b, spec.c
-    if spec.p == 2:
-        return np.array(
-            [
-                [b[0], c[0] + a[0] * np.exp(-1j * phi)],
-                [a[1] + c[1] * np.exp(1j * phi), b[1]],
-            ]
-        )
-    t = build_truncation(spec, spec.p)
-    t[0, spec.p - 1] = a[0] * np.exp(-1j * phi)
-    t[spec.p - 1, 0] = c[spec.p - 1] * np.exp(1j * phi)
+    phi = np.asarray(phi, dtype=float)
+    t = np.broadcast_to(build_truncation(spec, spec.p), (*phi.shape, spec.p, spec.p)).copy()
+    t[..., 0, -1] += spec.a[0] * np.exp(-1j * phi)
+    t[..., -1, 0] += spec.c[-1] * np.exp(1j * phi)
     return t
 
 

@@ -13,10 +13,11 @@ sweep runs on the similar real symmetric tridiagonals in O(k) per angle
 (Sturm bisection and inverse iteration; Parlett, *The Symmetric Eigenvalue
 Problem*, ch. 7), not on dense matrices.  The symbols' Hermitian parts are
 periodic Jacobi matrices, whose characteristic polynomial at one theta is
-the same for every phi up to a constant; their sweep takes O(p) steps per
-(theta, phi) pair (Newton on that polynomial, a cut of the cycle for the
-eigenvector).  Dense LAPACK solves remain for general matrices and for the
-(near-)degenerate angles and pairs, where flat-edge ends are emitted.
+the same for every twist phi up to a constant, so the support of their
+union's range is attained at a twist known in closed form: the union
+sweep solves one p-by-p symbol per direction, on a grid refined where that
+twist turns fast.  General matrices, truncations at (near-)degenerate
+angles and symbols go through dense LAPACK solves in bounded batches.
 """
 
 from __future__ import annotations
@@ -48,7 +49,14 @@ class NotSelfAdjointError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid sizes: ``num_theta`` support angles, ``num_phi`` symbol angles."""
+    """Grid sizes: ``num_theta`` support angles, ``num_phi`` twist steps.
+
+    Symbol-union hulls take one symbol per direction, at its maximising
+    twist, and refine the ``num_theta`` grid until that twist moves by at
+    most one of ``num_phi`` steps between neighbouring directions; at split
+    directions, where the top eigenvalue does not depend on the twist, they
+    sweep the ``num_phi`` grid of symbols.  Other sweeps ignore ``num_phi``.
+    """
 
     num_theta: int = 720
     num_phi: int = 720
@@ -67,12 +75,10 @@ DEGENERATE_GAP = 1e-10
 # overflow; replacing a pivot by -PIVMIN moves one diagonal entry by less
 # than 2 * PIVMIN.
 PIVMIN = np.finfo(float).eps
-# Symbol sweep: (theta, phi) pairs per chunk, Newton steps before a pair goes
-# to the dense path, and the margin of the certificate that its top
-# eigenvalue is simple.
-_SYMBOL_CHUNK = 1 << 14
-_NEWTON_STEPS = 64
-_GAP_SAFETY = 4.0
+# Bytes of Hermitian parts the dense sweep hands to one batched ``eigh``; the
+# directions go in chunks of this size, so memory stays bounded for any
+# number of angles.
+_DENSE_BATCH_BYTES = 1 << 22
 
 
 def _angles(num_theta: int) -> np.ndarray:
@@ -94,7 +100,8 @@ def _hermitian_parts(a, phase) -> np.ndarray:
     """Hermitian part of ``phase * a``, one matrix per entry of ``phase``."""
     phase = np.asarray(phase)[..., None, None]
     return _require_finite(
-        0.5 * (phase * a + np.conj(phase) * a.conj().T), "Hermitian part"
+        0.5 * (phase * a + np.conj(phase) * np.swapaxes(a.conj(), -1, -2)),
+        "Hermitian part",
     )
 
 
@@ -117,18 +124,24 @@ def _flat_edge_ends(a, phase, values, vecs) -> np.ndarray:
 
 
 def _dense_touch_points(a, phase) -> np.ndarray:
-    """Support touch points of W(a) from dense ``eigh``, one direction per
-    entry of ``phase``: the top-eigenvector Rayleigh quotients in that order,
-    then the flat-edge ends of every (near-)degenerate direction."""
-    values, vecs = eigh(_hermitian_parts(a, phase))
-    top = vecs[:, :, -1]
-    points = [np.einsum("ti,ij,tj->t", top.conj(), a, top)]
-    if a.shape[0] > 1:
-        flat = values[:, -1] - values[:, -2] <= _gap_tol(values[:, -1])
-        points += [
-            _flat_edge_ends(a, phase[t], values[t], vecs[t]) for t in np.nonzero(flat)[0]
-        ]
-    return np.concatenate(points)
+    """Support touch points from dense ``eigh``: of each matrix of the stack
+    ``a`` in the direction of its entry of ``phase``.  The top-eigenvector
+    Rayleigh quotients come in that order, then the flat-edge ends of every
+    (near-)degenerate direction.  The directions go to ``eigh`` in chunks
+    of ``_DENSE_BATCH_BYTES``; it solves each matrix on its own, so the
+    chunks change no bit."""
+    n = a.shape[-1]
+    chunk = max(1, _DENSE_BATCH_BYTES // (16 * n * n))
+    tops, ends = [np.empty(0, dtype=complex)], []
+    for lo in range(0, phase.size, chunk):
+        m, ph = a[lo : lo + chunk], phase[lo : lo + chunk]
+        values, vecs = eigh(_hermitian_parts(m, ph))
+        top = vecs[:, :, -1]
+        tops.append(np.einsum("ti,tij,tj->t", top.conj(), m, top))
+        if n > 1:
+            flat = values[:, -1] - values[:, -2] <= _gap_tol(values[:, -1])
+            ends += [_flat_edge_ends(m[t], ph[t], values[t], vecs[t]) for t in np.flatnonzero(flat)]
+    return np.concatenate(tops + ends)
 
 
 def boundary_points(a, cfg: SweepConfig = SweepConfig()) -> np.ndarray:
@@ -145,7 +158,8 @@ def boundary_points(a, cfg: SweepConfig = SweepConfig()) -> np.ndarray:
     if a.shape[0] < 1:
         raise ValueError("matrix must have dimension >= 1")
     phase = np.exp(-1j * _angles(cfg.num_theta))
-    return _require_finite(_dense_touch_points(a, phase), "touch point")
+    stack = np.broadcast_to(a, (phase.size, *a.shape))
+    return _require_finite(_dense_touch_points(stack, phase), "touch point")
 
 
 def range_boundary(a, cfg: SweepConfig = SweepConfig()) -> RangePolygon:
@@ -153,30 +167,21 @@ def range_boundary(a, cfg: SweepConfig = SweepConfig()) -> RangePolygon:
     return convex_hull(boundary_points(a, cfg))
 
 
-def _require_selfadjoint(spec: PeriodSpec) -> None:
+def selfadjoint_interval(spec: PeriodSpec) -> tuple[float, float]:
+    """Endpoints of the closure of W(T) for a self-adjoint operator: minus the
+    support at theta = pi and the support at theta = 0, each the top
+    eigenvalue of one symbol, at its maximising twist (:func:`_twist_angles`)."""
     if not spec.is_selfadjoint():
-        raise NotSelfAdjointError(
-            "spec is not self-adjoint: need real b and c[j] = conj(a[j+1])"
-        )
-
-
-def selfadjoint_interval(
-    spec: PeriodSpec, cfg: SweepConfig = SweepConfig()
-) -> tuple[float, float]:
-    """Endpoints of the closure of W(T) for a self-adjoint operator.
-
-    Minimum of the smallest and maximum of the largest symbol eigenvalue
-    over the ``num_phi`` twist grid.
-    """
-    _require_selfadjoint(spec)
-    symbols = np.stack([build_symbol(spec, phi) for phi in phi_grid(cfg.num_phi)])
-    _require_finite(symbols, "symbol entry")
-    values = np.linalg.eigvalsh(symbols)
-    return float(values[:, 0].min()), float(values[:, -1].max())
+        raise NotSelfAdjointError("spec is not self-adjoint: need real b and c[j] = conj(a[j+1])")
+    thetas = np.array([0.0, np.pi])
+    symbols = build_symbol(spec, _twist_angles(spec, thetas)[0])
+    top = np.linalg.eigvalsh(_hermitian_parts(symbols, np.exp(-1j * thetas)))[:, -1]
+    return float(-top[1]), float(top[0])
 
 
 def symbol_union_hull(spec: PeriodSpec, cfg: SweepConfig = SweepConfig()) -> RangePolygon:
-    """Convex hull of the union of symbol numerical ranges over the phi grid."""
+    """Convex hull of touch points of the union of symbol numerical ranges
+    over all twists phi (see :class:`SweepConfig`)."""
     return convex_hull(_symbol_points(spec, cfg))
 
 
@@ -331,178 +336,83 @@ def truncation_range(
     return convex_hull(_truncation_points(spec, k, cfg))
 
 
-def _cycle_polynomial(d, e2, lam):
-    """``D(lam)`` and ``D'(lam)``, where ``det(lam - H) = D(lam) - 2 Re(e^{i phi} Pi)``.
+def _twist_angles(spec: PeriodSpec, thetas):
+    """The maximising twist ``phi*`` of each direction, and a vanishing edge or -1.
 
-    ``D = K_{0..p-1} - e2_{p-1} K_{1..p-2}``, from the path continuants
-    ``K_{i..j} = (lam - d_j) K_{i..j-1} - e2_{j-1} K_{i..j-2}`` of the
-    symbol's Hermitian part (an empty path gives 1), run side by side.
+    The Hermitian part H of ``e^{-i theta} S(phi)`` is a periodic Jacobi
+    matrix: ``det(lam - H) = D_theta(lam) - 2 Re(e^{i phi} Pi_theta)``, with
+    ``Pi_theta`` the product of its edges (Teschl, *Jacobi Operators and
+    Completely Integrable Nonlinear Lattices*, ch. 7).  Its top eigenvalue,
+    the largest root, grows with the right-hand side, so it is largest at
+    ``phi* = -arg Pi_theta``.  Where an edge vanishes to within the rounding
+    of its entries (a split direction) it does not depend on phi; there
+    ``phi*`` = 0.
     """
-    p = d.shape[0]
-    shift = lam - d
-    k, dk, k_prev, dk_prev = shift[0], 1.0, 1.0, 0.0  # K_{0..j}, K_{0..j-1}
-    h, dh, h_prev, dh_prev = 1.0, 0.0, 0.0, 0.0  # K_{1..j}, K_{1..j-1}
-    for j in range(1, p - 1):
-        s, w = shift[j], e2[j - 1]
-        k, dk, k_prev, dk_prev = s * k - w * k_prev, k + s * dk - w * dk_prev, k, dk
-        h, dh, h_prev, dh_prev = s * h - w * h_prev, h + s * dh - w * dh_prev, h, dh
-    s, w = shift[p - 1], e2[p - 2]
-    k, dk = s * k - w * k_prev, k + s * dk - w * dk_prev
-    return k - e2[p - 1] * h, dk - e2[p - 1] * dh
+    beta = _scaled_tridiagonals(spec, thetas)[2]
+    rounding = 4 * np.finfo(float).eps * (np.abs(spec.c) + np.abs(np.roll(spec.a, -1)))
+    vanishing = np.abs(beta) <= rounding
+    split = vanishing.any(axis=1)
+    phi = np.where(split, 0.0, -np.angle(beta).sum(axis=1))
+    return phi, np.where(split, vanishing.argmax(axis=1), -1)
 
 
-def _newton_top(d, e2, level, lam, tol, floor):
-    """Largest root of ``D = level`` per pair, by Newton's method from an
-    upper bound ``lam``.  The roots are all real, so above the largest one
-    ``D - level`` is increasing and convex: the iterates descend onto it,
-    their steps shrink and ``D'`` falls with them.  A pair converges once
-    its step is at most ``tol``, and fails for good once ``D'`` is at most
-    ``floor`` or after ``_NEWTON_STEPS`` steps.  Finished pairs leave the
-    work arrays once they are half of them.  Returns the roots and which
-    pairs converged.
+def _split_touch_points(spec: PeriodSpec, thetas, edge, num_phi: int) -> np.ndarray:
+    """Touch points of every symbol on the phi grid, at split directions.
+
+    With edge j zero, ``H(theta, phi) = U H(theta, 0) U*`` for the diagonal
+    U that is 1 up to row j and ``e^{i phi}`` after it.  So the top
+    eigenvector at phi is ``U y``, y the one at phi = 0, and its Rayleigh
+    quotient with S(phi) changes only in the two entries of edge j.  Where
+    the top is degenerate, the grid's symbols go through the dense code.
     """
-    lam = lam.copy()
-    converged = np.zeros(lam.size, dtype=bool)
-    live, at, failed = np.arange(lam.size), lam, np.zeros(lam.size, dtype=bool)
-    for _ in range(_NEWTON_STEPS):
-        f, df = _cycle_polynomial(d, e2, at)
-        failed |= ~(df > floor)
-        step = np.where(failed | (f <= level), 0.0, (f - level) / df)
-        at = at - step
-        moving = step > tol
-        lam[live], converged[live] = at, ~(failed | moving)
-        if 2 * np.count_nonzero(moving) <= moving.size:
-            live, d, e2, level, at, tol, floor, failed = (
-                x[..., moving] for x in (live, d, e2, level, at, tol, floor, failed)
-            )
-            if not live.size:
-                break
-    return lam, converged
+    phase = np.exp(-1j * thetas)
+    symbol = build_symbol(spec, 0.0)
+    values, vecs = eigh(_hermitian_parts(symbol, phase))
+    y = vecs[:, :, -1]
+    rows, after = np.arange(thetas.size), (edge + 1) % spec.p
+    ahead = spec.c[edge] * y[rows, edge].conj() * y[rows, after]
+    behind = spec.a[after] * y[rows, after].conj() * y[rows, edge]
+    turn = np.exp(1j * phi_grid(num_phi))
+    z = np.einsum("ti,ij,tj->t", y.conj(), symbol, y)[:, None] + ahead[:, None] * (turn - 1)
+    z += behind[:, None] * (turn.conj() - 1)
+    flat = values[:, -1] - values[:, -2] <= _gap_tol(values[:, -1])
+    dense = [
+        _dense_touch_points(build_symbol(spec, phi_grid(num_phi)), np.full(num_phi, phase[t]))
+        for t in np.flatnonzero(flat)
+    ]
+    return np.concatenate([z[~flat].ravel(), *dense])
 
 
-def _cut_minors(shift, e2) -> np.ndarray:
-    """Principal minors of ``lam - H`` with vertex m deleted, row m: the
-    continuant of the path ``m+1, ..., p-1, 0, ..., m-1``.  Its two pieces
-    are a suffix and a prefix of ``0..p-1``, joined through the wrap edge
-    ``e2[p-1]``, so all p minors cost O(p)."""
-
-    def continuants(s, w, rows):  # row j: K of the first j vertices of s
-        k = [np.ones_like(shift[0]), s[0]]
-        for j in range(1, len(s)):
-            k.append(s[j] * k[j] - w[j - 1] * k[j - 1])
-        return np.array(k[:rows])
-
-    p, zero = shift.shape[0], np.zeros_like(shift[:1])
-    head = continuants(shift, e2, p)  # K_{0..m-1}
-    head_inner = np.concatenate([zero, continuants(shift[1:], e2[1:], p - 1)])  # K_{1..m-1}
-    tail = continuants(shift[::-1], e2[: p - 1][::-1], p)[::-1]  # K_{m+1..p-1}
-    tail_inner = np.concatenate(  # K_{m+1..p-2}
-        [continuants(shift[: p - 1][::-1], e2[: p - 2][::-1], p - 1)[::-1], zero]
-    )
-    return tail * head - e2[p - 1] * tail_inner * head_inner
-
-
-def _symbol_chunk(spec: PeriodSpec, per_theta, t, twist):
-    """Touch points of the symbols at a chunk of (theta, phi) pairs.
-
-    ``per_theta`` holds, along its last axis, the scaled diagonal ``d`` and
-    squared off-diagonal moduli ``e2`` of each Hermitian part H, its scaled
-    edges ``g[j] = H[j, j+1 mod p]`` before the twist ``e^{i phi}`` of the
-    wrap edge, their product ``Pi``, and the Newton start, tolerance and
-    floor; ``t`` picks each pair's theta.  Returns the touch points and
-    which pairs are certified: Newton converged with ``D'`` above the
-    floor, so the top eigenvalue is simple, and the touch point is finite.
-    """
-    p = spec.p
-    d, e2, g, pi, start, tol, floor = (x[..., t] for x in per_theta)
-    g[-1] *= twist
-    lam, certified = _newton_top(d, e2, 2 * (twist * pi).real, start, tol, floor)
-    # Cut the cycle where |x_m| is largest, set x_m = 1 and solve the path
-    # of the other rows of (lam - H) x = 0, in the frame rotated to m = 0.
-    shift = lam - d
-    cut = _cut_minors(shift, e2).argmax(axis=0)
-    rot = (np.arange(p)[:, None] + cut) % p
-    shift, e2, g = (np.take_along_axis(x, rot, axis=0) for x in (shift, e2, g))
-    rhs = np.zeros((p - 1, lam.size), dtype=complex)
-    rhs[0] += np.conj(g[0])
-    rhs[-1] += g[-1]
-    pivot = np.empty((p - 1, lam.size))
-    pivot[0] = shift[1]
-    for i in range(1, p - 1):
-        pivot[i] = shift[i + 1] - e2[i] / pivot[i - 1]
-        rhs[i] += np.conj(g[i]) / pivot[i - 1] * rhs[i - 1]
-    x = np.ones((p, lam.size), dtype=complex)
-    x[-1] = rhs[-1] / pivot[-1]
-    for i in range(p - 3, -1, -1):
-        x[i + 1] = (rhs[i] + g[i + 1] * x[i + 2]) / pivot[i]
-    x = np.take_along_axis(x, (np.arange(p)[:, None] - cut) % p, axis=0)
-    # Rayleigh quotient x* S x / x* x from the cycle's entries
-    # S[j, j+1] = c_j and S[j+1, j] = a_{j+1}, twisted on the wrap edge.
-    step = x[:-1].conj() * x[1:]
-    wrap = x[-1].conj() * x[0]
-    weight = x.real**2 + x.imag**2
-    z = (
-        spec.b @ weight
-        + spec.c[:-1] @ step
-        + spec.a[1:] @ step.conj()
-        + spec.c[-1] * twist * wrap
-        + spec.a[0] * np.conj(twist * wrap)
-    ) / weight.sum(axis=0)
-    return z, certified & np.isfinite(z)
+def _union_directions(spec: PeriodSpec, cfg: SweepConfig):
+    """Directions of the union sweep, with their twists and split edges: each
+    interval of the ``num_theta`` grid cut into as many equal parts as the
+    maximising twist turns by ``num_phi`` grid steps across it."""
+    thetas = _angles(cfg.num_theta)
+    phi, _ = _twist_angles(spec, thetas)
+    turn = np.abs(np.angle(np.exp(1j * (np.roll(phi, -1) - phi))))
+    # the slack keeps a turn of exactly one step (word 01) at one part
+    parts = np.maximum(1, np.ceil(cfg.num_phi * turn / (2 * np.pi) - 1e-9)).astype(int)
+    step = 2 * np.pi / cfg.num_theta
+    thetas = np.concatenate([t + step * np.arange(m) / m for t, m in zip(thetas, parts)])
+    return thetas, *_twist_angles(spec, thetas)
 
 
 def _symbol_points(spec: PeriodSpec, cfg: SweepConfig) -> np.ndarray:
-    """:func:`boundary_points` of every symbol on the phi grid, all together.
+    """Support touch points of the union of symbol ranges.
 
-    The Hermitian part H of ``e^{-i theta} S(phi)`` is a periodic Jacobi
-    matrix, so ``det(lam - H) = D_theta(lam) - 2 Re(e^{i phi} Pi_theta)``
-    with ``Pi_theta`` the product of its edges (Teschl, *Jacobi Operators
-    and Completely Integrable Nonlinear Lattices*, ch. 7).  Each (theta,
-    phi) pair takes O(p) vectorised steps: Newton for the top eigenvalue
-    from the Gershgorin bound, a cut of the cycle for the eigenvector, and
-    its Rayleigh quotient as the touch point.  Pairs whose top eigenvalue
-    is not certified simple go through the dense code of
-    :func:`boundary_points`, flat-edge ends included.  The top points come
-    phi-major, one per pair, then the flat-edge ends.
+    Each direction of :func:`_union_directions` solves the one symbol at its
+    maximising twist with the dense code of :func:`boundary_points`.  Off
+    split directions a diagonal gauge makes its Hermitian part a real cycle
+    with positive edges, whose top eigenvalue is simple by Perron-Frobenius;
+    the degeneracy test stays as a safety net.
     """
-    p, num_theta = spec.p, cfg.num_theta
-    thetas = _angles(num_theta)
-    phis = phi_grid(cfg.num_phi)
-    d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
-    e2 = e * e
-    g = np.ldexp(beta.real.T, -exponent) + 1j * np.ldexp(beta.imag.T, -exponent)
-    pi = g.prod(axis=0)
-    rows = e + np.roll(e, 1, axis=0)
-    radius = (np.abs(d) + rows).max(axis=0)
-    tol = 4 * np.finfo(float).eps * radius
-    # Certificate that lam_1 is simple: D'(lam_1) = prod_{j>=2} (lam_1 - lam_j)
-    # <= (lam_1 - lam_2) (2R)^(p-2), and the degeneracy gap at lam_1 is at
-    # most the one at R >= |lam_1|.  Near lam_1, D - level carries a rounding
-    # error of up to `rounding` (the continuants taken with absolute values
-    # are at most ((1 + sqrt 2) R)^p), so a double root can look simple with
-    # a slope up to 2 sqrt(rounding (2R)^(p-2)); the floor stays well above.
-    width = (2 * radius) ** (p - 2)
-    gap = np.ldexp(_gap_tol(np.ldexp(radius, exponent)), -exponent)
-    rounding = 4 * (p + 1) * np.finfo(float).eps * (2.5 * radius) ** p
-    floor = np.maximum(_GAP_SAFETY * gap * width, 8 * np.sqrt(rounding * width))
-    per_theta = (d, e2, g, pi, (d + rows).max(axis=0), tol, floor)
-    out = np.empty(num_theta * cfg.num_phi, dtype=complex)
-    extra = []
-    for lo in range(0, out.size, _SYMBOL_CHUNK):
-        pairs = np.arange(lo, min(lo + _SYMBOL_CHUNK, out.size))
-        t, twist = pairs % num_theta, np.exp(1j * phis[pairs // num_theta])
-        with np.errstate(all="ignore"):
-            out[pairs], certified = _symbol_chunk(spec, per_theta, t, twist)
-        dense = pairs[~certified]
-        for group in np.split(dense, np.flatnonzero(np.diff(dense // num_theta)) + 1):
-            if group.size:
-                symbol = build_symbol(spec, phis[group[0] // num_theta])
-                points = _dense_touch_points(symbol, np.exp(-1j * thetas[group % num_theta]))
-                out[group] = points[: group.size]
-                extra.append(points[group.size :])
-    if extra:
-        out = np.concatenate([out, *extra])
-    return _require_finite(out, "touch point")
+    thetas, phi, edge = _union_directions(spec, cfg)
+    split = edge >= 0
+    points = [
+        _dense_touch_points(build_symbol(spec, phi[~split]), np.exp(-1j * thetas[~split])),
+        _split_touch_points(spec, thetas[split], edge[split], cfg.num_phi),
+    ]
+    return _require_finite(np.concatenate(points), "touch point")
 
 
 def rayleigh_samples(a, trials: int, seed: int) -> np.ndarray:

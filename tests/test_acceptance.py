@@ -160,7 +160,7 @@ def test_criterion_5_conjecture_desk_scale():
 def test_criterion_6_selfadjoint_interval():
     start = time.perf_counter()
     spec = PeriodSpec(a=1, b=0, c=1, p=2)
-    lo, hi = selfadjoint_interval(spec, FULL)
+    lo, hi = selfadjoint_interval(spec)
     closed_form = max(abs(lo + 2.0), abs(hi - 2.0))
     assert closed_form <= 1e-6
     lam_min, _, lam_max, _ = extreme_pair(build_truncation(spec, 400))

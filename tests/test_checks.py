@@ -131,16 +131,16 @@ def test_hull_convergence_diagonal_spec_is_exact():
 
 def test_selfadjoint_theorem_and_shift():
     spec = PeriodSpec(a=1, b=0, c=1, p=2)
-    report = check_selfadjoint_convergence(spec, k_max=400, cfg=SweepConfig(720, 720))
+    report = check_selfadjoint_convergence(spec, k_max=400)
     assert report.passed
     lo, hi = report.parameters["interval"]
     assert (lo, hi) == pytest.approx((-2, 2), abs=1e-12)
     shifted = PeriodSpec(a=1, b=3.0, c=1, p=2)
-    report2 = check_selfadjoint_convergence(shifted, k_max=400, cfg=SweepConfig(720, 720))
+    report2 = check_selfadjoint_convergence(shifted, k_max=400)
     lo2, hi2 = report2.parameters["interval"]
     assert (lo2, hi2) == pytest.approx((1, 5), abs=1e-12)
     with pytest.raises(NotSelfAdjointError):
-        check_selfadjoint_convergence(WORD01, k_max=100, cfg=CFG)
+        check_selfadjoint_convergence(WORD01, k_max=100)
 
 
 def test_stadium_checks():

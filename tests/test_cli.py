@@ -122,6 +122,14 @@ def test_verify_unknown_filter_exits_2(capsys):
     assert "matches no check" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--n", "9"], ["--n", "0"], ["--profile", "quick", "--n", "3"]])
+def test_verify_n_outside_profile_exits_2(capsys, argv):
+    # an n the profile does not check would run no conjecture check at all
+    assert cli.main(["verify", "--filter", "conjecture", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_verify_bad_profile_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--profile", "bogus"])

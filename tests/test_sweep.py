@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from numrange import sweep
 from numrange.geometry import (
     RangePolygon,
     convex_hull,
@@ -17,10 +18,11 @@ from numrange.operators import PeriodSpec, build_symbol, build_truncation, phi_g
 from numrange.sweep import (
     NotSelfAdjointError,
     SweepConfig,
-    _cycle_polynomial,
-    _scaled_tridiagonals,
-    _symbol_points,
+    _dense_touch_points,
+    _split_touch_points,
     _truncation_points,
+    _twist_angles,
+    _union_directions,
     boundary_points,
     range_boundary,
     rayleigh_samples,
@@ -193,22 +195,34 @@ def test_origin_symmetry_for_zero_diagonal_specs():
 
 def test_selfadjoint_interval_all_ones():
     spec = PeriodSpec(a=1, b=0, c=1, p=2)
-    lo, hi = selfadjoint_interval(spec, SweepConfig(720, 720))
+    lo, hi = selfadjoint_interval(spec)
     assert lo == pytest.approx(-2.0, abs=1e-12)
     assert hi == pytest.approx(2.0, abs=1e-12)
 
 
 def test_selfadjoint_interval_constant_diagonal():
     spec = PeriodSpec(a=0, b=2.5, c=0, p=3)
-    lo, hi = selfadjoint_interval(spec, SweepConfig(8, 8))
+    lo, hi = selfadjoint_interval(spec)
     assert (lo, hi) == (2.5, 2.5)
+
+
+def test_selfadjoint_interval_twist_between_grid_points():
+    # the extreme twists are -0.37 and pi - 0.37, off every uniform grid
+    c = np.array([1.0, 0.7, 1.3 * np.exp(0.37j)])
+    spec = PeriodSpec(a=np.conj(np.roll(c, 1)), b=(0.2, -0.5, 0.1), c=c)
+    assert spec.is_selfadjoint()
+    lo, hi = selfadjoint_interval(spec)
+    assert hi == pytest.approx(top_over_phi(spec, 0.0, 20_000), abs=1e-12)
+    assert lo == pytest.approx(-top_over_phi(spec, np.pi, 20_000), abs=1e-12)
+    eight = np.linalg.eigvalsh(np.stack([build_symbol(spec, phi) for phi in phi_grid(8)]))
+    assert hi - eight[:, -1].max() > 1e-4 and eight[:, 0].min() - lo > 1e-4
 
 
 def test_selfadjoint_interval_alternating_vs_truncation():
     # decoupled swap blocks: the symbol is [[0,1],[1,0]] for every phi
     spec = PeriodSpec(a=(0.0, 1.0), b=0.0, c=(1.0, 0.0))
     assert spec.is_selfadjoint()
-    lo, hi = selfadjoint_interval(spec, SweepConfig(720, 720))
+    lo, hi = selfadjoint_interval(spec)
     w = np.linalg.eigvalsh(build_truncation(spec, 400))
     assert abs(lo - w[0]) <= 1e-2
     assert abs(hi - w[-1]) <= 1e-2
@@ -217,7 +231,7 @@ def test_selfadjoint_interval_alternating_vs_truncation():
 
 def test_selfadjoint_interval_rejects_non_selfadjoint():
     with pytest.raises(NotSelfAdjointError):
-        selfadjoint_interval(WORD01, SweepConfig(8, 8))
+        selfadjoint_interval(WORD01)
 
 
 # --- union hulls and truncation ranges -------------------------------------------
@@ -348,77 +362,157 @@ def test_truncation_range_memory_is_linear_in_k():
     assert peak < 160 * 2**20
 
 
-# --- the Floquet symbol sweep against the per-phi dense sweep ---------------------
+# --- the union sweep at the maximising twist -----------------------------------------
 
 
 def dense_symbol_points(spec: PeriodSpec, cfg: SweepConfig) -> list[np.ndarray]:
-    """The reference: boundary_points of every symbol, one phi at a time."""
+    """The per-phi sweep: boundary_points of every symbol on the phi grid."""
     return [boundary_points(build_symbol(spec, phi), cfg) for phi in phi_grid(cfg.num_phi)]
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
-def test_symbol_determinant_identity(p):
-    # det(lam - H) = D_theta(lam) - 2 Re(e^{i phi} Pi_theta), in the scaled units
-    rng = np.random.default_rng(300 + p)
-    spec = random_spec(rng, p)
-    for theta, phi in rng.uniform(0, 2 * np.pi, (4, 2)):
-        d, e, beta, exponent = _scaled_tridiagonals(spec, np.array([theta]))
-        scale = 2.0**-exponent
-        pi = (beta * scale).prod()
-        h = hermitian_part(build_symbol(spec, phi), theta) * scale
-        for lam in rng.uniform(-2, 2, 5):
-            value, slope = _cycle_polynomial(d, e * e, np.array([lam]))
-            expected = np.linalg.det(lam * np.eye(p) - h).real
-            assert value[0] - 2 * (np.exp(1j * phi) * pi).real == pytest.approx(
-                expected, abs=1e-12
-            )
-            step = 1e-6
-            numeric = (
-                np.linalg.det((lam + step) * np.eye(p) - h) - np.linalg.det((lam - step) * np.eye(p) - h)
-            ).real / (2 * step)
-            assert slope[0] == pytest.approx(numeric, abs=1e-6)
+def top_eigenvalues(spec: PeriodSpec, theta, phi) -> np.ndarray:
+    """Largest eigenvalue of the Hermitian part of e^{-i theta} S(phi), elementwise."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    m = np.exp(-1j * theta)[..., None, None] * build_symbol(spec, phi)
+    return np.linalg.eigvalsh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))[..., -1]
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 5])
-def test_symbol_points_match_dense_sweep(p):
-    # 120 x 150 pairs span two chunks; the first num_theta * num_phi points
-    # are the top touch points, phi-major
-    rng = np.random.default_rng(400 + p)
-    cfg = SweepConfig(120, 150)
+def top_over_phi(spec: PeriodSpec, thetas, num_phi: int) -> np.ndarray:
+    """max over phi of the top eigenvalue at each theta: the best of a
+    num_phi grid, refined by golden-section search around it.  The top
+    eigenvalue is a monotone function of cos(phi - phi*), so it is unimodal
+    on the circle and the search finds its maximum."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    grid = phi_grid(num_phi)
+    values = top_eigenvalues(spec, thetas[:, None], grid[None, :])
+    lo = grid[values.argmax(axis=1)] - 2 * np.pi / num_phi
+    hi = lo + 4 * np.pi / num_phi
+    ratio = (np.sqrt(5) - 1) / 2
+    for _ in range(80):
+        left, right = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        higher = top_eigenvalues(spec, thetas, left) >= top_eigenvalues(spec, thetas, right)
+        lo, hi = np.where(higher, lo, left), np.where(higher, right, hi)
+    best = np.maximum(values.max(axis=1), top_eigenvalues(spec, thetas, (lo + hi) / 2))
+    return best if best.size > 1 else best[0]
+
+
+def polygon_support(vertices, thetas) -> np.ndarray:
+    rotated = np.asarray(vertices)[None, :] * np.exp(-1j * np.asarray(thetas))[:, None]
+    return rotated.real.max(axis=1)
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_maximising_twist(p):
+    # lambda_max at the twist is the sup over phi, and its top eigenvector's
+    # Rayleigh quotient with S(phi*) touches the support line
+    rng = np.random.default_rng(500 + p)
     for _ in range(3):
         spec = random_spec(rng, p)
-        dense = dense_symbol_points(spec, cfg)
-        points = _symbol_points(spec, cfg)
-        assert points.size == sum(x.size for x in dense)
-        tops = np.concatenate([x[: cfg.num_theta] for x in dense])
-        assert np.abs(points[: tops.size] - tops).max() <= 1e-12
+        thetas = rng.uniform(0, 2 * np.pi, 8)
+        phi, edge = _twist_angles(spec, thetas)
+        assert (edge == -1).all()
+        symbols = build_symbol(spec, phi)
+        m = np.exp(-1j * thetas)[:, None, None] * symbols
+        values, vecs = np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
+        grid = top_eigenvalues(spec, thetas[:, None], phi_grid(4000)[None, :]).max(axis=1)
+        assert (values[:, -1] >= grid - 1e-13).all()
+        y = vecs[:, :, -1]
+        z = np.einsum("ti,tij,tj->t", y.conj(), symbols, y)
+        assert np.abs((np.exp(-1j * thetas) * z).real - values[:, -1]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("num_theta", [190, 719])
+def test_word01_union_hull_off_the_flat_edges(num_theta):
+    # no grid angle hits the flat edges at theta = pi/2, 3pi/2; the stadium's
+    # support is |cos t| + 1/2, and an inscribed polygon through touch points
+    # at every grid angle falls short on its half-disks by at most
+    # (1 - cos(pi / num_theta)) / 2
+    hull = symbol_union_hull(WORD01, SweepConfig(num_theta, num_theta))
+    t = 2 * np.pi * np.arange(20_011) / 20_011
+    exact = np.abs(np.cos(t)) + 0.5
+    support = polygon_support(hull.vertices, t)
+    assert (support <= exact + 1e-12).all()
+    assert (exact - support).max() <= (1 - np.cos(np.pi / num_theta)) / 2 + 1e-12
+
+
+def test_union_directions_refine_only_where_the_twist_turns():
+    # word 01's twist turns by one phi step per grid interval on its arcs
+    # (rounding must not make that two parts), and jumps next to the split
+    # directions pi/2 and 3pi/2, where it is taken as 0
+    thetas, phi, edge = _union_directions(WORD01, SweepConfig(720, 720))
+    grid = 2 * np.pi * np.arange(720) / 720
+    on_arcs = lambda t: np.abs(np.cos(t)) > np.sin(2 * np.pi / 720) * (1 + 1e-9)
+    assert np.isin(grid, thetas).all() and thetas.size > 720
+    assert on_arcs(thetas).sum() == on_arcs(grid).sum()
+    assert (edge >= 0).sum() == 2 and (phi[edge >= 0] == 0).all()
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, thetas",
     [
-        PeriodSpec.from_word("01"),
-        PeriodSpec.from_word("001"),
-        PeriodSpec.from_word("0001"),
-        PeriodSpec(a=0, b=(1.0, 1j), c=0),
-        PeriodSpec(a=(0.0, 1.0), b=0.0, c=(1.0, 0.0)),
-        PeriodSpec(a=1, b=0, c=1, p=2),
+        (WORD01, [np.pi / 2, 3 * np.pi / 2]),
+        (PeriodSpec.from_word("11"), [np.pi / 2]),
+        (PeriodSpec(a=0, b=(1.0, 1j), c=0), [0.0, np.pi / 4, 2.0]),
+        (PeriodSpec(a=(0.0, 1.0), b=0.0, c=(1.0, 0.0)), [0.3, np.pi / 2, 4.0]),
+    ],
+    ids=["01", "11", "diagonal", "split"],
+)
+def test_split_touch_points_match_dense_sweep(spec, thetas):
+    # one eigenvector per split direction, gauged to every phi, gives the
+    # touch points of the per-phi dense sweep; degenerate directions (word 11
+    # at pi/2, the diagonal spec at pi/4, the split spec at pi/2) add their
+    # flat-edge ends
+    thetas = np.array(thetas)
+    phi, edge = _twist_angles(spec, thetas)
+    assert (edge >= 0).all()
+    points = _split_touch_points(spec, thetas, edge, 48)
+    symbols = build_symbol(spec, phi_grid(48))
+    dense = np.concatenate(
+        [_dense_touch_points(symbols, np.full(48, np.exp(-1j * t))) for t in thetas]
+    )
+    assert points.size == dense.size
+    assert np.abs(points[:, None] - dense[None, :]).min(axis=1).max() <= 1e-12
+    assert np.abs(dense[:, None] - points[None, :]).min(axis=1).max() <= 1e-12
+
+
+def test_word01_flat_edge_ends_are_vertices():
+    # pi/2 and 3pi/2 are split directions of the 96-angle grid; their phi
+    # sweep reaches both ends of each flat edge of the stadium
+    v = symbol_union_hull(WORD01, SweepConfig(96, 96)).vertices
+    ends = np.array([1 + 0.5j, -1 + 0.5j, -1 - 0.5j, 1 - 0.5j])
+    assert np.abs(v[None, :] - ends[:, None]).min(axis=1).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, same_hull",
+    [
+        (PeriodSpec.from_word("01"), False),
+        (PeriodSpec.from_word("001"), False),
+        (PeriodSpec.from_word("0001"), False),
+        (PeriodSpec(a=0, b=(1.0, 1j), c=0), True),
+        (PeriodSpec(a=(0.0, 1.0), b=0.0, c=(1.0, 0.0)), True),
+        (PeriodSpec(a=1, b=0, c=1, p=2), True),
     ],
     ids=["01", "001", "0001", "diagonal", "split", "selfadjoint"],
 )
-def test_symbol_union_hull_matches_dense_sweep(spec):
-    # the same flat-edge pairs, so the same points, and the same hull
+def test_symbol_union_hull_matches_dense_sweep(spec, same_hull):
+    # the union hull reaches the per-phi dense hull's support at every grid
+    # angle, and stays inside the union (its support found by a phi search)
+    # at the grid angles and the midpoints between them; the segments of the
+    # diagonal, split and self-adjoint specs come out the same
     cfg = SweepConfig(96, 96)
-    dense = np.concatenate(dense_symbol_points(spec, cfg))
-    assert _symbol_points(spec, cfg).size == dense.size
-    fast = symbol_union_hull(spec, cfg).vertices
-    slow = convex_hull(dense).vertices
-    assert fast.shape == slow.shape
-    assert np.abs(fast - slow).max() <= 1e-12
+    hull = symbol_union_hull(spec, cfg).vertices
+    dense = convex_hull(np.concatenate(dense_symbol_points(spec, cfg))).vertices
+    grid = 2 * np.pi * np.arange(cfg.num_theta) / cfg.num_theta
+    assert (polygon_support(hull, grid) >= polygon_support(dense, grid) - 1e-12).all()
+    probe = np.pi * np.arange(2 * cfg.num_theta) / cfg.num_theta
+    assert (polygon_support(hull, probe) <= top_over_phi(spec, probe, 720) + 1e-12).all()
+    if same_hull:
+        assert hull.shape == dense.shape and np.abs(hull - dense).max() <= 1e-12
 
 
 def test_symbol_union_hull_memory_is_bounded():
-    # the (theta, phi) pairs run in chunks into one preallocated output
+    # the dense sweep hands its directions to eigh in bounded batches
     tracemalloc.start()
     try:
         symbol_union_hull(PeriodSpec.from_word("0001"), SweepConfig(720, 720))
@@ -426,6 +520,31 @@ def test_symbol_union_hull_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 56 * 2**20
+
+
+def test_dense_sweep_memory_is_bounded():
+    # the whole (num_theta, n, n) batch of Hermitian parts would take 110 MiB
+    # here, several times over with its eigenvectors and temporaries
+    a = np.random.default_rng(7).standard_normal((100, 100))
+    tracemalloc.start()
+    try:
+        poly = range_boundary(a, SweepConfig(720, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(poly) > 100
+    assert peak < 64 * 2**20
+
+
+def test_dense_sweep_chunks_change_no_bit(monkeypatch):
+    # word 01's truncation has flat edges at theta = pi/2 and 3pi/2, whose
+    # ends come after the top points whatever the chunking
+    stack = np.repeat(build_truncation(WORD01, 6)[None], 64, axis=0)
+    phase = np.exp(-1j * 2 * np.pi * np.arange(64) / 64)
+    whole = _dense_touch_points(stack, phase)
+    assert whole.size > 64
+    monkeypatch.setattr(sweep, "_DENSE_BATCH_BYTES", 7 * 16 * 36)
+    np.testing.assert_array_equal(_dense_touch_points(stack, phase), whole)
 
 
 # finite entries whose Hermitian parts and p = 2 symbols overflow
