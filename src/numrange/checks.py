@@ -186,7 +186,6 @@ def check_hull_convergence(
     trunc: RangePolygon,
     hull: RangePolygon,
     cfg: SweepConfig,
-    tolerance: float = 0.05,
 ) -> CheckReport:
     """Hausdorff gap between the k_max truncation range and the symbol-union hull."""
     if k_max < 2 * spec.p:
@@ -202,7 +201,7 @@ def check_hull_convergence(
             "containment_defect": containment,
         },
         metric=hausdorff(trunc, hull),
-        tolerance=tolerance,
+        tolerance=0.05,
     )
 
 
@@ -212,20 +211,17 @@ def check_truncation_containment(
     trunc: RangePolygon,
     hull: RangePolygon,
     cfg: SweepConfig,
-    tolerance: float = 1e-6,
 ) -> CheckReport:
     """One-sided inclusion: the truncation range sits inside the symbol hull."""
     return CheckReport(
         name="hull_containment",
         parameters={**_spec_params(spec), "k_max": k_max, "num_theta": cfg.num_theta},
         metric=float(distance_to_region(trunc.vertices, hull).max()),
-        tolerance=tolerance,
+        tolerance=1e-6,
     )
 
 
-def check_selfadjoint_convergence(
-    spec: PeriodSpec, k_max: int = 400, tolerance: float = 0.05
-) -> CheckReport:
+def check_selfadjoint_convergence(spec: PeriodSpec, k_max: int = 400) -> CheckReport:
     """Interval endpoints from symbols against deep-truncation eigenvalue extremes.
 
     The truncation's largest eigenvalue is its support value at theta = 0,
@@ -242,7 +238,7 @@ def check_selfadjoint_convergence(
             "interval": [lo, hi],
         },
         metric=max(abs(lo - lam_min), abs(hi - lam_max)),
-        tolerance=tolerance,
+        tolerance=0.05,
     )
 
 
@@ -261,7 +257,6 @@ def check_stadium_identity(
     stadium: RangePolygon,
     pair_hull: RangePolygon,
     cfg: SweepConfig,
-    tolerance: float = 2e-3,
 ) -> CheckReport:
     """Period word 01: symbol hull vs the stadium vs the two-matrix hull."""
     d_hull_stadium = hausdorff(hull01, stadium)
@@ -275,7 +270,7 @@ def check_stadium_identity(
             "stadium_vs_pair": d_stadium_pair,
         },
         metric=max(d_hull_stadium, d_stadium_pair),
-        tolerance=tolerance,
+        tolerance=2e-3,
     )
 
 
@@ -284,7 +279,6 @@ def check_stadium_support_widths(
     stadium: RangePolygon,
     pair_hull: RangePolygon,
     cfg: SweepConfig,
-    tolerance: float = 1e-3,
 ) -> CheckReport:
     """Support widths of all three period-01 sets at the four axis directions."""
     angles = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
@@ -298,7 +292,7 @@ def check_stadium_support_widths(
         name="stadium_support_widths",
         parameters={"num_theta": cfg.num_theta, "num_phi": cfg.num_phi},
         metric=worst,
-        tolerance=tolerance,
+        tolerance=1e-3,
     )
 
 
@@ -307,7 +301,6 @@ def check_conjecture(
     hull: RangePolygon,
     pair_hull: RangePolygon,
     cfg: SweepConfig,
-    tolerance: float | None = None,
 ) -> CheckReport:
     """Symbol-union hull of word 0^n 1 vs the hull of the two matrix ranges.
 
@@ -318,8 +311,6 @@ def check_conjecture(
     if not 1 <= n <= 4:
         raise ValueError("n must be between 1 and 4")
     advisory = n == 4
-    if tolerance is None:
-        tolerance = float("inf") if advisory else 0.02
     params = {
         "n": n,
         "word": "0" * n + "1",
@@ -332,29 +323,23 @@ def check_conjecture(
         name="conjecture_hull",
         parameters=params,
         metric=hausdorff(hull, pair_hull),
-        tolerance=tolerance,
+        tolerance=float("inf") if advisory else 0.02,
     )
 
 
 def check_range_negation_symmetry(
-    n: int,
-    plus: RangePolygon,
-    minus: RangePolygon,
-    cfg: SweepConfig,
-    tolerance: float = 1e-8,
+    n: int, plus: RangePolygon, minus: RangePolygon, cfg: SweepConfig
 ) -> CheckReport:
     """The two paired matrix ranges are negations of each other."""
     return CheckReport(
         name="conjecture_symmetry",
         parameters={"n": n, "num_theta": cfg.num_theta},
         metric=hausdorff(plus, convex_hull(-minus.vertices)),
-        tolerance=tolerance,
+        tolerance=1e-8,
     )
 
 
-def check_pair_ellipse_axes(
-    plus: RangePolygon, minus: RangePolygon, cfg: SweepConfig, tolerance: float = 1e-6
-) -> CheckReport:
+def check_pair_ellipse_axes(plus: RangePolygon, minus: RangePolygon, cfg: SweepConfig) -> CheckReport:
     """The n = 2 matrix ranges are the ellipses centred at +-1/2 with
     major axis sqrt(3) and minor axis sqrt(2), read off support widths."""
     deviations = []
@@ -373,23 +358,18 @@ def check_pair_ellipse_axes(
         name="conjecture_ellipse_axes",
         parameters={"num_theta": cfg.num_theta},
         metric=max(deviations),
-        tolerance=tolerance,
+        tolerance=1e-6,
     )
 
 
-def check_stadium_separation(
-    word: str,
-    hull: RangePolygon,
-    stadium: RangePolygon,
-    min_separation: float = 0.1,
-) -> CheckReport:
-    """Negative control: the symbol hull of ``word`` must stay away from the
-    stadium.  The metric is the shortfall below the required separation."""
+def check_stadium_separation(word: str, hull: RangePolygon, stadium: RangePolygon) -> CheckReport:
+    """Negative control: the symbol hull of ``word`` must stay at least 0.1
+    away from the stadium.  The metric is the shortfall below that."""
     gap = hausdorff(hull, stadium)
     return CheckReport(
         name="conjecture_negative_control",
-        parameters={"word": word, "required_separation": min_separation, "hausdorff": gap},
-        metric=max(0.0, min_separation - gap),
+        parameters={"word": word, "required_separation": 0.1, "hausdorff": gap},
+        metric=max(0.0, 0.1 - gap),
         tolerance=0.0,
     )
 

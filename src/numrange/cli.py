@@ -104,9 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_range.add_argument("--mode", choices=["symbol-hull", "truncation"], default="symbol-hull")
     p_range.add_argument("--k", type=int, default=128, help="truncation size (truncation mode)")
     p_range.add_argument("--num-theta", type=int, default=720, help="support angles (default 720)")
-    p_range.add_argument(
-        "--num-phi", type=int, default=720, help="twist steps of symbol-hull mode (default 720)"
-    )
+    twist_help = "symbol-hull mode: twist resolution, and the twist grid where two or more edges vanish"
+    p_range.add_argument("--num-phi", type=int, default=720, help=f"{twist_help} (default 720)")
     p_range.add_argument("--out", default="-", help="output CSV path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")

@@ -16,8 +16,10 @@ periodic Jacobi matrices, whose characteristic polynomial at one theta is
 the same for every twist phi up to a constant, so the support of their
 union's range is attained at a twist known in closed form: the union
 sweep solves one p-by-p symbol per direction, on a grid refined where that
-twist turns fast.  General matrices, truncations at (near-)degenerate
-angles and symbols go through dense LAPACK solves in bounded batches.
+twist turns fast.  Where an edge vanishes, the ends of the union's flat
+edge sit at closed-form twists too.  General matrices, truncations at
+(near-)degenerate angles and symbols go through dense LAPACK solves in
+bounded batches.
 """
 
 from __future__ import annotations
@@ -51,11 +53,12 @@ class NotSelfAdjointError(ValueError):
 class SweepConfig:
     """Grid sizes: ``num_theta`` support angles, ``num_phi`` twist steps.
 
-    Symbol-union hulls take one symbol per direction, at its maximising
-    twist, and refine the ``num_theta`` grid until that twist moves by at
-    most one of ``num_phi`` steps between neighbouring directions; at split
-    directions, where the top eigenvalue does not depend on the twist, they
-    sweep the ``num_phi`` grid of symbols.  Other sweeps ignore ``num_phi``.
+    ``num_phi`` is the twist resolution of symbol-union hulls, and the twist
+    grid they sweep where two or more edges vanish.  They take one symbol
+    per direction, at its maximising twist (two at a direction where one
+    edge vanishes: the ends of the union's flat edge), and refine the
+    ``num_theta`` grid until that twist moves by at most one of ``num_phi``
+    steps between neighbouring directions.  Other sweeps ignore ``num_phi``.
     """
 
     num_theta: int = 720
@@ -79,10 +82,6 @@ PIVMIN = np.finfo(float).eps
 # directions go in chunks of this size, so memory stays bounded for any
 # number of angles.
 _DENSE_BATCH_BYTES = 1 << 22
-
-
-def _angles(num_theta: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(num_theta) / num_theta
 
 
 def _gap_tol(top):
@@ -157,7 +156,7 @@ def boundary_points(a, cfg: SweepConfig = SweepConfig()) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] < 1:
         raise ValueError("matrix must have dimension >= 1")
-    phase = np.exp(-1j * _angles(cfg.num_theta))
+    phase = np.exp(-1j * phi_grid(cfg.num_theta))
     stack = np.broadcast_to(a, (phase.size, *a.shape))
     return _require_finite(_dense_touch_points(stack, phase), "touch point")
 
@@ -313,7 +312,7 @@ def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray
     """
     if k < 1:
         raise ValueError("truncation size must be >= 1")
-    thetas = _angles(cfg.num_theta)
+    thetas = phi_grid(cfg.num_theta)
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
     scaled_top = _top_eigenvalues(d, e, k)
     top = np.ldexp(scaled_top, exponent)
@@ -337,82 +336,78 @@ def truncation_range(
 
 
 def _twist_angles(spec: PeriodSpec, thetas):
-    """The maximising twist ``phi*`` of each direction, and a vanishing edge or -1.
+    """The maximising twist ``phi*`` of each direction, and which of its edges vanish.
 
     The Hermitian part H of ``e^{-i theta} S(phi)`` is a periodic Jacobi
     matrix: ``det(lam - H) = D_theta(lam) - 2 Re(e^{i phi} Pi_theta)``, with
     ``Pi_theta`` the product of its edges (Teschl, *Jacobi Operators and
     Completely Integrable Nonlinear Lattices*, ch. 7).  Its top eigenvalue,
     the largest root, grows with the right-hand side, so it is largest at
-    ``phi* = -arg Pi_theta``.  Where an edge vanishes to within the rounding
-    of its entries (a split direction) it does not depend on phi; there
-    ``phi*`` = 0.
+    ``phi* = -arg Pi_theta``.  Where edges vanish to within the rounding of
+    their entries (a split direction) it does not depend on phi; there the
+    returned twist sums the arguments of the other edges only.
     """
     beta = _scaled_tridiagonals(spec, thetas)[2]
     rounding = 4 * np.finfo(float).eps * (np.abs(spec.c) + np.abs(np.roll(spec.a, -1)))
     vanishing = np.abs(beta) <= rounding
-    split = vanishing.any(axis=1)
-    phi = np.where(split, 0.0, -np.angle(beta).sum(axis=1))
-    return phi, np.where(split, vanishing.argmax(axis=1), -1)
+    return -np.where(vanishing, 0.0, np.angle(beta)).sum(axis=1), vanishing
 
 
-def _split_touch_points(spec: PeriodSpec, thetas, edge, num_phi: int) -> np.ndarray:
-    """Touch points of every symbol on the phi grid, at split directions.
-
-    With edge j zero, ``H(theta, phi) = U H(theta, 0) U*`` for the diagonal
-    U that is 1 up to row j and ``e^{i phi}`` after it.  So the top
-    eigenvector at phi is ``U y``, y the one at phi = 0, and its Rayleigh
-    quotient with S(phi) changes only in the two entries of edge j.  Where
-    the top is degenerate, the grid's symbols go through the dense code.
-    """
-    phase = np.exp(-1j * thetas)
-    symbol = build_symbol(spec, 0.0)
-    values, vecs = eigh(_hermitian_parts(symbol, phase))
-    y = vecs[:, :, -1]
-    rows, after = np.arange(thetas.size), (edge + 1) % spec.p
-    ahead = spec.c[edge] * y[rows, edge].conj() * y[rows, after]
-    behind = spec.a[after] * y[rows, after].conj() * y[rows, edge]
-    turn = np.exp(1j * phi_grid(num_phi))
-    z = np.einsum("ti,ij,tj->t", y.conj(), symbol, y)[:, None] + ahead[:, None] * (turn - 1)
-    z += behind[:, None] * (turn.conj() - 1)
-    flat = values[:, -1] - values[:, -2] <= _gap_tol(values[:, -1])
-    dense = [
-        _dense_touch_points(build_symbol(spec, phi_grid(num_phi)), np.full(num_phi, phase[t]))
-        for t in np.flatnonzero(flat)
-    ]
-    return np.concatenate([z[~flat].ravel(), *dense])
-
-
-def _union_directions(spec: PeriodSpec, cfg: SweepConfig):
-    """Directions of the union sweep, with their twists and split edges: each
-    interval of the ``num_theta`` grid cut into as many equal parts as the
-    maximising twist turns by ``num_phi`` grid steps across it."""
-    thetas = _angles(cfg.num_theta)
-    phi, _ = _twist_angles(spec, thetas)
+def _union_directions(spec: PeriodSpec, cfg: SweepConfig) -> np.ndarray:
+    """Directions of the union sweep: each interval of the ``num_theta`` grid
+    cut into as many equal parts as the maximising twist turns by ``num_phi``
+    grid steps across it, the twist taken as 0 at split directions."""
+    thetas = phi_grid(cfg.num_theta)
+    phi, vanishing = _twist_angles(spec, thetas)
+    phi[vanishing.any(axis=1)] = 0.0
     turn = np.abs(np.angle(np.exp(1j * (np.roll(phi, -1) - phi))))
     # the slack keeps a turn of exactly one step (word 01) at one part
     parts = np.maximum(1, np.ceil(cfg.num_phi * turn / (2 * np.pi) - 1e-9)).astype(int)
     step = 2 * np.pi / cfg.num_theta
-    thetas = np.concatenate([t + step * np.arange(m) / m for t, m in zip(thetas, parts)])
-    return thetas, *_twist_angles(spec, thetas)
+    return np.concatenate([t + step * np.arange(m) / m for t, m in zip(thetas, parts)])
+
+
+def _union_twists(spec: PeriodSpec, thetas, num_phi: int):
+    """The (direction, twist) pairs whose symbols the union sweep solves.
+
+    - No vanishing edge: the maximising twist.
+    - One vanishing edge j: ``H(theta, phi) = U H(theta, 0) U*`` for the
+      diagonal U that is 1 up to row j and ``e^{i phi}`` after it, so the
+      top eigenvector at phi is ``U y``, y the one at phi = 0, and along the
+      support line the touch point of S(phi) is
+      ``const + 2 Im(P e^{i phi})`` with ``P = e^{-i theta} c_j conj(y_j) y_{j+1}``.
+      The Perron gauge of y fixes ``arg P = arg c_j - theta + (the other
+      edges' arguments)``, so the two twists ``-arg P +- pi/2`` give the
+      exact ends of the union's flat edge.
+    - Several vanishing edges: the ``num_phi`` grid.
+    - An edge the operator lacks (``c_j = a_{j+1} = 0``): U gauges S(phi)
+      itself to S(0), so every direction takes the one twist 0.
+    """
+    if ((spec.c == 0) & (np.roll(spec.a, -1) == 0)).any():
+        return thetas, np.zeros_like(thetas)
+    phi, vanishing = _twist_angles(spec, thetas)
+    count = vanishing.sum(axis=1)
+    one, many = count == 1, count >= 2
+    ends = phi[one] + thetas[one] - np.angle(spec.c[vanishing[one].argmax(axis=1)])
+    ends = np.add.outer(ends, [-np.pi / 2, np.pi / 2]).ravel()
+    return (
+        np.concatenate([thetas[count == 0], np.repeat(thetas[one], 2), np.repeat(thetas[many], num_phi)]),
+        np.concatenate([phi[count == 0], ends, np.tile(phi_grid(num_phi), many.sum())]),
+    )
 
 
 def _symbol_points(spec: PeriodSpec, cfg: SweepConfig) -> np.ndarray:
-    """Support touch points of the union of symbol ranges.
-
-    Each direction of :func:`_union_directions` solves the one symbol at its
-    maximising twist with the dense code of :func:`boundary_points`.  Off
-    split directions a diagonal gauge makes its Hermitian part a real cycle
-    with positive edges, whose top eigenvalue is simple by Perron-Frobenius;
-    the degeneracy test stays as a safety net.
+    """Support touch points of the union of symbol ranges: the symbols of
+    :func:`_union_twists` at the directions of :func:`_union_directions`,
+    in one call of the dense code of :func:`boundary_points`.  Off split
+    directions a diagonal gauge makes each Hermitian part a real cycle with
+    positive edges, whose top eigenvalue is simple by Perron-Frobenius; the
+    degeneracy test stays as a safety net.
     """
-    thetas, phi, edge = _union_directions(spec, cfg)
-    split = edge >= 0
-    points = [
-        _dense_touch_points(build_symbol(spec, phi[~split]), np.exp(-1j * thetas[~split])),
-        _split_touch_points(spec, thetas[split], edge[split], cfg.num_phi),
-    ]
-    return _require_finite(np.concatenate(points), "touch point")
+    thetas, phi = _union_twists(spec, _union_directions(spec, cfg), cfg.num_phi)
+    return _require_finite(
+        _dense_touch_points(build_symbol(spec, phi), np.exp(-1j * thetas)), "touch point"
+    )
 
 
 def rayleigh_samples(a, trials: int, seed: int) -> np.ndarray:

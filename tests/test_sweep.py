@@ -19,10 +19,11 @@ from numrange.sweep import (
     NotSelfAdjointError,
     SweepConfig,
     _dense_touch_points,
-    _split_touch_points,
+    _symbol_points,
     _truncation_points,
     _twist_angles,
     _union_directions,
+    _union_twists,
     boundary_points,
     range_boundary,
     rayleigh_samples,
@@ -409,8 +410,8 @@ def test_maximising_twist(p):
     for _ in range(3):
         spec = random_spec(rng, p)
         thetas = rng.uniform(0, 2 * np.pi, 8)
-        phi, edge = _twist_angles(spec, thetas)
-        assert (edge == -1).all()
+        phi, vanishing = _twist_angles(spec, thetas)
+        assert not vanishing.any()
         symbols = build_symbol(spec, phi)
         m = np.exp(-1j * thetas)[:, None, None] * symbols
         values, vecs = np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
@@ -438,13 +439,33 @@ def test_word01_union_hull_off_the_flat_edges(num_theta):
 def test_union_directions_refine_only_where_the_twist_turns():
     # word 01's twist turns by one phi step per grid interval on its arcs
     # (rounding must not make that two parts), and jumps next to the split
-    # directions pi/2 and 3pi/2, where it is taken as 0
-    thetas, phi, edge = _union_directions(WORD01, SweepConfig(720, 720))
+    # directions pi/2 and 3pi/2, where it is taken as 0: about 180 parts
+    # on each of the four intervals beside them
+    thetas = _union_directions(WORD01, SweepConfig(720, 720))
     grid = 2 * np.pi * np.arange(720) / 720
     on_arcs = lambda t: np.abs(np.cos(t)) > np.sin(2 * np.pi / 720) * (1 + 1e-9)
-    assert np.isin(grid, thetas).all() and thetas.size > 720
+    assert np.isin(grid, thetas).all() and thetas.size == 1432
     assert on_arcs(thetas).sum() == on_arcs(grid).sum()
-    assert (edge >= 0).sum() == 2 and (phi[edge >= 0] == 0).all()
+    assert _twist_angles(WORD01, thetas)[1].any(axis=1).sum() == 2
+
+
+@pytest.mark.parametrize("word", ["001", "0001"])
+def test_union_directions_refine_beside_split_directions(word):
+    # the twist jumps by about pi/2 across a split direction; the parts the
+    # refinement adds beside it keep the gap at the grid midpoints below
+    # the half-disk bound of test_word01_union_hull_off_the_flat_edges
+    # (without them 001 reads 5.7e-4 and 0001 6.3e-4)
+    spec, cfg = PeriodSpec.from_word(word), SweepConfig(96, 96)
+    mid = 2 * np.pi * (np.arange(96) + 0.5) / 96
+    gap = top_over_phi(spec, mid, 720) - polygon_support(symbol_union_hull(spec, cfg).vertices, mid)
+    assert gap.max() <= (1 - np.cos(np.pi / 96)) / 2
+
+
+# edges 1 and 3 vanish at pi/2 and leave two equal blocks, so the top is
+# double there and the touch segment of S(phi) turns with phi in no closed form
+TWO_EDGES = PeriodSpec(
+    a=(-0.3 - 1.1j, 0.7j, 0.6 - 0.8j, 0.7j), b=(0.2, -0.4, 0.2, -0.4), c=(1.0, 0.6 + 0.8j, 1.0, -0.3 + 1.1j)
+)
 
 
 @pytest.mark.parametrize(
@@ -454,30 +475,75 @@ def test_union_directions_refine_only_where_the_twist_turns():
         (PeriodSpec.from_word("11"), [np.pi / 2]),
         (PeriodSpec(a=0, b=(1.0, 1j), c=0), [0.0, np.pi / 4, 2.0]),
         (PeriodSpec(a=(0.0, 1.0), b=0.0, c=(1.0, 0.0)), [0.3, np.pi / 2, 4.0]),
+        (TWO_EDGES, [np.pi / 2]),
     ],
-    ids=["01", "11", "diagonal", "split"],
+    ids=["01", "11", "diagonal", "split", "two-edges"],
 )
 def test_split_touch_points_match_dense_sweep(spec, thetas):
-    # one eigenvector per split direction, gauged to every phi, gives the
-    # touch points of the per-phi dense sweep; degenerate directions (word 11
-    # at pi/2, the diagonal spec at pi/4, the split spec at pi/2) add their
-    # flat-edge ends
-    thetas = np.array(thetas)
-    phi, edge = _twist_angles(spec, thetas)
-    assert (edge >= 0).all()
-    points = _split_touch_points(spec, thetas, edge, 48)
+    # at each split direction the touch points of the union twists (two
+    # closed-form ends for word 01, the grid for word 11 and the two-edge
+    # spec, one twist for the specs without an edge) are points of the
+    # per-phi dense sweep and span the same segment of the support line;
+    # degenerate directions (word 11 and the two-edge spec at pi/2, the
+    # diagonal spec at pi/4, the split spec at pi/2) add their flat-edge ends
+    assert _twist_angles(spec, np.array(thetas))[1].any(axis=1).all()
     symbols = build_symbol(spec, phi_grid(48))
-    dense = np.concatenate(
-        [_dense_touch_points(symbols, np.full(48, np.exp(-1j * t))) for t in thetas]
-    )
-    assert points.size == dense.size
-    assert np.abs(points[:, None] - dense[None, :]).min(axis=1).max() <= 1e-12
-    assert np.abs(dense[:, None] - points[None, :]).min(axis=1).max() <= 1e-12
+    for theta in thetas:
+        directions, phi = _union_twists(spec, np.array([theta]), 48)
+        points = _dense_touch_points(build_symbol(spec, phi), np.exp(-1j * directions))
+        dense = _dense_touch_points(symbols, np.full(48, np.exp(-1j * theta)))
+        assert np.abs(points[:, None] - dense[None, :]).min(axis=1).max() <= 1e-12
+        ends = convex_hull(dense).vertices
+        assert np.abs(ends[:, None] - points[None, :]).min(axis=1).max() <= 1e-12
+
+
+def forced_split_specs() -> dict[str, PeriodSpec]:
+    """Words 01 to 00001, which split at pi/2 on one edge, and seeded random
+    complex specs (p = 3..6) whose edge j, wrap edge included, vanishes
+    there: a_{j+1} = conj(c_j) makes it c_j cos(theta)."""
+    specs = {w: PeriodSpec.from_word(w) for w in ["01", "001", "0001", "00001"]}
+    rng = np.random.default_rng(2024)
+    for i in range(30):
+        p, j = 3 + i % 4, i % (3 + i % 4)
+        a, b, c = (rng.standard_normal(p) + 1j * rng.standard_normal(p) for _ in range(3))
+        a[(j + 1) % p] = np.conj(c[j])
+        specs[f"random{i}"] = PeriodSpec(a=a, b=b, c=c)
+    return specs
+
+
+@pytest.mark.parametrize("spec", forced_split_specs().values(), ids=forced_split_specs().keys())
+def test_split_twists_give_the_flat_edge_ends(spec):
+    # the two closed-form twists' touch points lie on the support line, and
+    # no touch point of a 20,000-phi grid lies beyond them along it
+    theta = np.pi / 2
+    directions, phi = _union_twists(spec, np.array([theta]), 720)
+    assert phi.size == 2
+    ends = _dense_touch_points(build_symbol(spec, phi), np.exp(-1j * directions))
+    assert ends.size == 2
+    top = top_eigenvalues(spec, theta, 0.0)
+    assert np.abs((np.exp(-1j * theta) * ends).real - top).max() <= 1e-12
+    symbols = build_symbol(spec, phi_grid(20_000))
+    m = np.exp(-1j * theta) * symbols
+    y = np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))[1][:, :, -1]
+    along = (np.exp(-1j * theta) * np.einsum("ti,tij,tj->t", y.conj(), symbols, y)).imag
+    lo, hi = np.sort((np.exp(-1j * theta) * ends).imag)
+    assert along.min() >= lo - 1e-13 and along.max() <= hi + 1e-13
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [PeriodSpec(a=0, b=(1.0, 1j), c=0), PeriodSpec(a=(0.0, 1.0), b=0.0, c=(1.0, 0.0))],
+    ids=["diagonal", "split"],
+)
+def test_union_without_an_edge_takes_one_twist_per_direction(spec):
+    # the operator lacks an edge (c_j = a_{j+1} = 0), so every symbol is
+    # unitarily similar to S(0); the per-phi sweep emits 720 * 720 points
+    assert _symbol_points(spec, SweepConfig(720, 720)).size < 8 * 720
 
 
 def test_word01_flat_edge_ends_are_vertices():
-    # pi/2 and 3pi/2 are split directions of the 96-angle grid; their phi
-    # sweep reaches both ends of each flat edge of the stadium
+    # pi/2 and 3pi/2 are split directions of the 96-angle grid; their two
+    # closed-form twists reach both ends of each flat edge of the stadium
     v = symbol_union_hull(WORD01, SweepConfig(96, 96)).vertices
     ends = np.array([1 + 0.5j, -1 + 0.5j, -1 - 0.5j, 1 - 0.5j])
     assert np.abs(v[None, :] - ends[:, None]).min(axis=1).max() <= 1e-12
