@@ -10,16 +10,18 @@ sweep emits the edge's endpoints, so flat pieces are exact.
 
 Truncations of periodic operators have tridiagonal Hermitian parts; their
 sweep runs on the similar real symmetric tridiagonals in O(k) per angle
-(Sturm bisection and inverse iteration; Parlett, *The Symmetric Eigenvalue
-Problem*, ch. 7), not on dense matrices.  The symbols' Hermitian parts are
+(Sturm bisection, or multisection for few angles, and inverse iteration;
+Parlett, *The Symmetric Eigenvalue Problem*, ch. 7), not on dense
+matrices.  At a (near-)degenerate angle the same core gives the ends of the
+flat edge from the blocks left by cutting the smallest edges, also in
+O(k), so truncations need no LAPACK at all.  The symbols' Hermitian parts are
 periodic Jacobi matrices, whose characteristic polynomial at one theta is
 the same for every twist phi up to a constant, so the support of their
 union's range is attained at a twist known in closed form: the union
 sweep solves one p-by-p symbol per direction, on a grid refined where that
 twist turns fast.  Where an edge vanishes, the ends of the union's flat
-edge sit at closed-form twists too.  General matrices, truncations at
-(near-)degenerate angles and symbols go through dense LAPACK solves in
-bounded batches.
+edge sit at closed-form twists too.  General matrices and symbols go
+through dense LAPACK solves in bounded batches.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .geometry import RangePolygon, convex_hull
 from .linalg import as_matrix, eigh
-from .operators import PeriodSpec, build_symbol, build_truncation, phi_grid
+from .operators import PeriodSpec, build_symbol, phi_grid
 
 __all__ = [
     "NotSelfAdjointError",
@@ -80,8 +82,13 @@ DEGENERATE_GAP = 1e-10
 PIVMIN = np.finfo(float).eps
 # Bytes of Hermitian parts the dense sweep hands to one batched ``eigh``; the
 # directions go in chunks of this size, so memory stays bounded for any
-# number of angles.
+# number of angles.  Truncations chunk their flat-edge angles to the same
+# budget per (angles, k) array.
 _DENSE_BATCH_BYTES = 1 << 22
+# Shifts one Sturm pass of :func:`_top_eigenvalues` tests across all its
+# columns, and pivot rows :func:`_count_above` keeps at a time.
+_MULTISECTION_WIDTH = 512
+_PIVOT_ROWS = 256
 
 
 def _gap_tol(top):
@@ -206,55 +213,76 @@ def _scaled_tridiagonals(spec: PeriodSpec, thetas: np.ndarray):
     return *scaled, beta, exponent
 
 
-def _ldl_pivots(d, e2, sigma, k: int) -> np.ndarray:
-    """Pivots of ``S - sigma = L D L^T`` for the k-by-k S of every angle.
+def _ldl_pivots(d, e2, sigma, k: int, block: int):
+    """Pivots of ``S - sigma = L D L^T`` for the k-by-k S of every column.
 
     ``d`` and ``e2`` are one period of the diagonal and of the squared
-    off-diagonal, shape (p, num_theta); the result has shape (k, num_theta).
+    off-diagonal, shape (p, columns).  The pivots come in consecutive
+    blocks of at most ``block`` rows, each written over the one before it.
     A pivot of modulus below ``PIVMIN`` becomes ``-PIVMIN``, as in LAPACK's
     ``dstebz``.  By Sylvester's law of inertia the number of negative pivots
     is the number of eigenvalues below ``sigma`` (the Sturm count).
     """
     p = d.shape[0]
     shifted = d - sigma
-    q = np.empty((k, np.size(sigma)))
-    q[0] = shifted[0]
-    np.putmask(q[0], np.abs(q[0]) < PIVMIN, -PIVMIN)
-    for i in range(1, k):
-        np.divide(e2[(i - 1) % p], q[i - 1], out=q[i])
-        np.subtract(shifted[i % p], q[i], out=q[i])
-        np.putmask(q[i], np.abs(q[i]) < PIVMIN, -PIVMIN)
-    return q
+    q = np.empty((min(k, block), shifted.shape[1]))
+    prev = None
+    for start in range(0, k, block):
+        for r in range(min(block, k - start)):
+            i = start + r
+            if i == 0:
+                q[0] = shifted[0]
+            else:
+                np.divide(e2[(i - 1) % p], q[r - 1] if r else prev, out=q[r])
+                np.subtract(shifted[i % p], q[r], out=q[r])
+            np.putmask(q[r], np.abs(q[r]) < PIVMIN, -PIVMIN)
+        yield q[: r + 1]
+        prev = q[r].copy()
 
 
 def _count_above(d, e2, sigma, k: int) -> np.ndarray:
-    """Number of eigenvalues of each S at or above ``sigma``."""
-    return k - np.count_nonzero(_ldl_pivots(d, e2, sigma, k) < 0, axis=0)
+    """Number of eigenvalues of each S at or above ``sigma``, counted through
+    a fixed block of pivot rows, so memory does not grow with k."""
+    below = sum(np.count_nonzero(q < 0, axis=0) for q in _ldl_pivots(d, e2, sigma, k, _PIVOT_ROWS))
+    return k - below
 
 
 def _top_eigenvalues(d, e, k: int) -> np.ndarray:
-    """Largest eigenvalue of each k-by-k S by Sturm bisection.
+    """Largest eigenvalue of each k-by-k S by Sturm multisection.
 
     The bracket starts between the largest diagonal entry (a Rayleigh
-    quotient) and the Gershgorin bound, and shrinks to a few ulps.  Its
-    upper end is returned: no eigenvalue lies above it, so ``S`` minus it
-    factors without pivoting as a negative (semi)definite matrix.
+    quotient) and the Gershgorin bound.  With fewer than
+    ``_MULTISECTION_WIDTH`` columns each pass tests
+    ``s = _MULTISECTION_WIDTH // columns`` evenly spaced shifts per column
+    in one Sturm sweep (Lo, Philippe & Sameh, *SIAM J. Sci. Stat. Comput.*
+    8 (1987) s155-s165); from that many columns on, ``s = 1`` is plain
+    bisection.  The new bracket runs from the last shift with an eigenvalue
+    at or above it to the next shift, so it stays valid even where rounding
+    makes the counts non-monotone.  It shrinks to a few ulps, and its upper
+    end is returned: no eigenvalue lies above it, so ``S`` minus it factors
+    without pivoting as a negative (semi)definite matrix.
     """
     rows = np.arange(min(k, d.shape[0]))
     lo = d[rows].max(axis=0)
     hi = (d + e + np.roll(e, 1, axis=0))[rows].max(axis=0)
     e2 = e * e
+    s = max(1, _MULTISECTION_WIDTH // max(1, lo.size))
+    if s > 1:
+        d, e2 = np.tile(d, s), np.tile(e2, s)
+    frac = np.arange(1, s + 1)[:, None] / (s + 1)
+    columns = np.arange(lo.size)
     eps = np.finfo(float).eps
     while np.any(hi - lo > 2 * eps * np.maximum(np.abs(lo), np.abs(hi)) + PIVMIN):
-        mid = 0.5 * (lo + hi)
-        inside = _count_above(d, e2, mid, k) >= 1
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+        shifts = 0.5 * (lo + hi)[None] if s == 1 else np.minimum(lo + (hi - lo) * frac, hi)
+        inside = (_count_above(d, e2, shifts.ravel(), k) >= 1).reshape(s, -1)
+        last = np.where(inside.any(axis=0), s - np.argmax(inside[::-1], axis=0), 0)
+        grid = np.vstack([lo, shifts, hi])
+        lo, hi = grid[last, columns], grid[last + 1, columns]
     return hi
 
 
 def _top_eigenvectors(d, e, top, k: int) -> np.ndarray:
-    """Top eigenvectors of each S, as the columns of a (k, num_theta) array.
+    """Top eigenvectors of each S, as the columns of a (k, columns) array.
 
     Inverse iteration with the pivots of ``S - top``, ``top`` from
     :func:`_top_eigenvalues`.  The off-diagonal of S is nonnegative, so by
@@ -263,7 +291,7 @@ def _top_eigenvectors(d, e, top, k: int) -> np.ndarray:
     sweeps shrinks the other components by (a few ulps) / (spectral gap),
     and outside the flat-edge angles that gap exceeds ``DEGENERATE_GAP``.
     """
-    q = _ldl_pivots(d, e * e, top, k)
+    q = next(_ldl_pivots(d, e * e, top, k, k))
     mult = e[np.arange(k - 1) % d.shape[0]] / q[:-1]
     x = np.ones_like(q)
     for _ in range(3):
@@ -292,12 +320,93 @@ def _touch_points(spec: PeriodSpec, beta, x) -> np.ndarray:
 
 
 def truncation_support(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
-    """Support function of W(T_k) at ``thetas``: the largest eigenvalue of
-    the Hermitian part of ``e^{-i theta} T_k``, in O(k) per angle."""
+    """Support function of W(T_k) at ``thetas``, in the shape of ``thetas``:
+    the largest eigenvalue of the Hermitian part of ``e^{-i theta} T_k``, in
+    O(k) per angle."""
     if k < 1:
         raise ValueError("truncation size must be >= 1")
-    d, e, _, exponent = _scaled_tridiagonals(spec, np.atleast_1d(np.asarray(thetas, dtype=float)))
-    return np.ldexp(_top_eigenvalues(d, e, k), exponent)
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.size == 0:
+        return np.zeros(thetas.shape)
+    d, e, _, exponent = _scaled_tridiagonals(spec, thetas.ravel())
+    return np.ldexp(_top_eigenvalues(d, e, k), exponent).reshape(thetas.shape)
+
+
+def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas, d, e, beta, exponent) -> np.ndarray:
+    """Both ends of the flat edge of W(T_k) at each of ``thetas``, in O(k) each.
+
+    ``d, e, beta, exponent`` are those of :func:`_scaled_tridiagonals` at
+    ``thetas``.  Cutting S at the period's smallest edges (the smallest one,
+    and any within rounding of zero) leaves blocks of at most p rows.  The
+    Sturm core gives the top eigenvalue and eigenvector of each distinct
+    block (by angle, first residue and length), the vector nonnegative by
+    Perron-Frobenius; the blocks whose top is within ``_gap_tol`` of the
+    largest span the flat edge.  The skew part of
+    ``e^{-i theta} T_k`` compressed to that span is tridiagonal over the
+    blocks, and real with a nonnegative off-diagonal once the phase of
+    ``D`` across each cut edge, which the cut leaves free, is that of the
+    skew part's entry there.  The top eigenvectors of it and of its
+    negation (in the ``(-1)^j`` gauge), one column each per angle, combine
+    the block vectors into the ends: Rayleigh quotients of T_k, bottom end
+    first, as in :func:`_flat_edge_ends`.
+    """
+    n, p = beta.shape
+    res = np.arange(k) % p
+    size = np.abs(beta)
+    rounding = 4 * np.finfo(float).eps * (np.abs(spec.c) + np.abs(np.roll(spec.a, -1)))
+    present = np.arange(p) < k - 1
+    smallest = np.where(present, size, np.inf).min(axis=1, keepdims=True)
+    cut = present & (size <= np.maximum(smallest, rounding))
+    cut_after = np.zeros((n, k), dtype=bool)
+    cut_after[:, :-1] = cut[:, res[:-1]]
+    link = ~cut_after
+    link[:, -1] = False
+    first = np.ones((n, k), dtype=bool)
+    first[:, 1:] = cut_after[:, :-1]
+    # each block type (angle, first residue, length) as one column, padded
+    starts = np.flatnonzero(first)
+    lengths = np.diff(np.append(starts, n * k))
+    angle = starts // k
+    key = (angle * p + starts % k % p) * (p + 1) + lengths
+    _, rep, kind = np.unique(key, return_index=True, return_inverse=True)
+    offset = np.arange(lengths.max())[:, None]
+    valid = offset < lengths[rep]
+    index = np.where(valid, starts[rep] + offset, 0)
+    rows = lambda x, keep=True: np.where(keep, x[:, res], 0.0).ravel()
+    gather = lambda x, fill=0.0: np.where(valid, x[index], fill)
+    w = np.exp(-1j * np.asarray(thetas))[:, None]
+    gamma = (w * spec.c - np.conj(w * np.roll(spec.a, -1))) / 2j
+    bd, be = gather(rows(d.T), -2.0), gather(rows(e.T, link))
+    tops = _top_eigenvalues(bd, be, offset.size)
+    v = np.where(valid, np.abs(_top_eigenvectors(bd, be, tops, offset.size)), 0.0)
+    v /= np.sqrt((v * v).sum(axis=0))
+    inner = gather(rows((gamma * np.exp(-1j * np.angle(beta))).real, link))
+    diag = (gather(rows((w * spec.b).imag)) * v * v).sum(axis=0)
+    diag += 2 * (inner[:-1] * v[:-1] * v[1:]).sum(axis=0)
+    # the span, block by block
+    head = np.searchsorted(starts, np.arange(n) * k)
+    tops = np.ldexp(tops, exponent)[kind]
+    best = np.maximum.reduceat(tops, head)
+    span = tops >= (best - _gap_tol(best))[angle]
+    # the compressed skew part: blocks as rows, one column per angle
+    across = rows(np.abs(gamma), cut_after)[starts + lengths - 1]
+    off = v[lengths - 1, kind] * span * across * np.append(v[0, kind[1:]] * span[1:], 0.0)
+    pos = np.arange(starts.size) - head[angle]
+    keep, cd, ce = np.zeros((3, pos.max() + 1, n))
+    keep[pos, angle], cd[pos, angle], ce[pos, angle] = span, diag[kind], off
+    scale = np.frexp(np.maximum(np.abs(keep * cd), ce).max(axis=0))[1]
+    # columns 2t and 2t + 1: the negated and the plain matrix of angle t
+    twice = np.repeat(np.arange(n), 2)
+    keep = keep[:, twice] > 0
+    cd = np.where(keep, np.ldexp(cd, -scale)[:, twice] * np.tile([-1.0, 1.0], n), -2.0)
+    ce = np.ldexp(ce, -scale)[:, twice]
+    r = _top_eigenvectors(cd, ce, _top_eigenvalues(cd, ce, keep.shape[0]), keep.shape[0])
+    r[1::2, ::2] *= -1
+    # the combined vectors, row by row, and their Rayleigh quotients
+    block = np.cumsum(first) - 1
+    vrow = (v[np.arange(n * k) - starts[block], kind[block]] * span[block]).reshape(n, k)
+    x = r[pos[block].reshape(n, k)[twice], np.arange(2 * n)[:, None]] * vrow[twice]
+    return _touch_points(spec, np.where(cut, gamma, beta)[twice], x.T)
 
 
 def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray:
@@ -306,9 +415,9 @@ def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray
     The sweep runs on the real symmetric tridiagonal S(theta) similar to
     each Hermitian part (Sturm bisection, then inverse iteration), in
     O(num_theta * k) time and memory.  Where the top eigenvalue is
-    degenerate, by the test of :func:`boundary_points`, that angle's dense
-    k-by-k Hermitian part goes through the same flat-edge code, so flat
-    edges stay exact.
+    degenerate, by the test of :func:`boundary_points`, both ends of the
+    flat edge follow, from :func:`_truncation_flat_ends` in O(k) per angle:
+    flat edges stay exact, and no dense k-by-k matrix is ever built.
     """
     if k < 1:
         raise ValueError("truncation size must be >= 1")
@@ -319,12 +428,12 @@ def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray
     below = np.ldexp(top - _gap_tol(top), -exponent)
     flat = np.nonzero(_count_above(d, e * e, below, k) >= 2)[0]
     points = [_touch_points(spec, beta, _top_eigenvectors(d, e, scaled_top, k))]
-    if flat.size:
-        t_k = build_truncation(spec, k)
-        for t in flat:
-            phase = np.exp(-1j * thetas[t])
-            values, vecs = eigh(_hermitian_parts(t_k, phase))
-            points.append(_flat_edge_ends(t_k, phase, values, vecs))
+    # specs flat at every angle would otherwise hold (num_theta, k) arrays
+    # several times over
+    chunk = max(1, _DENSE_BATCH_BYTES // (8 * k))
+    for lo in range(0, flat.size, chunk):
+        t = flat[lo : lo + chunk]
+        points.append(_truncation_flat_ends(spec, k, thetas[t], d[:, t], e[:, t], beta[t], exponent))
     return _require_finite(np.concatenate(points), "touch point")
 
 

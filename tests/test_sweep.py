@@ -352,7 +352,7 @@ def test_truncation_support_matches_scipy_tridiagonal_at_k800():
 def test_truncation_range_memory_is_linear_in_k():
     # the dense (num_theta, k, k) batch would need about 7.4 GB here, twice
     # over with its eigenvectors; the tridiagonal sweep keeps (num_theta, k)
-    # work arrays plus, at the two flat-edge angles, k-by-k matrices
+    # work arrays, and the flat-edge ends O(k) ones per flat-edge angle
     tracemalloc.start()
     try:
         poly = truncation_range(WORD01, 800, SweepConfig(num_theta=720))
@@ -611,6 +611,132 @@ def test_dense_sweep_chunks_change_no_bit(monkeypatch):
     assert whole.size > 64
     monkeypatch.setattr(sweep, "_DENSE_BATCH_BYTES", 7 * 16 * 36)
     np.testing.assert_array_equal(_dense_touch_points(stack, phase), whole)
+
+
+# --- flat-edge ends of truncations in O(k), and the multisection core ------------
+
+
+def test_truncation_support_input_shapes():
+    assert truncation_support(WORD01, 5, []).shape == (0,)
+    thetas = np.linspace(0.0, 2 * np.pi, 12).reshape(3, 4)
+    grid = truncation_support(WORD01, 7, thetas)
+    assert grid.shape == (3, 4)
+    np.testing.assert_array_equal(grid.ravel(), truncation_support(WORD01, 7, thetas.ravel()))
+    assert truncation_support(WORD01, 7, 0.5).shape == ()
+
+
+def test_multisection_matches_bisection(monkeypatch):
+    # few columns take many shifts per Sturm pass; one shift per pass is
+    # bisection, and both stop at a bracket of a few ulps around the top
+    rng = np.random.default_rng(8)
+    eps = np.finfo(float).eps
+    for p in (2, 3, 5):
+        spec = random_spec(rng, p)
+        thetas = rng.uniform(0.0, 2 * np.pi, 3)
+        d, e = sweep._scaled_tridiagonals(spec, thetas)[:2]
+        for k in (1, 2, 9, 300):
+            multi = sweep._top_eigenvalues(d, e, k)
+            monkeypatch.setattr(sweep, "_MULTISECTION_WIDTH", 1)
+            plain = sweep._top_eigenvalues(d, e, k)
+            monkeypatch.undo()
+            assert np.all(np.abs(multi - plain) <= 2 * eps * (np.abs(plain) + 1))
+            # both are upper ends of brackets: no eigenvalue at or above them
+            assert not sweep._count_above(d, e * e, multi, k).any()
+            assert not sweep._count_above(d, e * e, plain, k).any()
+
+
+def vanishing_edge_spec(seed: int, p: int, theta: float) -> PeriodSpec:
+    """Random complex spec whose edge 0 of the Hermitian part vanishes at theta
+    (and theta + pi): ``c_0 = -conj(a_1) e^{2i theta}``."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (rng.standard_normal(p) + 1j * rng.standard_normal(p) for _ in range(3))
+    c[0] = -np.conj(a[1]) * np.exp(2j * theta)
+    return PeriodSpec(a=a, b=b, c=c)
+
+
+FLAT_SPECS = {
+    **{word: PeriodSpec.from_word(word) for word in ("01", "001", "0001", "00001", "11")},
+    "split": PeriodSpec(a=(0, 1), b=0, c=(1, 0)),
+    "random": vanishing_edge_spec(12, 3, 2 * np.pi * 7 / 120),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 60, 61, 200])
+@pytest.mark.parametrize("name", list(FLAT_SPECS))
+def test_truncation_flat_edge_ends_match_dense(name, k):
+    # word 11 has two vanishing edges at pi/2, the split spec one at every
+    # angle; the random spec's blocks differ between its two flat-edge angles
+    spec, cfg = FLAT_SPECS[name], SweepConfig(120, 1)
+    t_k = build_truncation(spec, k)
+    points, dense = _truncation_points(spec, k, cfg), boundary_points(t_k, cfg)
+    assert points.size == dense.size
+    top, ends = points[: cfg.num_theta], points[cfg.num_theta :]
+    np.testing.assert_allclose(ends, dense[cfg.num_theta :], rtol=0, atol=1e-12)
+    # off the flat-edge angles the top points agree; on them they lie on the edge
+    values = np.linalg.eigvalsh(np.stack([hermitian_part(t_k, t) for t in phi_grid(cfg.num_theta)]))
+    flat = np.zeros(cfg.num_theta, dtype=bool)
+    if k > 1:
+        flat = values[:, -1] - values[:, -2] <= sweep._gap_tol(values[:, -1])
+    assert 2 * flat.sum() == ends.size
+    np.testing.assert_allclose(top[~flat], dense[: cfg.num_theta][~flat], rtol=0, atol=1e-12)
+    lo, hi, top = ends[::2], ends[1::2], top[flat]
+    along = ((top - lo) * np.conj(hi - lo)).real / np.maximum(np.abs(hi - lo) ** 2, 1e-300)
+    assert np.abs(lo + np.clip(along, 0, 1) * (hi - lo) - top).max(initial=0) <= 1e-12
+    fast, slow = convex_hull(points).vertices, convex_hull(dense).vertices
+    assert fast.shape == slow.shape
+    assert np.abs(fast - slow).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [200, 201])
+def test_truncation_near_split_is_inscribed_and_not_below_dense(k):
+    # edge 0 of the Hermitian part only falls to 5e-9 at pi/2, far above the
+    # degeneracy tolerance, so the blocks there are cut at a nonzero edge
+    spec, cfg = PeriodSpec(a=(0, 1 + 1e-8), b=0, c=1), SweepConfig(360, 1)
+    thetas = np.random.default_rng(9).uniform(0.0, 2 * np.pi, 20_000)
+    support = lambda poly: (poly.vertices[:, None] * np.exp(-1j * thetas)).real.max(axis=0)
+    fast = support(truncation_range(spec, k, cfg))
+    assert np.all(fast >= support(range_boundary(build_truncation(spec, k), cfg)) - 1e-12)
+    assert np.all(fast <= truncation_support(spec, k, thetas) + 1e-12)
+
+
+def test_truncation_flat_edge_chunks(monkeypatch):
+    # the split spec is flat at every angle; chunks of 5 angles change the
+    # multisection width of the Sturm core, so only rounding may move
+    spec, cfg, k = FLAT_SPECS["split"], SweepConfig(64, 1), 61
+    whole = _truncation_points(spec, k, cfg)
+    assert whole.size == 3 * cfg.num_theta
+    monkeypatch.setattr(sweep, "_DENSE_BATCH_BYTES", 8 * k * 5)
+    np.testing.assert_allclose(_truncation_points(spec, k, cfg), whole, rtol=0, atol=1e-14)
+
+
+def test_truncation_range_needs_no_lapack(monkeypatch):
+    def refuse(_):
+        raise AssertionError("dense eigensolve")
+
+    monkeypatch.setattr(sweep, "eigh", refuse)
+    poly = truncation_range(WORD01, 61, SweepConfig(360, 1))
+    assert len(poly) > 360
+    assert np.isclose(poly.vertices.imag.max(), 0.5)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_truncation_flat_edges_memory_is_linear_in_k():
+    # dense k-by-k solves at the two flat-edge angles peak at about 88 MiB
+    assert _traced_peak(lambda: truncation_range(WORD01, 1000, SweepConfig(8, 1))) < 16 * 2**20
+
+
+def test_truncation_support_memory_is_bounded_in_k():
+    # two angles take hundreds of shifts per Sturm pass; the pivots go
+    # through a fixed block of rows instead of a (k, shifts) array
+    assert _traced_peak(lambda: truncation_support(WORD01, 5000, [0.0, np.pi])) < 4 * 2**20
 
 
 # finite entries whose Hermitian parts and p = 2 symbols overflow
