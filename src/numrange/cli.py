@@ -117,7 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_figure = sub.add_parser("figure", help="emit the figure for word 0^n 1 as SVG")
     p_figure.add_argument("--n", type=int, required=True, choices=[1, 2, 3])
-    p_figure.add_argument("--k", type=int, default=120, help="truncation size for sample points")
+    p_figure.add_argument(
+        "--k", type=int, default=120,
+        help="truncation size for sample points, >= 1; sizes below 2p, p = n + 1 the period, "
+        "are raised to 2p (default 120)",
+    )
     p_figure.add_argument("--num-theta", type=int, default=360)
     p_figure.add_argument("--out", required=True, help="output SVG path")
     return parser
@@ -171,6 +175,8 @@ def _cmd_figure(args) -> int:
     spec = PeriodSpec.from_word("0" * n + "1")
     try:
         cfg = SweepConfig(num_theta=args.num_theta, num_phi=args.num_theta)
+        if args.k < 1:
+            raise ValueError("--k must be >= 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

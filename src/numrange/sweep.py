@@ -10,11 +10,13 @@ sweep emits the edge's endpoints, so flat pieces are exact.
 
 Truncations of periodic operators have tridiagonal Hermitian parts; their
 sweep runs on the similar real symmetric tridiagonals in O(k) per angle
-(Sturm bisection, or multisection for few angles, and inverse iteration;
-Parlett, *The Symmetric Eigenvalue Problem*, ch. 7), not on dense
-matrices.  At a (near-)degenerate angle the same core gives the ends of the
-flat edge from the blocks left by cutting the smallest edges, also in
-O(k), so truncations need no LAPACK at all.  The symbols' Hermitian parts are
+(Sturm counts and inverse iteration; Parlett, *The Symmetric Eigenvalue
+Problem*, ch. 7), not on dense matrices.  The counts take Newton steps
+down from the top band edge of the periodic operator, which bounds every
+truncation's top eigenvalue, and multisect where few angles are left.  At
+a (near-)degenerate angle the same core gives the ends of the flat edge
+from the blocks left by cutting the smallest edges, also in O(k), so
+truncations need no LAPACK at all.  The symbols' Hermitian parts are
 periodic Jacobi matrices, whose characteristic polynomial at one theta is
 the same for every twist phi up to a constant, so the support of their
 union's range is attained at a twist known in closed form: the union
@@ -26,6 +28,7 @@ through dense LAPACK solves in bounded batches.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +92,11 @@ _DENSE_BATCH_BYTES = 1 << 22
 # columns, and pivot rows :func:`_count_above` keeps at a time.
 _MULTISECTION_WIDTH = 512
 _PIVOT_ROWS = 256
+# Caps on the Newton steps of :func:`_band_edges`, and on the passes of
+# :func:`_top_eigenvalues` that take them; columns still open after that
+# many passes go on by bisection.
+_BAND_EDGE_STEPS = 60
+_NEWTON_PASSES = 24
 
 
 def _gap_tol(top):
@@ -112,21 +120,28 @@ def _hermitian_parts(a, phase) -> np.ndarray:
 
 
 def _flat_edge_ends(a, phase, values, vecs) -> np.ndarray:
-    """Both ends of the flat edge along which the support line meets W(a).
+    """Both ends of the flat edge along which the support line meets W(a),
+    for each matrix of the stack ``a``: bottom and top end of the first,
+    then of the second, and so on.
 
-    ``values, vecs`` are the ``eigh`` of the Hermitian part of ``phase * a``.
-    The ends are the extremes of the rotated matrix's skew part compressed
-    to the top eigenspace, which keeps the point set exactly compatible
-    with the symmetries of ``a``.
+    ``values, vecs`` are the ``eigh`` of the Hermitian parts of
+    ``phase * a``.  The ends are the extremes of the rotated matrix's skew
+    part compressed to the top eigenspace, which keeps the point set exactly
+    compatible with the symmetries of ``a``.  The matrices go to ``eigh`` in
+    one batch per dimension of that eigenspace.
     """
-    span = vecs[:, values >= values[-1] - _gap_tol(values[-1])]
-    rotated = phase * a
-    skew = (rotated - rotated.conj().T) / 2j
-    compressed = span.conj().T @ (skew @ span)
-    compressed = 0.5 * (compressed + compressed.conj().T)
-    _, w = eigh(compressed)
-    ends = span @ w[:, [0, -1]]
-    return np.einsum("it,ij,jt->t", ends.conj(), a, ends)
+    dims = (values >= (values[:, -1] - _gap_tol(values[:, -1]))[:, None]).sum(axis=1)
+    ends = np.empty((dims.size, 2), dtype=complex)
+    for dim in set(dims.tolist()):
+        t = np.flatnonzero(dims == dim)
+        span = vecs[t, :, -dim:]
+        rotated = phase[t, None, None] * a[t]
+        skew = (rotated - np.swapaxes(rotated.conj(), -1, -2)) / 2j
+        compressed = np.swapaxes(span.conj(), -1, -2) @ (skew @ span)
+        compressed = 0.5 * (compressed + np.swapaxes(compressed.conj(), -1, -2))
+        extremes = span @ eigh(compressed)[1][:, :, [0, -1]]
+        ends[t] = np.einsum("mit,mij,mjt->mt", extremes.conj(), a[t], extremes)
+    return ends.ravel()
 
 
 def _dense_touch_points(a, phase) -> np.ndarray:
@@ -145,8 +160,8 @@ def _dense_touch_points(a, phase) -> np.ndarray:
         top = vecs[:, :, -1]
         tops.append(np.einsum("ti,tij,tj->t", top.conj(), m, top))
         if n > 1:
-            flat = values[:, -1] - values[:, -2] <= _gap_tol(values[:, -1])
-            ends += [_flat_edge_ends(m[t], ph[t], values[t], vecs[t]) for t in np.flatnonzero(flat)]
+            t = np.flatnonzero(values[:, -1] - values[:, -2] <= _gap_tol(values[:, -1]))
+            ends.append(_flat_edge_ends(m[t], ph[t], values[t], vecs[t]))
     return np.concatenate(tops + ends)
 
 
@@ -213,7 +228,50 @@ def _scaled_tridiagonals(spec: PeriodSpec, thetas: np.ndarray):
     return *scaled, beta, exponent
 
 
-def _ldl_pivots(d, e2, sigma, k: int, block: int):
+def _continuant(d, e2, lam, rows):
+    """``det(lam - S)`` of the path through ``rows`` of S and its derivative
+    in ``lam``, by the three-term recurrence."""
+    prev, det, dprev, ddet = 0.0, 1.0, 0.0, 0.0
+    for j in rows:
+        shifted = lam - d[j]
+        ddet, dprev = det + shifted * ddet - e2[j - 1] * dprev, ddet
+        det, prev = shifted * det - e2[j - 1] * prev, det
+    return det, ddet
+
+
+def _band_edges(d, e) -> np.ndarray:
+    """Top of the spectrum of the periodic Jacobi operator with one period
+    ``d, e`` (shape (p, columns), edge ``e_j`` between rows j and j + 1),
+    plus a rounding margin: an upper bound on the top eigenvalue of every
+    truncation S, each a compression of that operator.
+
+    By Perron-Frobenius the top is that of the twist-0 Floquet matrix, the
+    top root of ``det(lam - H_0) = D(lam) - 2 prod e`` with
+    ``D = K_{0..p-1} - e_{p-1}^2 K_{1..p-2}`` (Teschl, ch. 7).  Newton steps
+    on it from the Gershgorin bound, each O(p) by the continuants K and
+    their derivatives, decrease to the root without crossing it, but by
+    rounding; a step that is not finite and positive is not taken, so the
+    iterate stays finite.  No LAPACK is involved.  :func:`_top_eigenvalues`
+    checks the bound before it uses it.
+    """
+    p = d.shape[0]
+    e2 = e * e
+    lam = (d + e + np.roll(e, 1, axis=0)).max(axis=0)
+    twice_product = 2 * np.prod(e, axis=0)
+    eps = np.finfo(float).eps
+    for _ in range(_BAND_EDGE_STEPS):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            k, dk = _continuant(d, e2, lam, range(p))
+            m, dm = _continuant(d, e2, lam, range(1, p - 1))
+            step = (k - e2[p - 1] * m - twice_product) / (dk - e2[p - 1] * dm)
+        step = np.where(np.isfinite(step) & (step > 0), step, 0.0)
+        lam = lam - step
+        if not (step > 4 * eps * np.abs(lam)).any():
+            break
+    return lam + 2 * eps * np.abs(lam) + PIVMIN
+
+
+def _ldl_pivots(d, e2, sigma, k: int, block: int, slope=None):
     """Pivots of ``S - sigma = L D L^T`` for the k-by-k S of every column.
 
     ``d`` and ``e2`` are one period of the diagonal and of the squared
@@ -221,64 +279,138 @@ def _ldl_pivots(d, e2, sigma, k: int, block: int):
     blocks of at most ``block`` rows, each written over the one before it.
     A pivot of modulus below ``PIVMIN`` becomes ``-PIVMIN``, as in LAPACK's
     ``dstebz``.  By Sylvester's law of inertia the number of negative pivots
-    is the number of eigenvalues below ``sigma`` (the Sturm count).
+    is the number of eigenvalues below ``sigma`` (the Sturm count).  With
+    ``slope`` (one entry per column) the same sweep adds
+    ``G(sigma) = sum q_i' / q_i = sum_j 1 / (sigma - lambda_j)`` into it,
+    the logarithmic derivative of ``det(sigma - S)``, from
+    ``q_i' = -1 + e_{i-1}^2 q_{i-1}' / q_{i-1}^2``.
     """
     p = d.shape[0]
     shifted = d - sigma
     q = np.empty((min(k, block), shifted.shape[1]))
+    ratio = None if slope is None else np.empty_like(q)
     prev = None
     for start in range(0, k, block):
         for r in range(min(block, k - start)):
             i = start + r
             if i == 0:
                 q[0] = shifted[0]
+                if ratio is not None:
+                    ratio[0] = -1.0
             else:
                 np.divide(e2[(i - 1) % p], q[r - 1] if r else prev, out=q[r])
+                if ratio is not None:
+                    np.multiply(q[r], ratio[r - 1] if r else prev_ratio, out=ratio[r])
+                    ratio[r] -= 1.0
                 np.subtract(shifted[i % p], q[r], out=q[r])
             np.putmask(q[r], np.abs(q[r]) < PIVMIN, -PIVMIN)
+            if ratio is not None:
+                ratio[r] /= q[r]
+        if ratio is not None:
+            slope += ratio[: r + 1].sum(axis=0)
+            prev_ratio = ratio[r].copy()
         yield q[: r + 1]
         prev = q[r].copy()
 
 
-def _count_above(d, e2, sigma, k: int) -> np.ndarray:
+def _count_above(d, e2, sigma, k: int, slope=None) -> np.ndarray:
     """Number of eigenvalues of each S at or above ``sigma``, counted through
-    a fixed block of pivot rows, so memory does not grow with k."""
-    below = sum(np.count_nonzero(q < 0, axis=0) for q in _ldl_pivots(d, e2, sigma, k, _PIVOT_ROWS))
-    return k - below
+    a fixed block of pivot rows, so memory does not grow with k; ``slope``
+    as in :func:`_ldl_pivots`."""
+    pivots = _ldl_pivots(d, e2, sigma, k, _PIVOT_ROWS, slope)
+    return k - sum(np.count_nonzero(q < 0, axis=0) for q in pivots)
 
 
-def _top_eigenvalues(d, e, k: int) -> np.ndarray:
-    """Largest eigenvalue of each k-by-k S by Sturm multisection.
+def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
+    """Largest eigenvalue of each k-by-k S, by Sturm counts.
 
     The bracket starts between the largest diagonal entry (a Rayleigh
-    quotient) and the Gershgorin bound.  With fewer than
-    ``_MULTISECTION_WIDTH`` columns each pass tests
-    ``s = _MULTISECTION_WIDTH // columns`` evenly spaced shifts per column
-    in one Sturm sweep (Lo, Philippe & Sameh, *SIAM J. Sci. Stat. Comput.*
-    8 (1987) s155-s165); from that many columns on, ``s = 1`` is plain
-    bisection.  The new bracket runs from the last shift with an eigenvalue
-    at or above it to the next shift, so it stays valid even where rounding
-    makes the counts non-monotone.  It shrinks to a few ulps, and its upper
-    end is returned: no eigenvalue lies above it, so ``S`` minus it factors
-    without pivoting as a negative (semi)definite matrix.
+    quotient) and the Gershgorin bound, and each pass sweeps only the
+    columns whose bracket is still open.  With fewer than
+    ``_MULTISECTION_WIDTH`` of them a pass tests
+    ``s = _MULTISECTION_WIDTH // columns`` shifts per column in one Sturm
+    sweep (Lo, Philippe & Sameh, *SIAM J. Sci. Stat. Comput.* 8 (1987)
+    s155-s165); from that many columns on, ``s = 1``.  Without ``start``
+    the shifts split the bracket evenly, so ``s = 1`` is bisection.
+
+    ``start``, an upper bound on each top eigenvalue, switches on Newton
+    steps from above where more than ``_MULTISECTION_WIDTH // 2`` columns
+    are open (with fewer, multisection takes fewer sweeps).  The first pass
+    counts at it; a column with an eigenvalue at or above it keeps the
+    Gershgorin upper end and bisects.  A pass with one shift per column
+    also returns ``G = sum_j 1 / (sigma - lambda_j)`` at it, and the top
+    shift of the next pass is ``hi - max(1/G, tol)``, with ``hi`` the
+    bracket's upper end and ``tol`` half its final width; the other
+    ``s - 1`` split the bracket below it.  ``det(sigma - S)`` is
+    real-rooted, so above the top a Newton step never overshoots it (but
+    by rounding), and the ``tol`` floor gives the lower end of the final
+    bracket.  A Newton point at or below the lower end ``lo`` puts the top
+    at ``lo``, to rounding, so ``lo + tol`` replaces it.  Columns still
+    open after ``_NEWTON_PASSES`` passes bisect, which bounds the passes
+    whatever the slopes.
+
+    The new bracket runs from the last shift with an eigenvalue at or
+    above it to the next shift, so it stays valid even where rounding makes
+    the counts non-monotone.  It shrinks to a few ulps, and its upper end is
+    returned: no eigenvalue lies above it, so ``S`` minus it factors without
+    pivoting as a negative (semi)definite matrix.
     """
     rows = np.arange(min(k, d.shape[0]))
     lo = d[rows].max(axis=0)
     hi = (d + e + np.roll(e, 1, axis=0))[rows].max(axis=0)
     e2 = e * e
-    s = max(1, _MULTISECTION_WIDTH // max(1, lo.size))
-    if s > 1:
-        d, e2 = np.tile(d, s), np.tile(e2, s)
-    frac = np.arange(1, s + 1)[:, None] / (s + 1)
-    columns = np.arange(lo.size)
     eps = np.finfo(float).eps
-    while np.any(hi - lo > 2 * eps * np.maximum(np.abs(lo), np.abs(hi)) + PIVMIN):
-        shifts = 0.5 * (lo + hi)[None] if s == 1 else np.minimum(lo + (hi - lo) * frac, hi)
-        inside = (_count_above(d, e2, shifts.ravel(), k) >= 1).reshape(s, -1)
+    width = lambda lo, hi: 2 * eps * np.maximum(np.abs(lo), np.abs(hi)) + PIVMIN
+    # the Newton step 1/G from each upper end, infinite where unknown, and
+    # the columns that take no Newton steps
+    step = np.full(lo.shape, np.inf)
+    at = np.flatnonzero(hi - lo > width(lo, hi))
+    # Newton steps pay only where a pass tests one shift per column
+    plain = np.full(lo.shape, start is None or _MULTISECTION_WIDTH // max(1, at.size) > 1)
+
+    def count(at, shifts):
+        """Which of the (s, len(at)) shifts have an eigenvalue at or above
+        them, and the Newton steps from them: only where s = 1 (a slope
+        costs about as much as a count, and multisection does without) and
+        infinite where not wanted or not finite and positive."""
+        s = shifts.shape[0]
+        slope = None if s > 1 or plain[at].all() else np.zeros(at.size)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # take, unlike d[:, at], keeps the rows the recurrence runs along contiguous
+            tiled = (np.tile(x.take(at, axis=1), s) for x in (d, e2))
+            above = _count_above(*tiled, shifts.ravel(), k, slope)
+            steps = np.inf if slope is None else 1.0 / slope
+        steps = np.where(~plain[at] & np.isfinite(steps) & (steps > 0), steps, np.inf)
+        return (above >= 1).reshape(s, -1), np.broadcast_to(steps, shifts.shape)
+
+    if not plain.all():
+        sigma = np.minimum(start[at], hi[at])
+        inside, steps = count(at, sigma[None])
+        plain[at] = inside[0]
+        lo[at] = np.where(inside[0], np.maximum(lo[at], sigma), lo[at])
+        hi[at] = np.where(inside[0], hi[at], sigma)
+        step[at] = np.where(inside[0], np.inf, steps[0])
+    for passes in itertools.count():
+        at = np.flatnonzero(hi - lo > width(lo, hi))
+        if at.size == 0:
+            return hi
+        if passes == _NEWTON_PASSES:
+            plain[:], step[:] = True, np.inf
+        a, b, h = lo[at], hi[at], step[at]
+        s = max(1, _MULTISECTION_WIDTH // at.size)
+        j = np.arange(1, s + 1)[:, None]
+        tol = 0.5 * width(b, b)
+        newton = b - np.maximum(h, tol)
+        # a Newton point at or below lo means the top sits at lo, to rounding
+        newton = np.where(newton > a, newton, np.minimum(a + tol, 0.5 * (a + b)))
+        even = np.minimum(a + (b - a) * j / (s + 1), b)
+        shifts = np.where(np.isinf(h), even, newton - (newton - a) * (s - j) / s)
+        inside, steps = count(at, shifts)
         last = np.where(inside.any(axis=0), s - np.argmax(inside[::-1], axis=0), 0)
-        grid = np.vstack([lo, shifts, hi])
-        lo, hi = grid[last, columns], grid[last + 1, columns]
-    return hi
+        columns = np.arange(at.size)
+        grid = np.vstack([a, shifts, b])
+        lo[at], hi[at] = grid[last, columns], grid[last + 1, columns]
+        step[at] = np.vstack([steps, h])[last, columns]
 
 
 def _top_eigenvectors(d, e, top, k: int) -> np.ndarray:
@@ -413,7 +545,8 @@ def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray
     """:func:`boundary_points` of the k-by-k truncation, from its three diagonals.
 
     The sweep runs on the real symmetric tridiagonal S(theta) similar to
-    each Hermitian part (Sturm bisection, then inverse iteration), in
+    each Hermitian part (Sturm counts with Newton steps down from the band
+    edge of :func:`_band_edges`, then inverse iteration), in
     O(num_theta * k) time and memory.  Where the top eigenvalue is
     degenerate, by the test of :func:`boundary_points`, both ends of the
     flat edge follow, from :func:`_truncation_flat_ends` in O(k) per angle:
@@ -423,7 +556,7 @@ def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray
         raise ValueError("truncation size must be >= 1")
     thetas = phi_grid(cfg.num_theta)
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
-    scaled_top = _top_eigenvalues(d, e, k)
+    scaled_top = _top_eigenvalues(d, e, k, _band_edges(d, e))
     top = np.ldexp(scaled_top, exponent)
     below = np.ldexp(top - _gap_tol(top), -exponent)
     flat = np.nonzero(_count_above(d, e * e, below, k) >= 2)[0]

@@ -183,6 +183,14 @@ def test_figure_bad_num_theta_exits_2(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_figure_bad_k_exits_2(capsys, tmp_path, k):
+    out = tmp_path / "x.svg"
+    assert cli.main(["figure", "--n", "1", "--k", k, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --k must be >= 1\n"
+    assert not out.exists()
+
+
 def test_write_svg_validates_layers(tmp_path):
     with pytest.raises(ValueError, match="layer"):
         cli.write_svg(str(tmp_path / "empty.svg"), [])

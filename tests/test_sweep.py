@@ -645,6 +645,87 @@ def test_multisection_matches_bisection(monkeypatch):
             assert not sweep._count_above(d, e * e, plain, k).any()
 
 
+def bisection_tops(monkeypatch, d, e, k):
+    monkeypatch.setattr(sweep, "_MULTISECTION_WIDTH", 1)
+    try:
+        return sweep._top_eigenvalues(d, e, k)
+    finally:
+        monkeypatch.undo()
+
+
+def assert_certified_tops(top, plain, d, e, k):
+    # no eigenvalue at or above top, one within two final bracket widths
+    # below it (the PIVMIN guard moves the counts by up to 2 PIVMIN), and
+    # within 2 eps of bisection
+    eps = np.finfo(float).eps
+    tol = 2 * (2 * eps * np.abs(top) + sweep.PIVMIN)
+    assert not sweep._count_above(d, e * e, top, k).any()
+    assert np.all(sweep._count_above(d, e * e, top - tol, k) >= 1)
+    assert np.all(np.abs(top - plain) <= 2 * eps * (np.abs(plain) + 1))
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_newton_tops_are_certified(monkeypatch, p):
+    # Newton steps down from the band edge, over every grid size the sweeps use
+    rng = np.random.default_rng(900 + p)
+    spec = random_spec(rng, p)
+    for num_theta in (720, 192, 2):
+        d, e = sweep._scaled_tridiagonals(spec, phi_grid(num_theta))[:2]
+        start = sweep._band_edges(d, e)
+        for k in sorted({1, 2, p - 1, p, p + 1, 120, 800}):
+            top = sweep._top_eigenvalues(d, e, k, start)
+            assert_certified_tops(top, bisection_tops(monkeypatch, d, e, k), d, e, k)
+            # the band edge bounds every truncation's top
+            assert np.all(top <= start)
+
+
+def test_newton_start_below_the_top_still_certifies(monkeypatch):
+    # a start with an eigenvalue above it keeps the Gershgorin upper end
+    # (Newton steps run where many columns are open)
+    d, e = sweep._scaled_tridiagonals(WORD01, phi_grid(720))[:2]
+    for k in (5, 300):
+        plain = bisection_tops(monkeypatch, d, e, k)
+        for offset in (1e-3, 1e-14, 0.0):
+            top = sweep._top_eigenvalues(d, e, k, plain - offset)
+            assert_certified_tops(top, plain, d, e, k)
+
+
+def sturm_passes(monkeypatch):
+    """(rows, columns, block) of every pivot sweep, in the order they run."""
+    passes, pivots = [], sweep._ldl_pivots
+
+    def record(d, e2, sigma, k, block, *rest):
+        passes.append((k, d.shape[1], block))
+        return pivots(d, e2, sigma, k, block, *rest)
+
+    monkeypatch.setattr(sweep, "_ldl_pivots", record)
+    return passes
+
+
+@pytest.mark.parametrize("k", [120, 800])
+def test_word01_takes_few_sturm_passes(monkeypatch, k):
+    # bisection from the Gershgorin bracket took about 50 passes; Newton
+    # steps from the band edge take 8 (and two more sweeps: the flat-edge
+    # test and inverse iteration)
+    passes = sturm_passes(monkeypatch)
+    assert len(truncation_range(WORD01, k, SweepConfig(720, 1))) > 720
+    assert sum(rows == k for rows, _, _ in passes) <= 16
+
+
+def test_split_spec_sweeps_only_open_brackets(monkeypatch):
+    # every angle is flat, and the compressed skew parts of the first chunk
+    # of them form one 800-row call of 2 * 655 columns; only the four of
+    # theta = pi/2 and 3pi/2 (all edges vanish there) start with an open
+    # bracket, so their 128 shifts each are all its passes sweep
+    passes = sturm_passes(monkeypatch)
+    poly = truncation_range(PeriodSpec(a=(0, 1), b=0, c=(1, 0)), 800, SweepConfig(720, 1))
+    np.testing.assert_allclose(poly.vertices, [-1, 1], rtol=0, atol=1e-15)
+    counts = [columns for rows, columns, block in passes if rows == 800 and block == sweep._PIVOT_ROWS]
+    assert max(counts) <= 720
+    # bisection swept about 50 * (720 + 1310) columns of 800 rows
+    assert sum(counts) <= 16 * 720
+
+
 def vanishing_edge_spec(seed: int, p: int, theta: float) -> PeriodSpec:
     """Random complex spec whose edge 0 of the Hermitian part vanishes at theta
     (and theta + pi): ``c_0 = -conj(a_1) e^{2i theta}``."""
