@@ -26,10 +26,7 @@ __all__ = [
 ]
 
 CROSS_TOL = 1e-12
-# Interior-filter cascade of convex_hull: directions per pass, and floats per
-# projection chunk (2 MiB; 8 MiB chunks raise the peak RSS of small runs).
-_PRUNE_DIRECTIONS = (16, 128, 1024)
-_PRUNE_CHUNK_FLOATS = 1 << 18
+_DISTANCE_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -50,105 +47,66 @@ class RangePolygon:
         return self.vertices.size
 
 
-def _cross(o: complex, a: complex, b: complex) -> float:
+def _cross(o, a, b):
+    """Twice the signed area of the triangle (o, a, b): positive if counterclockwise."""
     return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
 
 
-def _monotone_chain(pts: np.ndarray) -> np.ndarray:
-    order = np.lexsort((pts.imag, pts.real))
-    pts = pts[order]
-    eps = CROSS_TOL * max(1.0, float(np.abs(pts).max()))
-    lower: list[complex] = []
-    for z in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], z) <= eps:
-            lower.pop()
-        lower.append(z)
-    upper: list[complex] = []
-    for z in pts[::-1]:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], z) <= eps:
-            upper.pop()
-        upper.append(z)
-    out = np.array(lower[:-1] + upper[:-1], dtype=complex)
-    if out.size == 0 or np.abs(out - out[0]).max() <= eps:
-        return pts[:1]
-    if out.size == 2 and abs(out[1] - out[0]) <= eps:
-        return out[:1]
-    return out
-
-
-def _collinear_hull(pts: np.ndarray) -> np.ndarray:
-    """``_monotone_chain(pts)`` when it surely pops every point between the
-    lexicographic extremes lo and hi (which lie more than eps apart), else
-    ``pts`` itself.  The points lie within h of the line through lo and hi
-    and span S along it, so no exact cross product of three of them exceeds
-    4 S h; the chain pops whatever is at most its eps, and 4 S h is held to
-    eps/4.
-    """
-    order = np.lexsort((pts.imag, pts.real))
-    lo, hi = pts[order[0]], pts[order[-1]]
-    eps = CROSS_TOL * max(1.0, float(np.abs(pts).max()))
-    if abs(hi - lo) <= eps:
-        return pts
-    rel = (pts - lo) * np.conj(hi - lo) / abs(hi - lo)
-    if 16 * float(np.ptp(rel.real)) * float(np.abs(rel.imag).max()) > eps:
-        return pts
-    return np.array([lo, hi])
-
-
-def _prune_interior(pts: np.ndarray) -> np.ndarray:
-    """Cascaded Akl-Toussaint filter.  Each pass takes the polygon P of the
-    extreme points along more directions and drops the points strictly
-    inside P, testing each against the edge of its wedge about P's vertex
-    centroid.  P's vertices are input points, so no hull vertex is dropped.
-    The cascade stops once a pass removes less than 1/32 of its input.  A
-    degenerate P (collinear input) ends the cascade, with the chain's own
-    answer when the points are certainly collinear to within its eps."""
-    for m in _PRUNE_DIRECTIONS:
-        t = 2 * np.pi * np.arange(m) / m
-        d = np.stack((np.cos(t), np.sin(t)), axis=1)
-        best, arg = np.full(m, -np.inf), np.zeros(m, dtype=np.intp)
-        step = _PRUNE_CHUNK_FLOATS // m
-        for s in range(0, pts.size, step):
-            z = pts[s : s + step]
-            proj = d @ np.stack((z.real, z.imag))
-            j = proj.argmax(axis=1)
-            val = proj[np.arange(m), j]
-            arg, best = np.where(val > best, j + s, arg), np.maximum(val, best)
-        poly = _monotone_chain(pts[np.unique(arg)])
-        c = poly.mean()
-        ang = np.angle(poly - c)
-        poly, ang = np.roll(poly, -ang.argmin()), np.roll(ang, -ang.argmin())
-        if poly.size < 3:
-            return _collinear_hull(pts)
-        if not (np.diff(ang) > 0).all():
-            break
-        i = np.searchsorted(ang, np.angle(pts - c), side="right") - 1
-        a, e = poly[i], (np.roll(poly, -1) - poly)[i]
-        margin = CROSS_TOL * max(1.0, float(np.abs(poly).max()))
-        inside = e.real * (pts.imag - a.imag) - e.imag * (pts.real - a.real) > margin
-        n, pts = pts.size, pts[~inside]
-        if 32 * (n - pts.size) < n:
-            break
-    return pts
-
-
 def convex_hull(points) -> RangePolygon:
-    """Convex hull of a set of complex points (monotone chain).
+    """Convex hull of a set of complex points, counterclockwise from the
+    lexicographic minimum; every vertex is an input point.
 
-    Collinear interior points are removed; collinear input collapses to its
-    two extreme points and coincident input to a single point.
+    Batched Quickhull (Barber, Dobkin & Huhdanpaa, *ACM TOMS* 22 (1996)
+    469-483): each round splits every edge with points outside it at its
+    farthest one (the lexicographic least on ties); a point goes on with
+    the new edge it lies farther outside, while its turn there exceeds
+    ``eps``.  Then vertices whose turn ``_cross(prev, v, next)`` is at most
+    ``eps`` go, by the pop rule of the monotone chain: the first of each run
+    of them per round, never the lexicographic extremes.  Collinear input
+    collapses to its two extreme points and coincident input to a single
+    point.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
     if pts.size == 0:
         raise ValueError("convex hull of an empty point set")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    if pts.size > 512:
-        pts = _prune_interior(pts)
-    return RangePolygon(_monotone_chain(pts))
+    eps = CROSS_TOL * max(1.0, float(np.abs(pts).max()))
+    x, y = pts.real.copy(), pts.imag.copy()
+    low, high = np.flatnonzero(x == x.min()), np.flatnonzero(x == x.max())[::-1]
+    ends = pts[[low[y[low].argmin()], high[y[high].argmax()]]]
+    # the cycle, and whether edge i (hull[i] to hull[i + 1]) splits at far: first
+    # the minimum's edge to itself, at the maximum; the points x + iy lie outside their edges
+    hull, far, split, edge = ends[:1], ends[1:], np.array([True]), np.zeros(pts.size, dtype=np.intp)
+    while split.any():
+        hull = np.insert(hull, np.flatnonzero(split) + 1, far)
+        f = np.append(hull[1:], hull[0])
+        step = f - hull
+        edge += (np.cumsum(split) - split)[edge]
+        # x + iy against the two edges at the far point f, both turns about f
+        wx, wy = x - f.real[edge], y - f.imag[edge]
+        turns = [wx * s.imag[edge] - wy * s.real[edge] for s in (step, np.append(step[1:], step[0]))]
+        turn = np.maximum(*turns)
+        keep = np.flatnonzero(turn > eps)
+        x, y, edge, turn = (a[keep] for a in (x, y, edge + (turns[1] > turns[0]), turn))
+        best = np.zeros(hull.size)
+        np.maximum.at(best, edge, turn)
+        # the farthest point of each edge, the lexicographic least on ties
+        at = np.flatnonzero(turn == best[edge])
+        at = at[np.lexsort((y[at], x[at], edge[at]))]
+        split = best > 0
+        at = at[np.searchsorted(edge[at], np.flatnonzero(split))]
+        far = np.column_stack((x[at], y[at])).view(complex)[:, 0]
+    pop = True
+    while np.any(pop):
+        ring = np.concatenate((hull[-1:], hull, hull[:1]))
+        pop = (_cross(ring[:-2], hull, ring[2:]) <= eps) & ~np.isin(hull, ends)
+        pop &= ~np.roll(pop, 1)
+        hull = hull[~pop]
+    return RangePolygon(hull[:1] if np.abs(hull - hull[0]).max() <= eps else hull)
 
 
-def distance_to_region(points, polygon: RangePolygon, _chunk: int = 512) -> np.ndarray:
+def distance_to_region(points, polygon: RangePolygon) -> np.ndarray:
     """Euclidean distance from each point to the filled convex polygon.
 
     Points are processed in chunks so point-set x polygon products stay
@@ -164,14 +122,14 @@ def distance_to_region(points, polygon: RangePolygon, _chunk: int = 512) -> np.n
     seg_len2 = np.where(np.abs(ab) ** 2 == 0.0, 1.0, np.abs(ab) ** 2)
     margin = CROSS_TOL * max(1.0, float(np.abs(v).max()))
     out = np.empty(zs.size, dtype=float)
-    for start in range(0, zs.size, _chunk):
-        az = zs[start : start + _chunk, None] - a[None, :]
+    for start in range(0, zs.size, _DISTANCE_CHUNK):
+        az = zs[start : start + _DISTANCE_CHUNK, None] - a[None, :]
         t = np.clip((az.real * ab.real + az.imag * ab.imag) / seg_len2, 0.0, 1.0)
         dmin = np.abs(az - t * ab).min(axis=1)
         if v.size >= 3:
             inside = (ab.real * az.imag - ab.imag * az.real >= -margin).all(axis=1)
             dmin = np.where(inside, 0.0, dmin)
-        out[start : start + _chunk] = dmin
+        out[start : start + _DISTANCE_CHUNK] = dmin
     return out
 
 

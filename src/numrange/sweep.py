@@ -92,9 +92,9 @@ _DENSE_BATCH_BYTES = 1 << 22
 # columns, and pivot rows :func:`_count_above` keeps at a time.
 _MULTISECTION_WIDTH = 512
 _PIVOT_ROWS = 256
-# Caps on the Newton steps of :func:`_band_edges`, and on the passes of
-# :func:`_top_eigenvalues` that take them; columns still open after that
-# many passes go on by bisection.
+# Caps on the Laguerre steps of :func:`_band_edges`, and on the passes of
+# :func:`_top_eigenvalues` that take Newton steps; columns still open after
+# that many passes go on by bisection.
 _BAND_EDGE_STEPS = 60
 _NEWTON_PASSES = 24
 
@@ -228,15 +228,27 @@ def _scaled_tridiagonals(spec: PeriodSpec, thetas: np.ndarray):
     return *scaled, beta, exponent
 
 
+def _edge_rounding(spec: PeriodSpec) -> np.ndarray:
+    """Level ``4 eps (|c_j| + |a_{j+1}|)`` at which an edge ``beta_j`` vanishes."""
+    return 4 * np.finfo(float).eps * (np.abs(spec.c) + np.abs(np.roll(spec.a, -1)))
+
+
 def _continuant(d, e2, lam, rows):
-    """``det(lam - S)`` of the path through ``rows`` of S and its derivative
-    in ``lam``, by the three-term recurrence."""
-    prev, det, dprev, ddet = 0.0, 1.0, 0.0, 0.0
+    """``det(lam - S)`` of the path through ``rows`` of S and its first two
+    derivatives in ``lam`` (the rows of one array), by the three-term
+    recurrence, and ``scale``: they are divided by ``2**scale``, exactly."""
+    top, prev, scale = np.outer([1.0, 0.0, 0.0], np.ones_like(lam)), 0.0, 0
     for j in rows:
-        shifted = lam - d[j]
-        ddet, dprev = det + shifted * ddet - e2[j - 1] * dprev, ddet
-        det, prev = shifted * det - e2[j - 1] * prev, det
-    return det, ddet
+        new = (lam - d[j]) * top - e2[j - 1] * prev
+        new[1:] += np.array([[1.0], [2.0]]) * top[:-1]
+        s = np.frexp(np.abs(new).sum(axis=0))[1]
+        top, prev, scale = np.ldexp(new, -s), np.ldexp(top, -s), scale + s
+    return top, scale
+
+
+def _gershgorin(d, e) -> np.ndarray:
+    """Gershgorin upper bound of each row of the tridiagonals ``d, e``."""
+    return d + e + np.roll(e, 1, axis=0)
 
 
 def _band_edges(d, e) -> np.ndarray:
@@ -246,25 +258,33 @@ def _band_edges(d, e) -> np.ndarray:
     truncation S, each a compression of that operator.
 
     By Perron-Frobenius the top is that of the twist-0 Floquet matrix, the
-    top root of ``det(lam - H_0) = D(lam) - 2 prod e`` with
-    ``D = K_{0..p-1} - e_{p-1}^2 K_{1..p-2}`` (Teschl, ch. 7).  Newton steps
-    on it from the Gershgorin bound, each O(p) by the continuants K and
-    their derivatives, decrease to the root without crossing it, but by
-    rounding; a step that is not finite and positive is not taken, so the
-    iterate stays finite.  No LAPACK is involved.  :func:`_top_eigenvalues`
-    checks the bound before it uses it.
+    top root of ``f(lam) = det(lam - H_0) = D(lam) - 2 prod e`` with
+    ``D = K_{0..p-1} - e_{p-1}^2 K_{1..p-2}`` (Teschl, ch. 7), real-rooted
+    of degree p.  Laguerre steps on f from the Gershgorin bound (Parlett,
+    *Math. Comp.* 18 (1964) 464-485), each O(p) by the continuants K,
+    decrease to that root without crossing it, but by rounding, where
+    Newton steps crawl while many roots lie close below.  A step is taken
+    only where it is finite and ``f'/f > 0``, as above the root.  K and the
+    product carry powers of two, so p may be large.  No LAPACK is involved.
+    :func:`_top_eigenvalues` checks the bound before it uses it.
     """
     p = d.shape[0]
     e2 = e * e
-    lam = (d + e + np.roll(e, 1, axis=0)).max(axis=0)
-    twice_product = 2 * np.prod(e, axis=0)
+    lam = _gershgorin(d, e).max(axis=0)
+    product, product_scale = np.ones(lam.shape), 1
+    for row in e:
+        product, s = np.frexp(product * row)
+        product_scale = product_scale + s
     eps = np.finfo(float).eps
     for _ in range(_BAND_EDGE_STEPS):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            k, dk = _continuant(d, e2, lam, range(p))
-            m, dm = _continuant(d, e2, lam, range(1, p - 1))
-            step = (k - e2[p - 1] * m - twice_product) / (dk - e2[p - 1] * dm)
-        step = np.where(np.isfinite(step) & (step > 0), step, 0.0)
+            k, scale = _continuant(d, e2, lam, range(p))
+            m, m_scale = _continuant(d, e2, lam, range(1, p - 1))
+            f = k - e2[p - 1] * np.ldexp(m, m_scale - scale)
+            f[0] -= np.ldexp(product, product_scale - scale)
+            g, h = f[1] / f[0], f[2] / f[0]
+            step = p / (g + np.sqrt(np.maximum((p - 1) * ((p - 1) * g * g - p * h), 0.0)))
+        step = np.where(np.isfinite(step) & (g > 0), step, 0.0)
         lam = lam - step
         if not (step > 4 * eps * np.abs(lam)).any():
             break
@@ -357,7 +377,7 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
     """
     rows = np.arange(min(k, d.shape[0]))
     lo = d[rows].max(axis=0)
-    hi = (d + e + np.roll(e, 1, axis=0))[rows].max(axis=0)
+    hi = _gershgorin(d, e)[rows].max(axis=0)
     e2 = e * e
     eps = np.finfo(float).eps
     width = lambda lo, hi: 2 * eps * np.maximum(np.abs(lo), np.abs(hi)) + PIVMIN
@@ -485,10 +505,9 @@ def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas, d, e, beta, exponent
     n, p = beta.shape
     res = np.arange(k) % p
     size = np.abs(beta)
-    rounding = 4 * np.finfo(float).eps * (np.abs(spec.c) + np.abs(np.roll(spec.a, -1)))
     present = np.arange(p) < k - 1
     smallest = np.where(present, size, np.inf).min(axis=1, keepdims=True)
-    cut = present & (size <= np.maximum(smallest, rounding))
+    cut = present & (size <= np.maximum(smallest, _edge_rounding(spec)))
     cut_after = np.zeros((n, k), dtype=bool)
     cut_after[:, :-1] = cut[:, res[:-1]]
     link = ~cut_after
@@ -590,8 +609,7 @@ def _twist_angles(spec: PeriodSpec, thetas):
     returned twist sums the arguments of the other edges only.
     """
     beta = _scaled_tridiagonals(spec, thetas)[2]
-    rounding = 4 * np.finfo(float).eps * (np.abs(spec.c) + np.abs(np.roll(spec.a, -1)))
-    vanishing = np.abs(beta) <= rounding
+    vanishing = np.abs(beta) <= _edge_rounding(spec)
     return -np.where(vanishing, 0.0, np.angle(beta)).sum(axis=1), vanishing
 
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from numrange.geometry import (
+    CROSS_TOL,
     RangePolygon,
-    _monotone_chain,
-    _prune_interior,
     contains,
     convex_hull,
     distance_to_region,
@@ -18,7 +17,7 @@ from numrange.geometry import (
     support_width,
 )
 from numrange.operators import PeriodSpec, build_symbol
-from numrange.sweep import SweepConfig, boundary_points, phi_grid
+from numrange.sweep import SweepConfig, _symbol_points, boundary_points, phi_grid
 
 RNG = np.random.default_rng(31)
 
@@ -60,6 +59,15 @@ def test_hull_is_counterclockwise_and_convex():
         assert cross > 0  # strictly convex: collinear vertices removed
 
 
+def test_hull_keeps_the_lexicographic_extremes():
+    # the minimum's turn between its neighbours is 1e-13, below eps, but the
+    # chain never pops the first point of its lower or upper run
+    pts = np.array([0, 1j, 1e-13 - 1j, 1])
+    hull = convex_hull(pts).vertices
+    np.testing.assert_array_equal(hull, [0, 1e-13 - 1j, 1, 1j])
+    np.testing.assert_array_equal(hull, monotone_chain(pts))
+
+
 def test_hull_empty_input():
     with pytest.raises(ValueError, match="empty"):
         convex_hull(np.array([], dtype=complex))
@@ -86,6 +94,29 @@ def gift_wrap(points: np.ndarray) -> set:
         if candidate == start:
             return set(hull)
         hull.append(candidate)
+
+
+def cross(o: complex, a: complex, b: complex) -> float:
+    return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
+
+
+def monotone_chain(pts: np.ndarray) -> np.ndarray:
+    """Andrew's monotone chain oracle, with the pop rule and tolerance of
+    ``convex_hull``: a point b goes when ``cross(a, b, c) <= eps``."""
+    pts = pts[np.lexsort((pts.imag, pts.real))]
+    eps = CROSS_TOL * max(1.0, float(np.abs(pts).max()))
+    chains = []
+    for run in (pts, pts[::-1]):
+        chain: list[complex] = []
+        for z in run:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], z) <= eps:
+                chain.pop()
+            chain.append(z)
+        chains += chain[:-1]
+    out = np.array(chains, dtype=complex)
+    if out.size == 0 or np.abs(out - out[0]).max() <= eps:
+        return pts[:1]
+    return out
 
 
 def test_hull_matches_gift_wrapping_oracle():
@@ -150,18 +181,38 @@ def _sliver() -> np.ndarray:
     ],
 )
 def test_hull_prune_path_matches_direct(make):
-    # >512 points takes the cascaded interior filter before the monotone chain
+    # hard clouds for Quickhull's splits and final pops (many points in convex
+    # position, duplicates, collinear and near-collinear runs): the vertices
+    # are the monotone chain's, bit for bit
     pts = make()
-    assert pts.size > 512
-    fast = convex_hull(pts).vertices
-    direct = _monotone_chain(pts)
-    assert fast.tobytes() == direct.tobytes()
+    assert convex_hull(pts).vertices.tobytes() == monotone_chain(pts).tobytes()
 
 
-def test_hull_prune_continues_while_passes_remove_points():
-    # the 16-direction pass keeps about 86% of a thin annulus; the later
-    # passes bring it down to the few hundred points near the outer circle
-    assert _prune_interior(_annulus()).size < 2000
+def support_deficit(pts: np.ndarray, vertices: np.ndarray, thetas: np.ndarray) -> float:
+    """Largest amount by which the support of ``vertices`` falls short of
+    that of ``pts`` over ``thetas``."""
+    worst = 0.0
+    for s in range(0, thetas.size, 1000):
+        w = np.exp(-1j * thetas[s : s + 1000])[:, None]
+        gap = (w * pts).real.max(axis=1) - (w * vertices).real.max(axis=1)
+        worst = max(worst, float(gap.max()))
+    return worst
+
+
+@pytest.mark.parametrize("word", ["01", "001", "0001"])
+def test_hull_of_union_cloud(word):
+    # the 720x720 union hulls' input: in convex position, crowded near the
+    # flat-edge corners, and symmetric, so the farthest points tie
+    pts = _symbol_points(PeriodSpec.from_word(word), SweepConfig(720, 720))
+    hull = convex_hull(pts).vertices
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        np.testing.assert_array_equal(convex_hull(rng.permutation(pts)).vertices, hull)
+    eps = CROSS_TOL * max(1.0, float(np.abs(pts).max()))
+    assert (cross(np.roll(hull, 1), hull, np.roll(hull, -1)) > eps).all()
+    thetas = rng.uniform(0, 2 * np.pi, 20_000)
+    chain = support_deficit(pts, monotone_chain(pts), thetas)
+    assert support_deficit(pts, hull, thetas) <= chain
 
 
 def test_hull_prune_matches_gift_wrapping_oracle():

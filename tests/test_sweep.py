@@ -679,6 +679,37 @@ def test_newton_tops_are_certified(monkeypatch, p):
             assert np.all(top <= start)
 
 
+def test_continuant_carries_its_scale():
+    # 2000 rows at lam = 1, each |lam - d_j| >= 1.5: the plain recurrence
+    # overflows near row 1750; the LDL pivots of S - lam give log|det| and
+    # the log-derivative sum 1/(lam - lambda_j) independently
+    rng = np.random.default_rng(5)
+    p = 2000
+    d, e = rng.uniform(-1.0, -0.5, (p, 1)), rng.uniform(0.0, 0.5, (p, 1))
+    lam, slope = np.ones(1), np.zeros(1)
+    (det, ddet, _), scale = sweep._continuant(d, e * e, lam, range(p))
+    pivots = next(sweep._ldl_pivots(d, e * e, lam, p, p, slope))
+    np.testing.assert_allclose(np.log2(np.abs(det)) + scale, np.log2(-pivots).sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(ddet / det, slope, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [3, 40, 200, 600])
+def test_band_edge_is_the_top_of_the_maximising_twist_symbol(p):
+    # the band edge is the top eigenvalue of the symbol at the maximising
+    # twist; from the Gershgorin bound, Newton steps stopped up to 0.5 above
+    # it at p = 200, and plain continuants overflowed at p = 600
+    spec = random_spec(np.random.default_rng(950 + p), p)
+    thetas = phi_grid(16)
+    d, e, _, exponent = sweep._scaled_tridiagonals(spec, thetas)
+    start = np.ldexp(sweep._band_edges(d, e), exponent)
+    twists = sweep._twist_angles(spec, thetas)[0]
+    tops = [
+        np.linalg.eigvalsh(hermitian_part(build_symbol(spec, phi), theta))[-1]
+        for phi, theta in zip(twists, thetas)
+    ]
+    np.testing.assert_allclose(start, tops, rtol=0, atol=1e-12)
+
+
 def test_newton_start_below_the_top_still_certifies(monkeypatch):
     # a start with an eigenvalue above it keeps the Gershgorin upper end
     # (Newton steps run where many columns are open)
