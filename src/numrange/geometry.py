@@ -52,6 +52,7 @@ def _cross(o, a, b):
     return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
 
 
+@np.errstate(over="raise", invalid="raise")
 def convex_hull(points) -> RangePolygon:
     """Convex hull of a set of complex points, counterclockwise from the
     lexicographic minimum; every vertex is an input point.
@@ -64,7 +65,8 @@ def convex_hull(points) -> RangePolygon:
     ``eps`` go, by the pop rule of the monotone chain: the first of each run
     of them per round, never the lexicographic extremes.  Collinear input
     collapses to its two extreme points and coincident input to a single
-    point.
+    point.  A turn that overflows, in the rounds or in the pop rule, raises
+    ``FloatingPointError`` instead of dropping its point or vertex.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
     if pts.size == 0:

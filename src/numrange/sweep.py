@@ -20,10 +20,12 @@ truncations need no LAPACK at all.  The symbols' Hermitian parts are
 periodic Jacobi matrices, whose characteristic polynomial at one theta is
 the same for every twist phi up to a constant, so the support of their
 union's range is attained at a twist known in closed form: the union
-sweep solves one p-by-p symbol per direction, on a grid refined where that
-twist turns fast.  Where an edge vanishes, the ends of the union's flat
-edge sit at closed-form twists too.  General matrices and symbols go
-through dense LAPACK solves in bounded batches.
+sweep takes one p-by-p symbol per direction, on a grid refined where that
+twist turns fast.  Off split directions that symbol is gauged to a real
+cycle with positive edges, whose top eigenvalue is the band edge and whose
+Perron vector is one O(p) solve.  Where an edge vanishes, the ends of the
+union's flat edge sit at closed-form twists, and those few symbols, like
+general matrices, go through dense LAPACK solves in bounded batches.
 """
 
 from __future__ import annotations
@@ -190,13 +192,12 @@ def range_boundary(a, cfg: SweepConfig = SweepConfig()) -> RangePolygon:
 
 def selfadjoint_interval(spec: PeriodSpec) -> tuple[float, float]:
     """Endpoints of the closure of W(T) for a self-adjoint operator: minus the
-    support at theta = pi and the support at theta = 0, each the top
-    eigenvalue of one symbol, at its maximising twist (:func:`_twist_angles`)."""
+    support at theta = pi and the support at theta = 0, each the top band
+    edge of ``Re(e^{-i theta} T)`` (:func:`_band_edges`), in O(p)."""
     if not spec.is_selfadjoint():
         raise NotSelfAdjointError("spec is not self-adjoint: need real b and c[j] = conj(a[j+1])")
-    thetas = np.array([0.0, np.pi])
-    symbols = build_symbol(spec, _twist_angles(spec, thetas)[0])
-    top = np.linalg.eigvalsh(_hermitian_parts(symbols, np.exp(-1j * thetas)))[:, -1]
+    d, e, _, exponent = _scaled_tridiagonals(spec, np.array([0.0, np.pi]))
+    top = np.ldexp(_band_edges(d, e, upper=False), exponent)
     return float(-top[1]), float(top[0])
 
 
@@ -223,7 +224,7 @@ def _scaled_tridiagonals(spec: PeriodSpec, thetas: np.ndarray):
     diag = _require_finite((w * spec.b).real, "diagonal entry")
     beta = (w * spec.c + np.conj(w * np.roll(spec.a, -1))) / 2
     modulus = _require_finite(np.abs(beta), "off-diagonal entry")
-    exponent = int(np.frexp(max(np.abs(diag).max(), modulus.max()))[1])
+    exponent = int(np.frexp(max(np.abs(diag).max(initial=0.0), modulus.max(initial=0.0)))[1])
     scaled = [np.ascontiguousarray(np.ldexp(x.T, -exponent)) for x in (diag, modulus)]
     return *scaled, beta, exponent
 
@@ -251,11 +252,11 @@ def _gershgorin(d, e) -> np.ndarray:
     return d + e + np.roll(e, 1, axis=0)
 
 
-def _band_edges(d, e) -> np.ndarray:
+def _band_edges(d, e, upper=True) -> np.ndarray:
     """Top of the spectrum of the periodic Jacobi operator with one period
-    ``d, e`` (shape (p, columns), edge ``e_j`` between rows j and j + 1),
-    plus a rounding margin: an upper bound on the top eigenvalue of every
-    truncation S, each a compression of that operator.
+    ``d, e`` (shape (p, columns), edge ``e_j`` between rows j and j + 1).
+    With ``upper``, plus a rounding margin: an upper bound on the top
+    eigenvalue of every truncation S, each a compression of that operator.
 
     By Perron-Frobenius the top is that of the twist-0 Floquet matrix, the
     top root of ``f(lam) = det(lam - H_0) = D(lam) - 2 prod e`` with
@@ -288,7 +289,7 @@ def _band_edges(d, e) -> np.ndarray:
         lam = lam - step
         if not (step > 4 * eps * np.abs(lam)).any():
             break
-    return lam + 2 * eps * np.abs(lam) + PIVMIN
+    return lam + 2 * eps * np.abs(lam) + PIVMIN if upper else lam
 
 
 def _ldl_pivots(d, e2, sigma, k: int, block: int, slope=None):
@@ -447,27 +448,73 @@ def _top_eigenvectors(d, e, top, k: int) -> np.ndarray:
     mult = e[np.arange(k - 1) % d.shape[0]] / q[:-1]
     x = np.ones_like(q)
     for _ in range(3):
-        for i in range(1, k):
-            x[i] -= mult[i - 1] * x[i - 1]
-        x /= q
-        for i in range(k - 2, -1, -1):
-            x[i] -= mult[i] * x[i + 1]
+        _ldl_solve(q, mult, x)
         x /= np.abs(x).max(axis=0)
     return x
 
 
-def _touch_points(spec: PeriodSpec, beta, x) -> np.ndarray:
+def _ldl_solve(q, mult, x):
+    """Overwrite ``x`` (rows first) by ``(L D L^T)^{-1} x``, with the pivots
+    ``q`` of :func:`_ldl_pivots` and the multipliers ``mult = e / q[:-1]``,
+    both broadcasting against the rows of ``x``; return it."""
+    for i in range(1, x.shape[0]):
+        x[i] -= mult[i - 1] * x[i - 1]
+    x /= q
+    for i in range(x.shape[0] - 2, -1, -1):
+        x[i] -= mult[i] * x[i + 1]
+    return x
+
+
+def _perron_vectors(d, e, sigma) -> np.ndarray:
+    """Positive multiples of ``(sigma - C)^{-1} 1``, as the columns of a
+    (p, columns) array scaled to largest entry 1: near the top of C, its
+    Perron vectors to within ``(sigma - lambda_max) / gap``.
+
+    C is the real cycle with diagonal ``d`` and edges ``e`` (shape
+    (p, columns)): the path P plus ``w (e_0 e_{p-1}^T + e_{p-1} e_0^T)``
+    for the wrap edge ``w = e_{p-1}``, which adds to the path's edge for
+    p = 2 and lands twice on the diagonal for p = 1.  ``sigma`` above its top
+    makes ``sigma - C`` a nonsingular M-matrix, so x > 0.  The pivots of
+    ``P - sigma`` give ``y, z_0, z_1``, ``(sigma - P)^{-1}`` applied to
+    ``1, e_0, e_{p-1}``, all positive.  By the Woodbury identity
+    ``x = y + w (x_{p-1} z_0 + x_0 z_1)``, where ``(x_0, x_{p-1})`` solves
+    ``[[1 - w g, -w g_00], [-w g_11, 1 - w g]]`` against ``(y_0, y_{p-1})``,
+    with ``g_00 = z_0[0]``, ``g = z_0[p-1]``, ``g_11 = z_1[p-1]``.  Its
+    determinant vanishes as sigma reaches the top, so ``det * x`` is formed
+    from the adjugate; ``1 - w g > 0``, so all its terms but ``det * y`` are
+    positive.
+    """
+    p = d.shape[0]
+    q = next(_ldl_pivots(d, e * e, sigma, p, p))
+    rhs = np.zeros((p, 3, d.shape[1]))
+    rhs[:, 0], rhs[0, 1], rhs[-1, 2] = -1.0, -1.0, -1.0
+    y, z0, z1 = _ldl_solve(q[:, None], (e[: p - 1] / q[:-1])[:, None], rhs).transpose(1, 0, 2)
+    w, g00, g, g11 = e[-1], z0[0], z0[-1], z1[-1]
+    det = (1 - w * g) ** 2 - w * w * g00 * g11
+    n0 = (1 - w * g) * y[0] + w * g00 * y[-1]
+    n1 = w * g11 * y[0] + (1 - w * g) * y[-1]
+    x = det * y + w * (n1 * z0 + n0 * z1)
+    return x / x.max(axis=0)
+
+
+def _touch_points(spec: PeriodSpec, beta, x, cycle=False) -> np.ndarray:
     """Rayleigh quotients of T_k at the eigenvectors ``D x`` of its Hermitian parts.
 
     With ``u_j = D_{j+1} / D_j`` the phase of ``conj(beta_j)`` (1 where
     ``beta_j = 0``), ``(D x)^* T_k (D x)`` is
     ``sum b_j x_j^2 + sum (c_j u_j + a_{j+1} conj(u_j)) x_j x_{j+1}``.
+    With ``cycle`` (x has p rows) the sum also takes the wrap edge, row
+    p - 1 to row 0: the quotient of the symbol ``S(phi)`` whose twisted wrap
+    terms ``a_0 e^{-i phi}`` and ``c_{p-1} e^{i phi}`` the phase ``u_{p-1}``
+    gauges, ``e^{i phi} = u_{p-1} D_{p-1}``.
     """
     rows = np.arange(x.shape[0]) % spec.p
     u = np.exp(-1j * np.angle(beta))
     coupling = spec.c * u + np.roll(spec.a, -1) * np.conj(u)
     xx = x * x
     quotient = spec.b[rows] @ xx + (x[:-1] * x[1:] * coupling.T[rows[:-1]]).sum(axis=0)
+    if cycle:
+        quotient += x[-1] * x[0] * coupling.T[-1]
     return quotient / xx.sum(axis=0)
 
 
@@ -624,13 +671,16 @@ def _union_directions(spec: PeriodSpec, cfg: SweepConfig) -> np.ndarray:
     # the slack keeps a turn of exactly one step (word 01) at one part
     parts = np.maximum(1, np.ceil(cfg.num_phi * turn / (2 * np.pi) - 1e-9)).astype(int)
     step = 2 * np.pi / cfg.num_theta
-    return np.concatenate([t + step * np.arange(m) / m for t, m in zip(thetas, parts)])
+    # part j of m in each interval
+    j = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+    return np.repeat(thetas, parts) + step * j / np.repeat(parts, parts)
 
 
 def _union_twists(spec: PeriodSpec, thetas, num_phi: int):
-    """The (direction, twist) pairs whose symbols the union sweep solves.
+    """The (direction, twist) pairs whose symbols the union sweep solves
+    densely, for split directions ``thetas`` (a direction where no edge
+    vanishes yields none):
 
-    - No vanishing edge: the maximising twist.
     - One vanishing edge j: ``H(theta, phi) = U H(theta, 0) U*`` for the
       diagonal U that is 1 up to row j and ``e^{i phi}`` after it, so the
       top eigenvector at phi is ``U y``, y the one at phi = 0, and along the
@@ -651,23 +701,34 @@ def _union_twists(spec: PeriodSpec, thetas, num_phi: int):
     ends = phi[one] + thetas[one] - np.angle(spec.c[vanishing[one].argmax(axis=1)])
     ends = np.add.outer(ends, [-np.pi / 2, np.pi / 2]).ravel()
     return (
-        np.concatenate([thetas[count == 0], np.repeat(thetas[one], 2), np.repeat(thetas[many], num_phi)]),
-        np.concatenate([phi[count == 0], ends, np.tile(phi_grid(num_phi), many.sum())]),
+        np.concatenate([np.repeat(thetas[one], 2), np.repeat(thetas[many], num_phi)]),
+        np.concatenate([ends, np.tile(phi_grid(num_phi), many.sum())]),
     )
 
 
 def _symbol_points(spec: PeriodSpec, cfg: SweepConfig) -> np.ndarray:
-    """Support touch points of the union of symbol ranges: the symbols of
-    :func:`_union_twists` at the directions of :func:`_union_directions`,
-    in one call of the dense code of :func:`boundary_points`.  Off split
-    directions a diagonal gauge makes each Hermitian part a real cycle with
-    positive edges, whose top eigenvalue is simple by Perron-Frobenius; the
-    degeneracy test stays as a safety net.
+    """Support touch points of the union of symbol ranges: one symbol per
+    direction of :func:`_union_directions`, at its maximising twist.
+
+    Off split directions (no edge within rounding of zero) the gauge of
+    :func:`_scaled_tridiagonals` makes its Hermitian part a real cycle with
+    positive edges, whose top eigenvalue is the band edge (:func:`_band_edges`),
+    simple by Perron-Frobenius; the touch point is the Rayleigh quotient at
+    the Perron vector of :func:`_perron_vectors`, in O(p).  The twists of
+    :func:`_union_twists` at split directions, and at every direction of a
+    spec that lacks an edge, go through the dense code of
+    :func:`boundary_points`, flat-edge ends included.
     """
-    thetas, phi = _union_twists(spec, _union_directions(spec, cfg), cfg.num_phi)
-    return _require_finite(
-        _dense_touch_points(build_symbol(spec, phi), np.exp(-1j * thetas)), "touch point"
-    )
+    directions = _union_directions(spec, cfg)
+    d, e, beta, _ = _scaled_tridiagonals(spec, directions)
+    regular = (np.abs(beta) > _edge_rounding(spec)).all(axis=1)
+    d, e = d[:, regular], e[:, regular]
+    thetas, phi = _union_twists(spec, directions[~regular], cfg.num_phi)
+    points = [
+        _touch_points(spec, beta[regular], _perron_vectors(d, e, _band_edges(d, e)), cycle=True),
+        _dense_touch_points(build_symbol(spec, phi), np.exp(-1j * thetas)),
+    ]
+    return _require_finite(np.concatenate(points), "touch point")
 
 
 def rayleigh_samples(a, trials: int, seed: int) -> np.ndarray:

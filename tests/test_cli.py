@@ -117,6 +117,16 @@ def test_range_overflow_exits_3(capsys, mode):
     assert capsys.readouterr().err.startswith("numeric error: non-finite")
 
 
+def test_range_hull_overflow_exits_3(capsys):
+    # finite touch points about 1e160 across, whose hull turns overflow: the
+    # hull raises, with no RuntimeWarning (the tests turn those into errors)
+    argv = ["range", "--spec", "p=2;a=0,1e160;b=0;c=1e160", "--mode", "symbol-hull",
+            "--num-theta", "180", "--num-phi", "180"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("numeric error: overflow")
+
+
 def test_verify_unknown_filter_exits_2(capsys):
     assert cli.main(["verify", "--filter", "nonexistent"]) == 2
     assert "matches no check" in capsys.readouterr().err

@@ -68,6 +68,14 @@ def test_hull_keeps_the_lexicographic_extremes():
     np.testing.assert_array_equal(hull, monotone_chain(pts))
 
 
+def test_hull_raises_on_overflowing_turns():
+    # finite points whose cross products overflow raise; at 1e150 they do not
+    pts = 1e160 * np.array([0, 1, 1j, 1 + 1j, 0.5 + 0.25j])
+    with pytest.raises(FloatingPointError):
+        convex_hull(pts)
+    np.testing.assert_array_equal(convex_hull(pts * 1e-10).vertices, [0, 1e150, 1e150 + 1e150j, 1e150j])
+
+
 def test_hull_empty_input():
     with pytest.raises(ValueError, match="empty"):
         convex_hull(np.array([], dtype=complex))

@@ -219,6 +219,15 @@ def test_selfadjoint_interval_twist_between_grid_points():
     assert hi - eight[:, -1].max() > 1e-4 and eight[:, 0].min() - lo > 1e-4
 
 
+def test_selfadjoint_interval_needs_no_lapack(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("dense eigensolve")
+
+    monkeypatch.setattr(sweep, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert selfadjoint_interval(PeriodSpec(a=1, b=0, c=1, p=2)) == (-2.0, 2.0)
+
+
 def test_selfadjoint_interval_alternating_vs_truncation():
     # decoupled swap blocks: the symbol is [[0,1],[1,0]] for every phi
     spec = PeriodSpec(a=(0.0, 1.0), b=0.0, c=(1.0, 0.0))
@@ -577,8 +586,111 @@ def test_symbol_union_hull_matches_dense_sweep(spec, same_hull):
         assert hull.shape == dense.shape and np.abs(hull - dense).max() <= 1e-12
 
 
+# --- the union's O(p) cycle core ---------------------------------------------------
+
+
+def dense_tops(spec: PeriodSpec, thetas) -> np.ndarray:
+    """Top eigenvalue of the Hermitian part of e^{-i theta} S(phi*), by dense
+    eigvalsh in chunks of 48 directions, phi* the maximising twist."""
+    phi = _twist_angles(spec, thetas)[0]
+    return np.concatenate(
+        [top_eigenvalues(spec, thetas[s : s + 48], phi[s : s + 48]) for s in range(0, thetas.size, 48)]
+    )
+
+
+def cycle_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
+    """The union core's touch points at directions where no edge vanishes."""
+    d, e, beta, _ = sweep._scaled_tridiagonals(spec, thetas)
+    assert (np.abs(beta) > sweep._edge_rounding(spec)).all()
+    x = sweep._perron_vectors(d, e, sweep._band_edges(d, e))
+    return sweep._touch_points(spec, beta, x, cycle=True)
+
+
+def assert_core_reaches_dense_support(spec: PeriodSpec, thetas):
+    support = (np.exp(-1j * thetas) * cycle_touch_points(spec, thetas)).real
+    tops = dense_tops(spec, thetas)
+    assert np.abs(support - tops).max() <= 1e-12 * np.abs(tops).max()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 8, 24])
+def test_perron_vectors_are_the_cycle_top_eigenvectors(p):
+    # the cycle built densely: the path plus the wrap edge, which adds to the
+    # path's edge for p = 2 and lands twice on the diagonal for p = 1 (a
+    # period no PeriodSpec has, so the solve is tested on its own here)
+    rng = np.random.default_rng(1200 + p)
+    d, e = rng.uniform(-1.0, 1.0, (p, 50)), rng.uniform(0.1, 1.0, (p, 50))
+    rows = np.arange(p)
+    cycle = np.zeros((50, p, p))
+    cycle[:, rows, rows] = d.T
+    cycle[:, rows[:-1], rows[1:]] = cycle[:, rows[1:], rows[:-1]] = e[:-1].T
+    cycle[:, 0, p - 1] += e[-1]
+    cycle[:, p - 1, 0] += e[-1]
+    values, vecs = np.linalg.eigh(cycle)
+    sigma = values[:, -1] + 4 * np.finfo(float).eps * (1 + np.abs(values[:, -1]))
+    x = sweep._perron_vectors(d, e, sigma)
+    top = np.abs(vecs[:, :, -1]).T
+    assert (x > 0).all()
+    np.testing.assert_allclose(x, top / top.max(axis=0), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 3, 8, 24, 64, 200])
+def test_cycle_core_reaches_the_dense_support(p):
+    # at 720 angles of a seeded complex spec (no edge vanishes), the touch
+    # point's support is the dense top eigenvalue of the maximising-twist
+    # symbol to 1e-12 relative
+    assert_core_reaches_dense_support(random_spec(np.random.default_rng(1100 + p), p), phi_grid(720))
+
+
+def test_cycle_core_reaches_the_dense_support_near_split():
+    # all six edges vanish together at 3pi/4 and 7pi/4; beside 3pi/4 the
+    # union's refined directions have a top eigenvalue gap down to 1.8e-6
+    spec = PeriodSpec(a=0.05, b=(1, 0, 0, 0, 0, 0), c=0.05j)
+    thetas = _union_directions(spec, SweepConfig(720, 720))
+    thetas = thetas[~_twist_angles(spec, thetas)[1].any(axis=1)]
+    assert thetas.size == 1434
+    assert_core_reaches_dense_support(spec, thetas)
+
+
+def test_union_hull_off_split_directions_needs_no_lapack(monkeypatch):
+    def refuse(_):
+        raise AssertionError("dense eigensolve")
+
+    spec, cfg = random_spec(np.random.default_rng(1300), 8), SweepConfig(720, 720)
+    assert not _twist_angles(spec, _union_directions(spec, cfg))[1].any()
+    monkeypatch.setattr(sweep, "eigh", refuse)
+    assert len(symbol_union_hull(spec, cfg)) > 720
+
+
+@pytest.mark.parametrize("word", ["01", "001", "0001"])
+def test_union_hull_solves_only_split_symbols_densely(monkeypatch, word):
+    # two split directions, one vanishing edge each: the two closed-form
+    # twists of each go to eigh in one batch, and nothing else does
+    spec, cfg = PeriodSpec.from_word(word), SweepConfig(720, 720)
+    split = _twist_angles(spec, _union_directions(spec, cfg))[1].any(axis=1).sum()
+    seen, solve = [], sweep.eigh
+
+    def record(m):
+        seen.append(m.shape)
+        return solve(m)
+
+    monkeypatch.setattr(sweep, "eigh", record)
+    symbol_union_hull(spec, cfg)
+    assert split == 2 and seen == [(2 * split, spec.p, spec.p)]
+
+
+@pytest.mark.parametrize("word", ["01", "001", "0001", "011"])
+def test_union_directions_match_the_per_interval_grids(word):
+    # t + step * j / m for j < m on each grid interval, bit for bit
+    thetas = _union_directions(PeriodSpec.from_word(word), SweepConfig(720, 720))
+    grid, step = phi_grid(720), 2 * np.pi / 720
+    parts = np.diff(np.searchsorted(thetas, np.append(grid, 2 * np.pi)))
+    expected = np.concatenate([t + step * np.arange(m) / m for t, m in zip(grid, parts)])
+    np.testing.assert_array_equal(thetas, expected)
+
+
 def test_symbol_union_hull_memory_is_bounded():
-    # the dense sweep hands its directions to eigh in bounded batches
+    # the O(p) core holds a few (p, directions) arrays, and the split
+    # directions go to eigh in bounded batches
     tracemalloc.start()
     try:
         symbol_union_hull(PeriodSpec.from_word("0001"), SweepConfig(720, 720))
