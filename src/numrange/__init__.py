@@ -8,13 +8,7 @@ circulants, symbols, the diagonalizing block unitary), sweeps numerical
 range boundaries, and verifies the resulting set identities numerically.
 """
 
-from .linalg import (
-    NoConvergenceError,
-    NotHermitianError,
-    as_matrix,
-    extreme_pair,
-    hermitian_part,
-)
+from .linalg import NoConvergenceError, as_matrix
 from .operators import (
     PeriodSpec,
     SpecParseError,
@@ -29,7 +23,6 @@ from .operators import (
 )
 from .geometry import (
     RangePolygon,
-    contains,
     convex_hull,
     distance_to_region,
     hausdorff,

@@ -185,12 +185,13 @@ def check_hull_convergence(
     k_max: int,
     trunc: RangePolygon,
     hull: RangePolygon,
+    containment: float,
     cfg: SweepConfig,
 ) -> CheckReport:
-    """Hausdorff gap between the k_max truncation range and the symbol-union hull."""
+    """Hausdorff gap between the k_max truncation range and the symbol-union
+    hull, given ``containment``, the farthest a vertex of ``trunc`` is from ``hull``."""
     if k_max < 2 * spec.p:
         raise ValueError("k_max must be at least twice the period")
-    containment = float(distance_to_region(trunc.vertices, hull).max())
     hausdorff_gap = max(containment, float(distance_to_region(hull.vertices, trunc).max()))
     return CheckReport(
         name="hull_convergence",
@@ -207,17 +208,14 @@ def check_hull_convergence(
 
 
 def check_truncation_containment(
-    spec: PeriodSpec,
-    k_max: int,
-    trunc: RangePolygon,
-    hull: RangePolygon,
-    cfg: SweepConfig,
+    spec: PeriodSpec, k_max: int, containment: float, cfg: SweepConfig
 ) -> CheckReport:
-    """One-sided inclusion: the truncation range sits inside the symbol hull."""
+    """One-sided inclusion: the truncation range sits inside the symbol hull,
+    to within ``containment`` (as in :func:`check_hull_convergence`)."""
     return CheckReport(
         name="hull_containment",
         parameters={**_spec_params(spec), "k_max": k_max, "num_theta": cfg.num_theta},
-        metric=float(distance_to_region(trunc.vertices, hull).max()),
+        metric=containment,
         tolerance=1e-6,
     )
 
@@ -432,10 +430,12 @@ def run_all(
     params = PROFILES[profile]
     cfg: SweepConfig = params["cfg"]
 
-    # Polygons are built on first use and shared by every check that compares
+    # Polygons, and how far each truncation range reaches outside its union
+    # hull, are built on first use and shared by every check that compares
     # them (each pair matrix is swept once); the caches live only for this call.
     union_hull = functools.cache(lambda word: symbol_union_hull(PeriodSpec.from_word(word), cfg))
     trunc_range = functools.cache(lambda word, k: truncation_range(PeriodSpec.from_word(word), k, cfg))
+    excess = functools.cache(lambda w, k: float(distance_to_region(trunc_range(w, k).vertices, union_hull(w)).max()))
     pair_ranges = functools.cache(lambda n: _pair_ranges(n, cfg))
     pair_hull = functools.cache(lambda n: _hull_of_pair_ranges(*pair_ranges(n)))
     stadium = functools.cache(lambda: stadium_region(cfg.num_theta))
@@ -449,10 +449,10 @@ def run_all(
     for word in params["main_words"]:
         spec = PeriodSpec.from_word(word)
         k = params["k_main"] + (len(word) - params["k_main"] % len(word)) % len(word)
-        polygons = lambda w=word, kk=k: (trunc_range(w, kk), union_hull(w))
-        jobs.append(("hull_convergence", lambda sp=spec, kk=k, pp=polygons: check_hull_convergence(sp, kk, *pp(), cfg)))
+        shared = lambda w=word, kk=k: (trunc_range(w, kk), union_hull(w), excess(w, kk))
+        jobs.append(("hull_convergence", lambda sp=spec, kk=k, sh=shared: check_hull_convergence(sp, kk, *sh(), cfg)))
         jobs.append(
-            ("hull_containment", lambda sp=spec, kk=k, pp=polygons: check_truncation_containment(sp, kk, *pp(), cfg))
+            ("hull_containment", lambda sp=spec, kk=k, w=word: check_truncation_containment(sp, kk, excess(w, kk), cfg))
         )
 
     sa_spec = PeriodSpec(a=(1.0, 1.0), b=0.0, c=(1.0, 1.0))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .checks import reports_to_lines, run_all
 from .geometry import polygon_csv
-from .linalg import NoConvergenceError, NotHermitianError
+from .linalg import NoConvergenceError
 from .operators import PeriodSpec, SpecParseError, conjecture_matrices
 from .sweep import (
     NotSelfAdjointError,
@@ -32,7 +32,6 @@ EXIT_NUMERIC = 3
 
 _NUMERIC_ERRORS = (
     NoConvergenceError,
-    NotHermitianError,
     NotSelfAdjointError,
     FloatingPointError,
     MemoryError,

@@ -18,7 +18,6 @@ __all__ = [
     "convex_hull",
     "distance_to_region",
     "hausdorff",
-    "contains",
     "support_width",
     "polygon_csv",
     "polygon_to_csv",
@@ -143,11 +142,6 @@ def hausdorff(p: RangePolygon, q: RangePolygon) -> float:
             distance_to_region(q.vertices, p).max(),
         )
     )
-
-
-def contains(polygon: RangePolygon, z: complex, tol: float = 0.0) -> bool:
-    """True when ``z`` lies within distance ``tol`` of the filled region."""
-    return bool(distance_to_region(np.array([z]), polygon)[0] <= tol)
 
 
 def support_width(polygon: RangePolygon, theta: float) -> float:

@@ -9,19 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "NotHermitianError",
     "NoConvergenceError",
     "as_matrix",
-    "hermitian_part",
     "eigh",
-    "extreme_pair",
 ]
-
-HERMITIAN_TOL = 1e-13
-
-
-class NotHermitianError(ValueError):
-    """Raised when an operation requires a Hermitian matrix and gets none."""
 
 
 class NoConvergenceError(RuntimeError):
@@ -42,28 +33,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def hermitian_part(a, theta: float = 0.0) -> np.ndarray:
-    """Hermitian part of ``exp(-i*theta) * a``.
-
-    Returns ``(M + M*) / 2`` with ``M = exp(-i*theta) a``.  The symmetrized
-    sum makes the result Hermitian exactly (bit level), which the
-    eigensolver relies on.
-    """
-    m = np.exp(-1j * theta) * as_matrix(a)
-    return 0.5 * (m + m.conj().T)
-
-
-def _require_hermitian(a) -> np.ndarray:
-    h = as_matrix(a)
-    scale = max(1.0, float(np.abs(h).max())) if h.size else 1.0
-    defect = float(np.abs(h - h.conj().T).max()) if h.size else 0.0
-    if defect > HERMITIAN_TOL * scale:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e}"
-        )
-    return h
-
-
 def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     """``numpy.linalg.eigh`` of one Hermitian matrix or a stack of them.
 
@@ -76,8 +45,3 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK safety net
         raise NoConvergenceError(str(exc)) from exc
 
-
-def extreme_pair(h) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Smallest and largest eigenvalue of Hermitian ``h`` with unit eigenvectors."""
-    values, vectors = eigh(_require_hermitian(h))
-    return float(values[0]), vectors[:, 0].copy(), float(values[-1]), vectors[:, -1].copy()

@@ -21,10 +21,10 @@ periodic Jacobi matrices, whose characteristic polynomial at one theta is
 the same for every twist phi up to a constant, so the support of their
 union's range is attained at a twist known in closed form: the union
 sweep takes one p-by-p symbol per direction, on a grid refined where that
-twist turns fast.  Off split directions that symbol is gauged to a real
-cycle with positive edges, whose top eigenvalue is the band edge and whose
-Perron vector is one O(p) solve.  Where an edge vanishes, the ends of the
-union's flat edge sit at closed-form twists, and those few symbols, like
+twist turns fast.  That symbol is gauged to a real cycle, whose top
+eigenvalue is the band edge and whose Perron vector is one O(p) solve;
+where one edge vanishes, the free phase across it gives the ends of the
+union's flat edge.  Only directions where two or more edges vanish, like
 general matrices, go through dense LAPACK solves in bounded batches.
 """
 
@@ -62,8 +62,8 @@ class SweepConfig:
 
     ``num_phi`` is the twist resolution of symbol-union hulls, and the twist
     grid they sweep where two or more edges vanish.  They take one symbol
-    per direction, at its maximising twist (two at a direction where one
-    edge vanishes: the ends of the union's flat edge), and refine the
+    per direction, at its maximising twist (two touch points where one edge
+    vanishes: the ends of the union's flat edge), and refine the
     ``num_theta`` grid until that twist moves by at most one of ``num_phi``
     steps between neighbouring directions.  Other sweeps ignore ``num_phi``.
     """
@@ -227,6 +227,13 @@ def _scaled_tridiagonals(spec: PeriodSpec, thetas: np.ndarray):
     exponent = int(np.frexp(max(np.abs(diag).max(initial=0.0), modulus.max(initial=0.0)))[1])
     scaled = [np.ascontiguousarray(np.ldexp(x.T, -exponent)) for x in (diag, modulus)]
     return *scaled, beta, exponent
+
+
+def _skew_edges(spec: PeriodSpec, thetas) -> np.ndarray:
+    """The entries ``gamma_j`` right of the diagonal of the skew part of
+    ``e^{-i theta} T``, shape (num_theta, p), as ``beta`` are of its Hermitian part."""
+    w = np.exp(-1j * np.asarray(thetas))[:, None]
+    return (w * spec.c - np.conj(w * np.roll(spec.a, -1))) / 2j
 
 
 def _edge_rounding(spec: PeriodSpec) -> np.ndarray:
@@ -506,15 +513,18 @@ def _touch_points(spec: PeriodSpec, beta, x, cycle=False) -> np.ndarray:
     With ``cycle`` (x has p rows) the sum also takes the wrap edge, row
     p - 1 to row 0: the quotient of the symbol ``S(phi)`` whose twisted wrap
     terms ``a_0 e^{-i phi}`` and ``c_{p-1} e^{i phi}`` the phase ``u_{p-1}``
-    gauges, ``e^{i phi} = u_{p-1} D_{p-1}``.
+    gauges, ``e^{i phi} = u_{p-1} D_{p-1}``.  Real sums by residue mod p
+    keep BLAS, whose rounding depends on its thread count, out of it.
     """
-    rows = np.arange(x.shape[0]) % spec.p
+    p = spec.p
     u = np.exp(-1j * np.angle(beta))
     coupling = spec.c * u + np.roll(spec.a, -1) * np.conj(u)
     xx = x * x
-    quotient = spec.b[rows] @ xx + (x[:-1] * x[1:] * coupling.T[rows[:-1]]).sum(axis=0)
+    by_residue = lambda y: np.array([y[r::p].sum(axis=0) for r in range(p)])
+    squares, links = by_residue(xx), by_residue(x[:-1] * x[1:])
     if cycle:
-        quotient += x[-1] * x[0] * coupling.T[-1]
+        links[-1] += x[-1] * x[0]
+    quotient = (spec.b[:, None] * squares + coupling.T * links).sum(axis=0)
     return quotient / xx.sum(axis=0)
 
 
@@ -573,7 +583,7 @@ def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas, d, e, beta, exponent
     rows = lambda x, keep=True: np.where(keep, x[:, res], 0.0).ravel()
     gather = lambda x, fill=0.0: np.where(valid, x[index], fill)
     w = np.exp(-1j * np.asarray(thetas))[:, None]
-    gamma = (w * spec.c - np.conj(w * np.roll(spec.a, -1))) / 2j
+    gamma = _skew_edges(spec, thetas)
     bd, be = gather(rows(d.T), -2.0), gather(rows(e.T, link))
     tops = _top_eigenvalues(bd, be, offset.size)
     v = np.where(valid, np.abs(_top_eigenvectors(bd, be, tops, offset.size)), 0.0)
@@ -652,21 +662,20 @@ def _twist_angles(spec: PeriodSpec, thetas):
     Completely Integrable Nonlinear Lattices*, ch. 7).  Its top eigenvalue,
     the largest root, grows with the right-hand side, so it is largest at
     ``phi* = -arg Pi_theta``.  Where edges vanish to within the rounding of
-    their entries (a split direction) it does not depend on phi; there the
-    returned twist sums the arguments of the other edges only.
+    their entries (a split direction) it does not depend on phi, and the
+    returned twist is 0.
     """
     beta = _scaled_tridiagonals(spec, thetas)[2]
     vanishing = np.abs(beta) <= _edge_rounding(spec)
-    return -np.where(vanishing, 0.0, np.angle(beta)).sum(axis=1), vanishing
+    return np.where(vanishing.any(axis=1), 0.0, -np.angle(beta).sum(axis=1)), vanishing
 
 
 def _union_directions(spec: PeriodSpec, cfg: SweepConfig) -> np.ndarray:
     """Directions of the union sweep: each interval of the ``num_theta`` grid
     cut into as many equal parts as the maximising twist turns by ``num_phi``
-    grid steps across it, the twist taken as 0 at split directions."""
+    grid steps across it."""
     thetas = phi_grid(cfg.num_theta)
-    phi, vanishing = _twist_angles(spec, thetas)
-    phi[vanishing.any(axis=1)] = 0.0
+    phi = _twist_angles(spec, thetas)[0]
     turn = np.abs(np.angle(np.exp(1j * (np.roll(phi, -1) - phi))))
     # the slack keeps a turn of exactly one step (word 01) at one part
     parts = np.maximum(1, np.ceil(cfg.num_phi * turn / (2 * np.pi) - 1e-9)).astype(int)
@@ -676,56 +685,46 @@ def _union_directions(spec: PeriodSpec, cfg: SweepConfig) -> np.ndarray:
     return np.repeat(thetas, parts) + step * j / np.repeat(parts, parts)
 
 
-def _union_twists(spec: PeriodSpec, thetas, num_phi: int):
-    """The (direction, twist) pairs whose symbols the union sweep solves
-    densely, for split directions ``thetas`` (a direction where no edge
-    vanishes yields none):
-
-    - One vanishing edge j: ``H(theta, phi) = U H(theta, 0) U*`` for the
-      diagonal U that is 1 up to row j and ``e^{i phi}`` after it, so the
-      top eigenvector at phi is ``U y``, y the one at phi = 0, and along the
-      support line the touch point of S(phi) is
-      ``const + 2 Im(P e^{i phi})`` with ``P = e^{-i theta} c_j conj(y_j) y_{j+1}``.
-      The Perron gauge of y fixes ``arg P = arg c_j - theta + (the other
-      edges' arguments)``, so the two twists ``-arg P +- pi/2`` give the
-      exact ends of the union's flat edge.
-    - Several vanishing edges: the ``num_phi`` grid.
-    - An edge the operator lacks (``c_j = a_{j+1} = 0``): U gauges S(phi)
-      itself to S(0), so every direction takes the one twist 0.
+def _cycle_touch_points(spec: PeriodSpec, thetas, d, e, beta) -> np.ndarray:
+    """Union touch points in O(p) at directions ``thetas`` (``d, e, beta`` of
+    :func:`_scaled_tridiagonals`) where at most one edge vanishes, so the
+    gauged cycle stays connected: one per direction, at its Perron vector,
+    then the other end of each flat edge.  The phase ``u_j`` across a
+    vanishing edge j is free and moves only ``2 Re(gamma_j u_j) x_j x_{j+1}``
+    along the support line: the phases of ``conj(+-gamma_j)`` give the ends.
     """
+    vanishing = np.abs(beta) <= _edge_rounding(spec)
+    gamma = _skew_edges(spec, thetas)
+    # an edge the operator lacks (gamma_j = 0 too) leaves no flat edge
+    split = (vanishing & (gamma != 0)).any(axis=1)
+    x = _perron_vectors(d, e, _band_edges(d, e))
+    top = _touch_points(spec, np.where(vanishing, gamma, beta), x, cycle=True)
+    bottom = _touch_points(spec, np.where(vanishing, -gamma, beta)[split], x[:, split], cycle=True)
+    return np.concatenate([top, bottom])
+
+
+def _union_twists(spec: PeriodSpec, thetas, num_phi: int):
+    """The (direction, twist) pairs the union sweep solves densely, at
+    directions ``thetas`` where two or more edges vanish: the ``num_phi``
+    grid, or the twist 0 where the operator lacks an edge j
+    (``c_j = a_{j+1} = 0``): the diagonal that is 1 up to row j and
+    ``e^{i phi}`` after it gauges S(phi) to S(0)."""
     if ((spec.c == 0) & (np.roll(spec.a, -1) == 0)).any():
         return thetas, np.zeros_like(thetas)
-    phi, vanishing = _twist_angles(spec, thetas)
-    count = vanishing.sum(axis=1)
-    one, many = count == 1, count >= 2
-    ends = phi[one] + thetas[one] - np.angle(spec.c[vanishing[one].argmax(axis=1)])
-    ends = np.add.outer(ends, [-np.pi / 2, np.pi / 2]).ravel()
-    return (
-        np.concatenate([np.repeat(thetas[one], 2), np.repeat(thetas[many], num_phi)]),
-        np.concatenate([ends, np.tile(phi_grid(num_phi), many.sum())]),
-    )
+    return np.repeat(thetas, num_phi), np.tile(phi_grid(num_phi), thetas.size)
 
 
 def _symbol_points(spec: PeriodSpec, cfg: SweepConfig) -> np.ndarray:
-    """Support touch points of the union of symbol ranges: one symbol per
-    direction of :func:`_union_directions`, at its maximising twist.
-
-    Off split directions (no edge within rounding of zero) the gauge of
-    :func:`_scaled_tridiagonals` makes its Hermitian part a real cycle with
-    positive edges, whose top eigenvalue is the band edge (:func:`_band_edges`),
-    simple by Perron-Frobenius; the touch point is the Rayleigh quotient at
-    the Perron vector of :func:`_perron_vectors`, in O(p).  The twists of
-    :func:`_union_twists` at split directions, and at every direction of a
-    spec that lacks an edge, go through the dense code of
-    :func:`boundary_points`, flat-edge ends included.
-    """
+    """Support touch points of the union of symbol ranges at the directions
+    of :func:`_union_directions`: :func:`_cycle_touch_points` where at most
+    one edge vanishes, else the dense code of :func:`boundary_points` at the
+    twists of :func:`_union_twists`, flat-edge ends included."""
     directions = _union_directions(spec, cfg)
     d, e, beta, _ = _scaled_tridiagonals(spec, directions)
-    regular = (np.abs(beta) > _edge_rounding(spec)).all(axis=1)
-    d, e = d[:, regular], e[:, regular]
-    thetas, phi = _union_twists(spec, directions[~regular], cfg.num_phi)
+    few = (np.abs(beta) <= _edge_rounding(spec)).sum(axis=1) <= 1
+    thetas, phi = _union_twists(spec, directions[~few], cfg.num_phi)
     points = [
-        _touch_points(spec, beta[regular], _perron_vectors(d, e, _band_edges(d, e)), cycle=True),
+        _cycle_touch_points(spec, directions[few], d[:, few], e[:, few], beta[few]),
         _dense_touch_points(build_symbol(spec, phi), np.exp(-1j * thetas)),
     ]
     return _require_finite(np.concatenate(points), "touch point")

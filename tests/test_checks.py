@@ -34,7 +34,7 @@ from numrange.operators import (
     phi_grid,
 )
 from numrange.ellipse import stadium_region
-from numrange.geometry import RangePolygon
+from numrange.geometry import RangePolygon, distance_to_region
 from numrange.sweep import NotSelfAdjointError, SweepConfig, symbol_union_hull, truncation_range
 
 CFG = SweepConfig(num_theta=192, num_phi=192)
@@ -103,18 +103,20 @@ def test_spectrum_union_selfadjoint_uses_tight_tolerance():
 
 
 def test_hull_convergence_word01():
-    polygons = truncation_range(WORD01, 120, CFG), word_hull("01")
-    report = check_hull_convergence(WORD01, 120, *polygons, CFG)
+    trunc, hull = truncation_range(WORD01, 120, CFG), word_hull("01")
+    excess = float(distance_to_region(trunc.vertices, hull).max())
+    report = check_hull_convergence(WORD01, 120, trunc, hull, excess, CFG)
     assert report.passed
     assert report.metric <= 0.05
-    containment = check_truncation_containment(WORD01, 120, *polygons, CFG)
+    containment = check_truncation_containment(WORD01, 120, excess, CFG)
     assert containment.passed
     assert containment.metric <= 1e-6
 
 
 def test_hull_convergence_word001():
     spec = PeriodSpec.from_word("001")
-    report = check_hull_convergence(spec, 120, truncation_range(spec, 120, CFG), word_hull("001"), CFG)
+    trunc, hull = truncation_range(spec, 120, CFG), word_hull("001")
+    report = check_hull_convergence(spec, 120, trunc, hull, float(distance_to_region(trunc.vertices, hull).max()), CFG)
     assert report.passed
     assert report.parameters["containment_defect"] <= 1e-6
 
@@ -123,10 +125,11 @@ def test_hull_convergence_diagonal_spec_is_exact():
     spec = PeriodSpec(a=0, b=(1.0, 1j), c=0)
     cfg = SweepConfig(64, 16)
     hull = symbol_union_hull(spec, cfg)
-    report = check_hull_convergence(spec, 8, truncation_range(spec, 8, cfg), hull, cfg)
+    trunc = truncation_range(spec, 8, cfg)
+    report = check_hull_convergence(spec, 8, trunc, hull, float(distance_to_region(trunc.vertices, hull).max()), cfg)
     assert report.metric <= 1e-12
     with pytest.raises(ValueError, match="k_max"):
-        check_hull_convergence(spec, 2, truncation_range(spec, 2, cfg), hull, cfg)
+        check_hull_convergence(spec, 2, truncation_range(spec, 2, cfg), hull, 0.0, cfg)
 
 
 def test_selfadjoint_theorem_and_shift():
@@ -282,3 +285,22 @@ def test_run_all_builds_each_polygon_once(monkeypatch):
     pair_sizes.clear()
     run_all("quick", only="conjecture", conjecture_n=2)
     assert sorted(hull_words) == ["001", "11"] and truncations == [] and pair_sizes == [3, 3]
+
+
+def test_run_all_measures_the_truncation_excess_once(monkeypatch):
+    """hull_convergence and hull_containment share the distance of the
+    truncation's vertices from the union hull: with the hull's vertices
+    against the truncation, two distance sweeps per main word, not three."""
+    calls, measure = [], checks.distance_to_region
+
+    def counting(points, polygon):
+        calls.append(polygon)
+        return measure(points, polygon)
+
+    monkeypatch.setattr(checks, "distance_to_region", counting)
+    reports = run_all("quick", only="hull_con")
+    assert sorted(r.name for r in reports) == ["hull_containment", "hull_convergence"]
+    assert len(calls) == 2
+    calls.clear()
+    assert [r.name for r in run_all("quick", only="hull_containment")] == ["hull_containment"]
+    assert len(calls) == 1

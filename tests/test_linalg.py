@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from numrange.linalg import (
-    NoConvergenceError,
-    NotHermitianError,
-    as_matrix,
-    eigh,
-    extreme_pair,
-    hermitian_part,
-)
+from numrange.linalg import NoConvergenceError, as_matrix, eigh
+from numrange.sweep import _hermitian_parts
 
 RNG = np.random.default_rng(7)
 
@@ -31,6 +25,14 @@ def test_as_matrix_rejects_nonsquare_and_nonfinite():
         as_matrix(np.array([[np.nan, 0], [0, 0]]))
     with pytest.raises(ValueError, match="finite"):
         as_matrix(np.array([[np.inf, 0], [0, 0]]))
+
+
+# --- the Hermitian parts the sweep hands to eigh -------------------------------
+
+
+def hermitian_part(a, theta: float) -> np.ndarray:
+    """Hermitian part of exp(-i theta) a, one matrix, as the sweep forms it."""
+    return _hermitian_parts(a, np.exp(-1j * theta))
 
 
 def test_hermitian_part_hermitian_input_is_fixed_point():
@@ -61,7 +63,7 @@ def test_hermitian_part_is_exactly_hermitian():
         assert np.array_equal(h, h.conj().T)
 
 
-# --- eigh and extreme_pair ----------------------------------------------------
+# --- eigh -------------------------------------------------------------------
 
 
 def test_eig_diag_sorted():
@@ -85,11 +87,6 @@ def test_eig_selfadjoint_symbol_at_zero():
     np.testing.assert_allclose(values, [-2.0, 2.0], atol=1e-14)
 
 
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        extreme_pair(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 @pytest.mark.parametrize("n", [2, 5, 16, 64])
 def test_eig_invariants_random(n):
     h = random_hermitian(n)
@@ -107,6 +104,13 @@ def test_eig_invariants_random(n):
     assert abs(values.sum() - h.trace().real) <= 1e-10 * (1 + abs(h.trace()))
 
 
+def extreme_pair(h):
+    """Smallest and largest eigenvalue of h with unit eigenvectors: the
+    first and last columns of eigh, as the sweeps take them."""
+    values, vectors = eigh(h)
+    return values[0], vectors[:, 0], values[-1], vectors[:, -1]
+
+
 def test_extreme_pair_diagonal():
     lo, v_lo, hi, v_hi = extreme_pair(np.diag([-5.0, 7.0]).astype(complex))
     assert (lo, hi) == (-5.0, 7.0)
@@ -121,12 +125,13 @@ def test_extreme_pair_zero_matrix():
 
 
 def test_extreme_pair_matches_full_decomposition():
+    # against eigvalsh, and as eigenpairs
     h = random_hermitian(4)
-    values, vectors = eigh(h)
     lo, v_lo, hi, v_hi = extreme_pair(h)
-    assert lo == values[0] and hi == values[-1]
-    np.testing.assert_array_equal(v_lo, vectors[:, 0])
-    np.testing.assert_array_equal(v_hi, vectors[:, -1])
+    values = np.linalg.eigvalsh(h)
+    assert abs(lo - values[0]) <= 1e-12 and abs(hi - values[-1]) <= 1e-12
+    for lam, v in ((lo, v_lo), (hi, v_hi)):
+        assert np.linalg.norm(h @ v - lam * v) <= 1e-12 * (1 + np.abs(h).max())
 
 
 # --- independent oracles -----------------------------------------------------
@@ -182,7 +187,7 @@ def jacobi_eig_hermitian(h, tol: float = 1e-14, max_sweeps: int = 60):
     """
     a = np.array(h, dtype=complex)
     if np.abs(a - a.conj().T).max() > 1e-13 * max(1.0, np.abs(a).max()):
-        raise NotHermitianError("matrix is not Hermitian")
+        raise ValueError("matrix is not Hermitian")
     n = a.shape[0]
     v = np.eye(n, dtype=complex)
     if n <= 1:
@@ -247,7 +252,7 @@ def test_jacobi_matches_lapack(n):
 
 
 def test_jacobi_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
+    with pytest.raises(ValueError, match="not Hermitian"):
         jacobi_eig_hermitian(np.array([[0, 1], [0.5, 0]], dtype=complex))
 
 

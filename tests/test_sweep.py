@@ -13,7 +13,6 @@ from numrange.geometry import (
     hausdorff,
     support_width,
 )
-from numrange.linalg import hermitian_part
 from numrange.operators import PeriodSpec, build_symbol, build_truncation, phi_grid
 from numrange.sweep import (
     NotSelfAdjointError,
@@ -39,6 +38,12 @@ WORD01 = PeriodSpec.from_word("01")
 
 def random_complex(n: int) -> np.ndarray:
     return (RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))) / np.sqrt(2)
+
+
+def hermitian_part(a, theta) -> np.ndarray:
+    """Hermitian part of exp(-i theta) a, by its formula."""
+    m = np.exp(-1j * theta) * np.asarray(a, dtype=complex)
+    return (m + m.conj().T) / 2
 
 
 def test_sweep_config_validation():
@@ -477,6 +482,11 @@ TWO_EDGES = PeriodSpec(
 )
 
 
+def core_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
+    """The union's O(p) touch points at directions where at most one edge vanishes."""
+    return sweep._cycle_touch_points(spec, thetas, *sweep._scaled_tridiagonals(spec, thetas)[:3])
+
+
 @pytest.mark.parametrize(
     "spec, thetas",
     [
@@ -489,17 +499,22 @@ TWO_EDGES = PeriodSpec(
     ids=["01", "11", "diagonal", "split", "two-edges"],
 )
 def test_split_touch_points_match_dense_sweep(spec, thetas):
-    # at each split direction the touch points of the union twists (two
-    # closed-form ends for word 01, the grid for word 11 and the two-edge
-    # spec, one twist for the specs without an edge) are points of the
-    # per-phi dense sweep and span the same segment of the support line;
-    # degenerate directions (word 11 and the two-edge spec at pi/2, the
-    # diagonal spec at pi/4, the split spec at pi/2) add their flat-edge ends
-    assert _twist_angles(spec, np.array(thetas))[1].any(axis=1).all()
+    # at each split direction the union's touch points (the two ends of the
+    # O(p) core where one edge vanishes: word 01, the split spec off pi/2;
+    # the dense grid for word 11 and the two-edge spec, the one twist 0 for
+    # the specs without an edge, where two vanish) are points of the per-phi
+    # dense sweep and span the same segment of the support line; degenerate
+    # directions (word 11 and the two-edge spec at pi/2, the diagonal spec at
+    # pi/4, the split spec at pi/2) add their flat-edge ends
+    vanishing = _twist_angles(spec, np.array(thetas))[1]
+    assert vanishing.any(axis=1).all()
     symbols = build_symbol(spec, phi_grid(48))
-    for theta in thetas:
-        directions, phi = _union_twists(spec, np.array([theta]), 48)
-        points = _dense_touch_points(build_symbol(spec, phi), np.exp(-1j * directions))
+    for theta, many in zip(thetas, vanishing.sum(axis=1) >= 2):
+        if many:
+            directions, phi = _union_twists(spec, np.array([theta]), 48)
+            points = _dense_touch_points(build_symbol(spec, phi), np.exp(-1j * directions))
+        else:
+            points = core_touch_points(spec, np.array([theta]))
         dense = _dense_touch_points(symbols, np.full(48, np.exp(-1j * theta)))
         assert np.abs(points[:, None] - dense[None, :]).min(axis=1).max() <= 1e-12
         ends = convex_hull(dense).vertices
@@ -520,15 +535,33 @@ def forced_split_specs() -> dict[str, PeriodSpec]:
     return specs
 
 
+def closed_form_twists(spec: PeriodSpec, theta: float) -> np.ndarray:
+    """Where one edge j vanishes, H(theta, phi) = U H(theta, 0) U* for the
+    diagonal U that is 1 up to row j and e^{i phi} after it, so along the
+    support line the touch point of S(phi) is const + 2 Im(P e^{i phi}),
+    P = e^{-i theta} c_j conj(y_j) y_{j+1} with y the top eigenvector at
+    phi = 0.  Its Perron gauge fixes arg P = arg c_j - theta + (the other
+    edges' arguments), and the twists -arg P +- pi/2 touch the ends of the
+    union's flat edge."""
+    beta = sweep._scaled_tridiagonals(spec, np.array([theta]))[2][0]
+    vanishing = np.abs(beta) <= sweep._edge_rounding(spec)
+    assert vanishing.sum() == 1
+    minus_arg_p = theta - np.angle(spec.c[vanishing.argmax()]) - np.angle(beta[~vanishing]).sum()
+    return minus_arg_p + np.array([-np.pi / 2, np.pi / 2])
+
+
 @pytest.mark.parametrize("spec", forced_split_specs().values(), ids=forced_split_specs().keys())
 def test_split_twists_give_the_flat_edge_ends(spec):
-    # the two closed-form twists' touch points lie on the support line, and
-    # no touch point of a 20,000-phi grid lies beyond them along it
+    # the O(p) core's two touch points are those of the symbols at the
+    # closed-form twists (dense eigh, the oracle), lie on the support line,
+    # and no touch point of a 20,000-phi grid lies beyond them along it
     theta = np.pi / 2
-    directions, phi = _union_twists(spec, np.array([theta]), 720)
-    assert phi.size == 2
-    ends = _dense_touch_points(build_symbol(spec, phi), np.exp(-1j * directions))
+    ends = core_touch_points(spec, np.array([theta]))
     assert ends.size == 2
+    oracle = _dense_touch_points(build_symbol(spec, closed_form_twists(spec, theta)), np.full(2, np.exp(-1j * theta)))
+    assert oracle.size == 2
+    assert np.abs(ends[:, None] - oracle[None, :]).min(axis=1).max() <= 1e-12
+    assert np.abs(oracle[:, None] - ends[None, :]).min(axis=1).max() <= 1e-12
     top = top_eigenvalues(spec, theta, 0.0)
     assert np.abs((np.exp(-1j * theta) * ends).real - top).max() <= 1e-12
     symbols = build_symbol(spec, phi_grid(20_000))
@@ -551,8 +584,8 @@ def test_union_without_an_edge_takes_one_twist_per_direction(spec):
 
 
 def test_word01_flat_edge_ends_are_vertices():
-    # pi/2 and 3pi/2 are split directions of the 96-angle grid; their two
-    # closed-form twists reach both ends of each flat edge of the stadium
+    # pi/2 and 3pi/2 are split directions of the 96-angle grid; the free
+    # phase across their vanishing edge reaches both ends of each flat edge
     v = symbol_union_hull(WORD01, SweepConfig(96, 96)).vertices
     ends = np.array([1 + 0.5j, -1 + 0.5j, -1 - 0.5j, 1 - 0.5j])
     assert np.abs(v[None, :] - ends[:, None]).min(axis=1).max() <= 1e-12
@@ -598,16 +631,10 @@ def dense_tops(spec: PeriodSpec, thetas) -> np.ndarray:
     )
 
 
-def cycle_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
-    """The union core's touch points at directions where no edge vanishes."""
-    d, e, beta, _ = sweep._scaled_tridiagonals(spec, thetas)
-    assert (np.abs(beta) > sweep._edge_rounding(spec)).all()
-    x = sweep._perron_vectors(d, e, sweep._band_edges(d, e))
-    return sweep._touch_points(spec, beta, x, cycle=True)
-
-
 def assert_core_reaches_dense_support(spec: PeriodSpec, thetas):
-    support = (np.exp(-1j * thetas) * cycle_touch_points(spec, thetas)).real
+    # no edge vanishes, so one touch point per direction
+    assert not _twist_angles(spec, thetas)[1].any()
+    support = (np.exp(-1j * thetas) * core_touch_points(spec, thetas)).real
     tops = dense_tops(spec, thetas)
     assert np.abs(support - tops).max() <= 1e-12 * np.abs(tops).max()
 
@@ -661,12 +688,17 @@ def test_union_hull_off_split_directions_needs_no_lapack(monkeypatch):
     assert len(symbol_union_hull(spec, cfg)) > 720
 
 
-@pytest.mark.parametrize("word", ["01", "001", "0001"])
-def test_union_hull_solves_only_split_symbols_densely(monkeypatch, word):
-    # two split directions, one vanishing edge each: the two closed-form
-    # twists of each go to eigh in one batch, and nothing else does
-    spec, cfg = PeriodSpec.from_word(word), SweepConfig(720, 720)
-    split = _twist_angles(spec, _union_directions(spec, cfg))[1].any(axis=1).sum()
+DENSE_SPLIT_SPECS = {**forced_split_specs(), "11": PeriodSpec.from_word("11"), "two-edges": TWO_EDGES}
+
+
+@pytest.mark.parametrize("name", DENSE_SPLIT_SPECS)
+def test_union_hull_solves_only_split_symbols_densely(monkeypatch, name):
+    # only the symbols of directions where two or more edges vanish go to
+    # eigh: none of 0^n 1 and the forced-split specs, whose split directions
+    # have one vanishing edge; the num_phi grid at pi/2 and 3pi/2, in one
+    # batch, for word 11 and the two-edge spec
+    spec, cfg = DENSE_SPLIT_SPECS[name], SweepConfig(720, 720)
+    count = _twist_angles(spec, _union_directions(spec, cfg))[1].sum(axis=1)
     seen, solve = [], sweep.eigh
 
     def record(m):
@@ -675,7 +707,9 @@ def test_union_hull_solves_only_split_symbols_densely(monkeypatch, word):
 
     monkeypatch.setattr(sweep, "eigh", record)
     symbol_union_hull(spec, cfg)
-    assert split == 2 and seen == [(2 * split, spec.p, spec.p)]
+    many = (count >= 2).sum()
+    assert many == (2 if name in ("11", "two-edges") else 0) and count.max() >= 1
+    assert seen[:1] == ([(many * cfg.num_phi, spec.p, spec.p)] if many else [])
 
 
 @pytest.mark.parametrize("word", ["01", "001", "0001", "011"])
