@@ -90,8 +90,12 @@ PIVMIN = np.finfo(float).eps
 # number of angles.  Truncations chunk their flat-edge angles to the same
 # budget per (angles, k) array.
 _DENSE_BATCH_BYTES = 1 << 22
+# Bytes of one (k, angles) array of truncation eigenvectors: the sweep takes
+# its angles in chunks of this size, which holds k = 800 at 720 angles.
+_VECTOR_BATCH_BYTES = 1 << 23
 # Shifts one Sturm pass of :func:`_top_eigenvalues` tests across all its
-# columns, and pivot rows :func:`_count_above` keeps at a time.
+# columns, and pivot rows :func:`_count_above` keeps at a time, which are
+# also the rows :func:`_ldl_pivots` checks for its guard at a time.
 _MULTISECTION_WIDTH = 512
 _PIVOT_ROWS = 256
 # Caps on the Laguerre steps of :func:`_band_edges`, and on the passes of
@@ -99,6 +103,11 @@ _PIVOT_ROWS = 256
 # that many passes go on by bisection.
 _BAND_EDGE_STEPS = 60
 _NEWTON_PASSES = 24
+# Rows :func:`_continuant` runs between two rescalings, the range its sums
+# may end a block in, and the weights of the derivatives' extra terms.
+_CONTINUANT_ROWS = 32
+_CONTINUANT_RANGE = 2.0**400
+_DERIVATIVE_WEIGHTS = np.array([[1.0], [2.0]])
 
 
 def _gap_tol(top):
@@ -241,16 +250,55 @@ def _edge_rounding(spec: PeriodSpec) -> np.ndarray:
     return 4 * np.finfo(float).eps * (np.abs(spec.c) + np.abs(np.roll(spec.a, -1)))
 
 
+def _continuant_rows(d, e2, lam, rows, top, prev):
+    """The recurrence of :func:`_continuant` through ``rows``, from the
+    states ``top`` and ``prev`` of the row before (left as they are),
+    without rescaling; returns the states of the last row and the one
+    before, in three buffers that take turns."""
+    top, prev, new = top.copy(), prev.copy(), np.empty_like(top)
+    for j in rows:
+        np.multiply(lam - d[j], top, out=new)
+        np.multiply(e2[j - 1], prev, out=prev)
+        np.subtract(new, prev, out=new)
+        np.multiply(_DERIVATIVE_WEIGHTS, top[:-1], out=prev[1:])
+        np.add(new[1:], prev[1:], out=new[1:])
+        top, prev, new = new, top, prev
+    return top, prev
+
+
 def _continuant(d, e2, lam, rows):
     """``det(lam - S)`` of the path through ``rows`` of S and its first two
     derivatives in ``lam`` (the rows of one array), by the three-term
-    recurrence, and ``scale``: they are divided by ``2**scale``, exactly."""
-    top, prev, scale = np.outer([1.0, 0.0, 0.0], np.ones_like(lam)), 0.0, 0
-    for j in rows:
-        new = (lam - d[j]) * top - e2[j - 1] * prev
-        new[1:] += np.array([[1.0], [2.0]]) * top[:-1]
-        s = np.frexp(np.abs(new).sum(axis=0))[1]
-        top, prev, scale = np.ldexp(new, -s), np.ldexp(top, -s), scale + s
+    recurrence, and ``scale``: they are divided by ``2**scale``, exactly.
+
+    The rows go in blocks of ``_CONTINUANT_ROWS``, and each column is
+    rescaled by a power of two only after a block, to a sum of moduli in
+    [1/2, 1).  With ``|lam - d| < 4`` and ``e2 < 1``, as for the scaled
+    tridiagonals below their Gershgorin bounds, a row grows the larger
+    such sum of the last two rows by less than a factor of 8, so a block
+    that ends with its sum within ``_CONTINUANT_RANGE`` of 1 stayed far
+    from under- and overflow; the rescaling is exact, so it changes no bit
+    against rescaling at every row.  A column whose block ends out of that
+    range, or not finite, is redone row by row.
+    """
+    top = np.outer([1.0, 0.0, 0.0], np.ones_like(lam))
+    prev, scale = np.zeros_like(top), np.zeros(lam.shape, dtype=int)
+    for lo in range(0, len(rows), _CONTINUANT_ROWS):
+        block = rows[lo : lo + _CONTINUANT_ROWS]
+        before = top, prev, scale
+        top, prev = _continuant_rows(d, e2, lam, block, top, prev)
+        size = np.abs(top).sum(axis=0)
+        s = np.frexp(size)[1]
+        top, prev, scale = np.ldexp(top, -s, out=top), np.ldexp(prev, -s, out=prev), scale + s
+        redo = np.flatnonzero(~((size >= 1 / _CONTINUANT_RANGE) & (size <= _CONTINUANT_RANGE)))
+        if redo.size:
+            t, pv, sc = (x[..., redo] for x in before)
+            columns = d[:, redo], e2[:, redo], lam[redo]
+            for j in block:
+                t, pv = _continuant_rows(*columns, [j], t, pv)
+                s = np.frexp(np.abs(t).sum(axis=0))[1]
+                t, pv, sc = np.ldexp(t, -s), np.ldexp(pv, -s), sc + s
+            top[:, redo], prev[:, redo], scale[redo] = t, pv, sc
     return top, scale
 
 
@@ -273,9 +321,13 @@ def _band_edges(d, e, upper=True) -> np.ndarray:
     decrease to that root without crossing it, but by rounding, where
     Newton steps crawl while many roots lie close below.  A step is taken
     only where it is finite and ``f'/f > 0``, as above the root.  K and the
-    product carry powers of two, so p may be large.  No LAPACK is involved.
-    :func:`_top_eigenvalues` checks the bound before it uses it.
+    product carry powers of two, so p may be large; K takes them out once
+    per block of rows, so a step costs about six ufuncs a row.  No LAPACK
+    is involved.  :func:`_top_eigenvalues` checks the bound before it uses
+    it.
     """
+    # the recurrence runs along rows: keep each one contiguous
+    d, e = np.ascontiguousarray(d), np.ascontiguousarray(e)
     p = d.shape[0]
     e2 = e * e
     lam = _gershgorin(d, e).max(axis=0)
@@ -299,46 +351,106 @@ def _band_edges(d, e, upper=True) -> np.ndarray:
     return lam + 2 * eps * np.abs(lam) + PIVMIN if upper else lam
 
 
+def _pivot_rows(shifted, e2, first, q, ratio=None, guard=True):
+    """Rows ``first, first + 1, ...`` of the pivot recurrence of
+    :func:`_ldl_pivots` into ``q[1:]`` (and the slope terms into
+    ``ratio[1:]``), after row ``first - 1`` in ``q[0]`` (and ``ratio[0]``).
+    ``shifted`` and ``e2`` are lists of one period's rows.  With ``guard``,
+    pivots of modulus below ``PIVMIN`` become ``-PIVMIN``; without, a row
+    costs two ufuncs (five with ``ratio``)."""
+    p = len(shifted)
+    terms = itertools.repeat((None, None)) if ratio is None else zip(ratio, ratio[1:])
+    for i, prev, row, (prev_term, term) in zip(itertools.count(first), q, q[1:], terms):
+        if i == 0:
+            row[:] = shifted[0]
+            if term is not None:
+                term[:] = -1.0
+        else:
+            np.divide(e2[(i - 1) % p], prev, out=row)
+            if term is not None:
+                np.multiply(row, prev_term, out=term)
+                term -= 1.0
+            np.subtract(shifted[i % p], row, out=row)
+        if guard:
+            np.putmask(row, np.abs(row) < PIVMIN, -PIVMIN)
+        if term is not None:
+            term /= row
+
+
+def _pivot_window(period, arrays, first, q, ratio, guard: bool) -> bool:
+    """Rows ``first, ...`` of :func:`_pivot_rows` into ``q[1:]`` and
+    ``ratio[1:]``, with the guard only where it acts: a pass without it,
+    then the columns with a pivot below ``PIVMIN`` (or not finite) again
+    with it, from the window's first such row.  Where that is most columns,
+    all are redone in place and the windows after run with the guard from
+    the start: the returned ``guard``.  ``period`` holds the rows of
+    ``arrays``."""
+    if guard:
+        _pivot_rows(*period, first, q, ratio)
+        return True
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _pivot_rows(*period, first, q, ratio, guard=False)
+    # the minima are NaN where a pivot is
+    size = np.abs(q[1:])
+    bad = np.flatnonzero(~(size.min(axis=0) >= PIVMIN))
+    if bad.size == 0:
+        return False
+    # up to the row before the first that failed, nothing changes
+    r = int(np.argmax(~(size.min(axis=1) >= PIVMIN)))
+    if 2 * bad.size > q.shape[1]:
+        _pivot_rows(*period, first + r, q[r:], None if ratio is None else ratio[r:])
+        return True
+    redo = [None if x is None else x[r:, bad] for x in (q, ratio)]
+    # the rows of the window (and the one before), as a period of their own
+    base = max(first + r - 1, 0)
+    at = np.arange(base, first + q.shape[0] - 1) % arrays[0].shape[0]
+    _pivot_rows(*(list(x[np.ix_(at, bad)]) for x in arrays), first + r - base, *redo)
+    q[r:, bad] = redo[0]
+    if ratio is not None:
+        ratio[r:, bad] = redo[1]
+    return False
+
+
 def _ldl_pivots(d, e2, sigma, k: int, block: int, slope=None):
     """Pivots of ``S - sigma = L D L^T`` for the k-by-k S of every column.
 
     ``d`` and ``e2`` are one period of the diagonal and of the squared
     off-diagonal, shape (p, columns).  The pivots come in consecutive
     blocks of at most ``block`` rows, each written over the one before it.
-    A pivot of modulus below ``PIVMIN`` becomes ``-PIVMIN``, as in LAPACK's
-    ``dstebz``.  By Sylvester's law of inertia the number of negative pivots
-    is the number of eigenvalues below ``sigma`` (the Sturm count).  With
-    ``slope`` (one entry per column) the same sweep adds
+    A pivot of modulus below ``PIVMIN`` becomes ``-PIVMIN``.  By Sylvester's
+    law of inertia the number of negative pivots is the number of
+    eigenvalues below ``sigma`` (the Sturm count).  With ``slope`` (one
+    entry per column) the same sweep adds
     ``G(sigma) = sum q_i' / q_i = sum_j 1 / (sigma - lambda_j)`` into it,
     the logarithmic derivative of ``det(sigma - S)``, from
     ``q_i' = -1 + e_{i-1}^2 q_{i-1}' / q_{i-1}^2``.
+
+    As in LAPACK's ``dlaneg`` (Marques, Riedy & Voemel, *SIAM J. Sci.
+    Comput.* 28 (2006) 1613-1633), each window of ``_PIVOT_ROWS`` rows
+    first runs without the guard, at two ufuncs a row, and only the
+    columns it would act on are redone with it (:func:`_pivot_window`).
+    The guard acts on no other column, so the pivots, counts and slopes
+    are those of the guarded recurrence bit for bit.
     """
-    p = d.shape[0]
-    shifted = d - sigma
-    q = np.empty((min(k, block), shifted.shape[1]))
+    # rows contiguous (d[:, mask] is not), as the recurrence runs along them
+    arrays = np.subtract(d, sigma, order="C"), np.ascontiguousarray(e2)
+    period = [list(x) for x in arrays]
+    # row 0 holds the last row of the block before
+    q = np.empty((min(k, block) + 1, d.shape[1]))
     ratio = None if slope is None else np.empty_like(q)
-    prev = None
+    guard = False
     for start in range(0, k, block):
-        for r in range(min(block, k - start)):
-            i = start + r
-            if i == 0:
-                q[0] = shifted[0]
-                if ratio is not None:
-                    ratio[0] = -1.0
-            else:
-                np.divide(e2[(i - 1) % p], q[r - 1] if r else prev, out=q[r])
-                if ratio is not None:
-                    np.multiply(q[r], ratio[r - 1] if r else prev_ratio, out=ratio[r])
-                    ratio[r] -= 1.0
-                np.subtract(shifted[i % p], q[r], out=q[r])
-            np.putmask(q[r], np.abs(q[r]) < PIVMIN, -PIVMIN)
-            if ratio is not None:
-                ratio[r] /= q[r]
+        rows = min(block, k - start)
+        for lo in range(0, rows, _PIVOT_ROWS):
+            window = slice(lo, min(lo + _PIVOT_ROWS, rows) + 1)
+            rw = None if ratio is None else ratio[window]
+            guard = _pivot_window(period, arrays, start + lo, q[window], rw, guard)
         if ratio is not None:
-            slope += ratio[: r + 1].sum(axis=0)
-            prev_ratio = ratio[r].copy()
-        yield q[: r + 1]
-        prev = q[r].copy()
+            slope += ratio[1 : rows + 1].sum(axis=0)
+        yield q[1 : rows + 1]
+        q[0] = q[rows]
+        if ratio is not None:
+            ratio[0] = ratio[rows]
 
 
 def _count_above(d, e2, sigma, k: int, slope=None) -> np.ndarray:
@@ -398,9 +510,10 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
 
     def count(at, shifts):
         """Which of the (s, len(at)) shifts have an eigenvalue at or above
-        them, and the Newton steps from them: only where s = 1 (a slope
-        costs about as much as a count, and multisection does without) and
-        infinite where not wanted or not finite and positive."""
+        them, and the Newton steps from them: only where s = 1 (a pass with
+        slopes, five ufuncs a row against two, costs about 2 to 2.5 passes
+        without, and multisection does without) and infinite where not
+        wanted or not finite and positive."""
         s = shifts.shape[0]
         slope = None if s > 1 or plain[at].all() else np.zeros(at.size)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -464,11 +577,12 @@ def _ldl_solve(q, mult, x):
     """Overwrite ``x`` (rows first) by ``(L D L^T)^{-1} x``, with the pivots
     ``q`` of :func:`_ldl_pivots` and the multipliers ``mult = e / q[:-1]``,
     both broadcasting against the rows of ``x``; return it."""
-    for i in range(1, x.shape[0]):
-        x[i] -= mult[i - 1] * x[i - 1]
+    product = np.empty_like(x[0])
+    for prev, row, m in zip(x, x[1:], mult):
+        np.subtract(row, np.multiply(m, prev, out=product), out=row)
     x /= q
-    for i in range(x.shape[0] - 2, -1, -1):
-        x[i] -= mult[i] * x[i + 1]
+    for after, row, m in zip(x[:0:-1], x[-2::-1], mult[::-1]):
+        np.subtract(row, np.multiply(m, after, out=product), out=row)
     return x
 
 
@@ -636,7 +750,14 @@ def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray
     top = np.ldexp(scaled_top, exponent)
     below = np.ldexp(top - _gap_tol(top), -exponent)
     flat = np.nonzero(_count_above(d, e * e, below, k) >= 2)[0]
-    points = [_touch_points(spec, beta, _top_eigenvectors(d, e, scaled_top, k))]
+    # the eigenvectors and their products are (k, angles) arrays; the chunks
+    # change no bit, as each takes two angles or more (numpy sums a single
+    # column in another order)
+    parts = -(-thetas.size // max(2, _VECTOR_BATCH_BYTES // (8 * k)))
+    points = [
+        _touch_points(spec, beta[t], _top_eigenvectors(d[:, t], e[:, t], scaled_top[t], k))
+        for t in np.array_split(np.arange(thetas.size), parts)
+    ]
     # specs flat at every angle would otherwise hold (num_theta, k) arrays
     # several times over
     chunk = max(1, _DENSE_BATCH_BYTES // (8 * k))

@@ -1,6 +1,7 @@
 """The support-angle sweep and the operator-level range computations."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -839,6 +840,49 @@ def test_continuant_carries_its_scale():
     np.testing.assert_allclose(ddet / det, slope, rtol=1e-12)
 
 
+def rescaled_continuant(d, e2, lam, rows):
+    """The continuant oracle: :func:`sweep._continuant` with a power-of-two
+    rescaling of each column after every row."""
+    top, prev, scale = np.outer([1.0, 0.0, 0.0], np.ones_like(lam)), 0.0, 0
+    for j in rows:
+        new = (lam - d[j]) * top - e2[j - 1] * prev
+        new[1:] += np.array([[1.0], [2.0]]) * top[:-1]
+        s = np.frexp(np.abs(new).sum(axis=0))[1]
+        top, prev, scale = np.ldexp(new, -s), np.ldexp(top, -s), scale + s
+    return top, scale
+
+
+def continuant_cases():
+    """(d, e2, lam) triples: seeded scaled tridiagonals at their Gershgorin
+    bounds and below, and columns that leave the blocks' range."""
+    rng = np.random.default_rng(31)
+    for p in (1, 2, 3, 31, 32, 33, 64, 200):
+        d, e = rng.uniform(-1.0, 1.0, (p, 40)), rng.uniform(0.0, 1.0, (p, 40))
+        lam = sweep._gershgorin(d, e).max(axis=0) - rng.uniform(0.0, 2.0, 40)
+        yield d, e * e, lam
+    # a diagonal of -1/2, then entries near -2^-500 with edges near 2^-500
+    # or 2^-60, at lam = 2^-500: a row shrinks the state by up to 2^-500,
+    # so the blocks end out of range and go again row by row
+    for exponent in (-1000, -120):
+        d = np.ldexp(rng.uniform(-1.0, 0.0, (40, 6)), -500)
+        d[0] = -0.5
+        yield d, np.ldexp(rng.uniform(0.0, 1.0, (40, 6)), exponent), np.ldexp(np.ones(6), -500)
+    # zero edges, and lam on the diagonal: exact zeros
+    d, e2 = rng.integers(-2, 2, (50, 8)) / 4.0, rng.integers(0, 2, (50, 8)) / 4.0
+    yield d, e2, np.array([0.0, 0.25, -0.25, 0.5, -0.5, 0.0, 0.25, 1.0])
+
+
+def test_blocked_continuant_matches_rescaling_every_row():
+    # rescaling once per block is exact, so it changes no bit
+    for d, e2, lam in continuant_cases():
+        p = d.shape[0]
+        for rows in (range(p), range(1, p - 1)):
+            top, scale = sweep._continuant(d, e2, lam, rows)
+            want, want_scale = rescaled_continuant(d, e2, lam, rows)
+            assert top.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(scale, want_scale)
+
+
 @pytest.mark.parametrize("p", [3, 40, 200, 600])
 def test_band_edge_is_the_top_of_the_maximising_twist_symbol(p):
     # the band edge is the top eigenvalue of the symbol at the maximising
@@ -865,6 +909,98 @@ def test_newton_start_below_the_top_still_certifies(monkeypatch):
         for offset in (1e-3, 1e-14, 0.0):
             top = sweep._top_eigenvalues(d, e, k, plain - offset)
             assert_certified_tops(top, plain, d, e, k)
+
+
+def guarded_pivots(d, e2, sigma, k, block, slope=None):
+    """The pivot oracle: :func:`sweep._ldl_pivots` with the ``PIVMIN`` guard
+    applied at every row."""
+    p = d.shape[0]
+    shifted = d - sigma
+    q = np.empty((min(k, block), shifted.shape[1]))
+    ratio = None if slope is None else np.empty_like(q)
+    prev = prev_ratio = None
+    for start in range(0, k, block):
+        for r in range(min(block, k - start)):
+            i = start + r
+            if i == 0:
+                q[0] = shifted[0]
+                if ratio is not None:
+                    ratio[0] = -1.0
+            else:
+                np.divide(e2[(i - 1) % p], q[r - 1] if r else prev, out=q[r])
+                if ratio is not None:
+                    np.multiply(q[r], ratio[r - 1] if r else prev_ratio, out=ratio[r])
+                    ratio[r] -= 1.0
+                np.subtract(shifted[i % p], q[r], out=q[r])
+            np.putmask(q[r], np.abs(q[r]) < sweep.PIVMIN, -sweep.PIVMIN)
+            if ratio is not None:
+                ratio[r] /= q[r]
+        if ratio is not None:
+            slope += ratio[: r + 1].sum(axis=0)
+            prev_ratio = ratio[r].copy()
+        yield q[: r + 1]
+        prev = q[r].copy()
+
+
+def pivot_cases():
+    """(d, e2, sigma) triples, one period of 5 rows in 24 columns: seeded
+    random ones, and columns on which the guard acts."""
+    rng = np.random.default_rng(23)
+    pivmin = sweep.PIVMIN
+    d, e2 = rng.uniform(-1.0, 1.0, (5, 24)), rng.uniform(0.0, 1.0, (5, 24))
+    yield d, e2, rng.uniform(-1.0, 3.0, 24)
+    d, e2, sigma = d.copy(), e2.copy(), np.zeros(24)
+    # a first pivot exactly 0, and within PIVMIN on either side of 0
+    d[0, :4] = [0.0, 0.5 * pivmin, -0.5 * pivmin, pivmin]
+    # pivots 1, 0 (1 - 1/1), then 1 - 1/(-PIVMIN) in every period
+    d[:, 4], e2[:, 4] = 1.0, 1.0
+    # a zero edge after a zero pivot: 0/0 without the guard
+    d[:, 5], e2[:, 5] = 1.0, [1.0, 0.0, 1.0, 0.0, 1.0]
+    # a pivot within PIVMIN of 0 deep in the recurrence
+    d[:, 6], e2[:, 6] = [1.0, 1.0 + 0.25 * pivmin, 1.0, 1.0, 1.0], 1.0
+    # entries near 2**500 and 2**-500
+    d[:, 7:10] = np.ldexp(d[:, 7:10], 500)
+    e2[:, 7:10] = np.ldexp(e2[:, 7:10], 1000)
+    d[:, 10:13] = np.ldexp(d[:, 10:13], -500)
+    e2[:, 10:13] = np.ldexp(e2[:, 10:13], -1000)
+    e2[:, 13:15] = np.ldexp(1.0, 1000)
+    yield d, e2, sigma
+    # a zero pivot in every period of most columns (the split spec at its
+    # top), which are redone in place, and the blocks after them guarded
+    d, e2 = np.zeros((2, 24)), np.repeat([[0.25], [0.0]], 24, axis=1)
+    yield d, e2, np.where(np.arange(24) < 20, 0.5, rng.uniform(0.0, 1.0, 24))
+
+
+@pytest.mark.parametrize("slope", [False, True])
+def test_blocked_pivots_match_the_guard_at_every_row(slope):
+    # the guard acts only where a block without it has a pivot below PIVMIN,
+    # and those columns are redone, so pivots, counts and slopes keep their bits
+    for d, e2, sigma in pivot_cases():
+        for k, block in [(1, 256), (5, 5), (23, 256), (23, 7), (64, 1), (400, 256), (400, 400)]:
+            ours, oracle = (np.zeros(d.shape[1]) if slope else None for _ in range(2))
+            with np.errstate(all="ignore"):
+                want = [q.copy() for q in guarded_pivots(d, e2, sigma, k, block, oracle)]
+            got = [q.copy() for q in sweep._ldl_pivots(d, e2, sigma, k, block, ours)]
+            assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
+            if slope:
+                assert ours.tobytes() == oracle.tobytes()
+            counts = sweep._count_above(d, e2, sigma, k)
+            np.testing.assert_array_equal(counts, k - sum((q < 0).sum(axis=0) for q in want))
+
+
+def test_truncation_sweeps_on_the_guard_warn_of_nothing():
+    # the unguarded pass divides by zero pivots and forms 0/0; no warning
+    # may leave it (split, near-split and word 01, truncations and unions)
+    specs = [
+        PeriodSpec(a=(0, 1), b=0, c=(1, 0)),
+        PeriodSpec(a=0.05, b=(1, 0, 0, 0, 0, 0), c=0.05j),
+        WORD01,
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in specs:
+            assert len(truncation_range(spec, 800)) >= 2
+            assert len(symbol_union_hull(spec)) >= 2
 
 
 def sturm_passes(monkeypatch):
@@ -965,6 +1101,16 @@ def test_truncation_flat_edge_chunks(monkeypatch):
     assert whole.size == 3 * cfg.num_theta
     monkeypatch.setattr(sweep, "_DENSE_BATCH_BYTES", 8 * k * 5)
     np.testing.assert_allclose(_truncation_points(spec, k, cfg), whole, rtol=0, atol=1e-14)
+
+
+def test_truncation_vector_chunks_change_no_bit(monkeypatch):
+    # the eigenvectors go in chunks of angles, two or more each: budgets of
+    # one angle and of seven (120 = 17 * 7 + 1)
+    spec, cfg, k = FLAT_SPECS["random"], SweepConfig(120, 1), 61
+    whole = _truncation_points(spec, k, cfg)
+    for angles in (1, 7):
+        monkeypatch.setattr(sweep, "_VECTOR_BATCH_BYTES", 8 * k * angles)
+        assert _truncation_points(spec, k, cfg).tobytes() == whole.tobytes()
 
 
 def test_truncation_range_needs_no_lapack(monkeypatch):
