@@ -88,7 +88,8 @@ PIVMIN = np.finfo(float).eps
 # Bytes of Hermitian parts the dense sweep hands to one batched ``eigh``; the
 # directions go in chunks of this size, so memory stays bounded for any
 # number of angles.  Truncations chunk their flat-edge angles to the same
-# budget per (angles, k) array.
+# budget per (angles, k) array, and :func:`_top_eigenvalues` keeps the arrays
+# its multisection tiles within it.
 _DENSE_BATCH_BYTES = 1 << 22
 # Bytes of one (k, angles) array of truncation eigenvectors: the sweep takes
 # its angles in chunks of this size, which holds k = 800 at 720 angles.
@@ -466,16 +467,17 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
 
     The bracket starts between the largest diagonal entry (a Rayleigh
     quotient) and the Gershgorin bound, and each pass sweeps only the
-    columns whose bracket is still open.  With fewer than
-    ``_MULTISECTION_WIDTH`` of them a pass tests
-    ``s = _MULTISECTION_WIDTH // columns`` shifts per column in one Sturm
-    sweep (Lo, Philippe & Sameh, *SIAM J. Sci. Stat. Comput.* 8 (1987)
-    s155-s165); from that many columns on, ``s = 1``.  Without ``start``
-    the shifts split the bracket evenly, so ``s = 1`` is bisection.
+    columns whose bracket is still open.  With fewer than W of them,
+    W = ``_MULTISECTION_WIDTH`` (less where W columns of one period of S
+    would take more than ``_DENSE_BATCH_BYTES``), a pass tests
+    ``s = W // columns`` shifts per column in one Sturm sweep (Lo, Philippe
+    & Sameh, *SIAM J. Sci. Stat. Comput.* 8 (1987) s155-s165); from that
+    many columns on, ``s = 1``.  Without ``start`` the shifts split the
+    bracket evenly, so ``s = 1`` is bisection.
 
     ``start``, an upper bound on each top eigenvalue, switches on Newton
-    steps from above where more than ``_MULTISECTION_WIDTH // 2`` columns
-    are open (with fewer, multisection takes fewer sweeps).  The first pass
+    steps from above where more than ``W // 2`` columns are open (with
+    fewer, multisection takes fewer sweeps).  The first pass
     counts at it; a column with an eigenvalue at or above it keeps the
     Gershgorin upper end and bisects.  A pass with one shift per column
     also returns ``G = sum_j 1 / (sigma - lambda_j)`` at it, and the top
@@ -505,8 +507,10 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
     # the columns that take no Newton steps
     step = np.full(lo.shape, np.inf)
     at = np.flatnonzero(hi - lo > width(lo, hi))
+    # W: a pass tiles one period of d and e2 to W columns
+    per_pass = min(_MULTISECTION_WIDTH, max(1, _DENSE_BATCH_BYTES // (8 * d.shape[0])))
     # Newton steps pay only where a pass tests one shift per column
-    plain = np.full(lo.shape, start is None or _MULTISECTION_WIDTH // max(1, at.size) > 1)
+    plain = np.full(lo.shape, start is None or per_pass // max(1, at.size) > 1)
 
     def count(at, shifts):
         """Which of the (s, len(at)) shifts have an eigenvalue at or above
@@ -538,7 +542,7 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
         if passes == _NEWTON_PASSES:
             plain[:], step[:] = True, np.inf
         a, b, h = lo[at], hi[at], step[at]
-        s = max(1, _MULTISECTION_WIDTH // at.size)
+        s = max(1, per_pass // at.size)
         j = np.arange(1, s + 1)[:, None]
         tol = 0.5 * width(b, b)
         newton = b - np.maximum(h, tol)

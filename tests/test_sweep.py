@@ -1143,6 +1143,19 @@ def test_truncation_support_memory_is_bounded_in_k():
     assert _traced_peak(lambda: truncation_support(WORD01, 5000, [0.0, np.pi])) < 4 * 2**20
 
 
+def test_multisection_memory_is_bounded_for_long_periods():
+    # two open columns of a 4000-row S took 256 shifts each, tiled whole:
+    # three (4000, 512) arrays, about 47 MiB
+    rng = np.random.default_rng(13)
+    k = 4000
+    d, e = rng.uniform(-1.0, 0.0, (k, 2)), rng.uniform(0.0, 0.5, (k, 2))
+    tops = []
+    assert _traced_peak(lambda: tops.append(sweep._top_eigenvalues(d, e, k))) < 16 * 2**20
+    assert not sweep._count_above(d, e * e, tops[0], k).any()
+    tol = 2 * (2 * np.finfo(float).eps * np.abs(tops[0]) + sweep.PIVMIN)
+    assert np.all(sweep._count_above(d, e * e, tops[0] - tol, k) >= 1)
+
+
 # finite entries whose Hermitian parts and p = 2 symbols overflow
 HUGE = PeriodSpec(p=2, a=1e308, b=0, c=1e308)
 
