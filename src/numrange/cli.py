@@ -1,7 +1,7 @@
 """Command-line front end: polygon CSVs, verification reports, figure SVGs.
 
-Exit codes: 0 success, 1 at least one check failed, 2 usage or parse error,
-3 numeric failure.
+Exit codes: 0 success, 1 at least one check failed, 2 usage or parse error
+(an output path that cannot be written included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_range.add_argument("--mode", choices=["symbol-hull", "truncation"], default="symbol-hull")
     p_range.add_argument("--k", type=int, default=128, help="truncation size (truncation mode)")
     p_range.add_argument("--num-theta", type=int, default=720, help="support angles (default 720)")
-    twist_help = "symbol-hull mode: twist resolution, and the twist grid where two or more edges vanish"
+    twist_help = "symbol-hull mode: twist resolution, which sets how finely the directions are refined"
     p_range.add_argument("--num-phi", type=int, default=720, help=f"{twist_help} (default 720)")
     p_range.add_argument("--out", default="-", help="output CSV path (default stdout)")
 
@@ -203,6 +203,9 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # an --out that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -122,8 +122,11 @@ class PeriodSpec:
         except ValueError as exc:
             raise SpecParseError(str(exc)) from exc
 
-    def is_selfadjoint(self, tol: float = SELFADJOINT_TOL) -> bool:
-        """True when the operator is self-adjoint: b real, c[j] = conj(a[j+1])."""
+    def is_selfadjoint(self) -> bool:
+        """True when the operator is self-adjoint: b real, c[j] = conj(a[j+1]),
+        each to within ``SELFADJOINT_TOL`` times the largest entry's modulus,
+        so that the answer does not depend on the operator's scale."""
+        tol = SELFADJOINT_TOL * max(float(np.abs(x).max()) for x in (self.a, self.b, self.c))
         return (
             float(np.abs(self.b.imag).max()) <= tol
             and float(np.abs(self.c - np.conj(np.roll(self.a, -1))).max()) <= tol

@@ -8,24 +8,17 @@ function is within O(1/num_theta^2) of the true one.  Where the support
 line meets the range along a flat edge (degenerate top eigenvalue) the
 sweep emits the edge's endpoints, so flat pieces are exact.
 
-Truncations of periodic operators have tridiagonal Hermitian parts; their
-sweep runs on the similar real symmetric tridiagonals in O(k) per angle
-(Sturm counts and inverse iteration; Parlett, *The Symmetric Eigenvalue
-Problem*, ch. 7), not on dense matrices.  The counts take Newton steps
-down from the top band edge of the periodic operator, which bounds every
-truncation's top eigenvalue, and multisect where few angles are left.  At
-a (near-)degenerate angle the same core gives the ends of the flat edge
-from the blocks left by cutting the smallest edges, also in O(k), so
-truncations need no LAPACK at all.  The symbols' Hermitian parts are
-periodic Jacobi matrices, whose characteristic polynomial at one theta is
-the same for every twist phi up to a constant, so the support of their
-union's range is attained at a twist known in closed form: the union
-sweep takes one p-by-p symbol per direction, on a grid refined where that
-twist turns fast.  That symbol is gauged to a real cycle, whose top
-eigenvalue is the band edge and whose Perron vector is one O(p) solve;
-where one edge vanishes, the free phase across it gives the ends of the
-union's flat edge.  Only directions where two or more edges vanish, like
-general matrices, go through dense LAPACK solves in bounded batches.
+General matrices go through dense LAPACK solves in bounded batches;
+truncations and symbol unions need none.  Truncations have tridiagonal
+Hermitian parts, similar to real symmetric ones: Sturm counts with Newton
+steps down from the periodic operator's top band edge, multisection and
+inverse iteration (Parlett, *The Symmetric Eigenvalue Problem*, ch. 7)
+take O(k) per angle, flat-edge ends included.  The union of the symbols' ranges
+takes one O(p) solve per direction: its support is attained at a twist
+known in closed form, where the symbol gauges to a real cycle whose top
+eigenvalue is the band edge and whose Perron vector gives the touch point.
+Where edges vanish the twist is free, and the ends of the union's flat
+edge come from a cycle of the blocks between them.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ import numpy as np
 
 from .geometry import RangePolygon, convex_hull
 from .linalg import as_matrix, eigh
-from .operators import PeriodSpec, build_symbol, phi_grid
+from .operators import PeriodSpec, phi_grid
 
 __all__ = [
     "NotSelfAdjointError",
@@ -60,12 +53,10 @@ class NotSelfAdjointError(ValueError):
 class SweepConfig:
     """Grid sizes: ``num_theta`` support angles, ``num_phi`` twist steps.
 
-    ``num_phi`` is the twist resolution of symbol-union hulls, and the twist
-    grid they sweep where two or more edges vanish.  They take one symbol
-    per direction, at its maximising twist (two touch points where one edge
-    vanishes: the ends of the union's flat edge), and refine the
+    ``num_phi`` is the twist resolution of symbol-union hulls: they take one
+    symbol per direction, at its maximising twist, and refine the
     ``num_theta`` grid until that twist moves by at most one of ``num_phi``
-    steps between neighbouring directions.  Other sweeps ignore ``num_phi``.
+    steps between neighbouring directions.  Other sweeps ignore it.
     """
 
     num_theta: int = 720
@@ -132,67 +123,56 @@ def _hermitian_parts(a, phase) -> np.ndarray:
 
 
 def _flat_edge_ends(a, phase, values, vecs) -> np.ndarray:
-    """Both ends of the flat edge along which the support line meets W(a),
-    for each matrix of the stack ``a``: bottom and top end of the first,
-    then of the second, and so on.
+    """Both ends of the flat edge along which the support line meets W(a)
+    in the direction of each entry of ``phase``: bottom and top end of the
+    first, then of the second, and so on.
 
     ``values, vecs`` are the ``eigh`` of the Hermitian parts of
     ``phase * a``.  The ends are the extremes of the rotated matrix's skew
     part compressed to the top eigenspace, which keeps the point set exactly
-    compatible with the symmetries of ``a``.  The matrices go to ``eigh`` in
-    one batch per dimension of that eigenspace.
+    compatible with the symmetries of ``a``.  The directions go to ``eigh``
+    in one batch per dimension of that eigenspace.
     """
     dims = (values >= (values[:, -1] - _gap_tol(values[:, -1]))[:, None]).sum(axis=1)
     ends = np.empty((dims.size, 2), dtype=complex)
     for dim in set(dims.tolist()):
         t = np.flatnonzero(dims == dim)
         span = vecs[t, :, -dim:]
-        rotated = phase[t, None, None] * a[t]
+        rotated = phase[t, None, None] * a
         skew = (rotated - np.swapaxes(rotated.conj(), -1, -2)) / 2j
         compressed = np.swapaxes(span.conj(), -1, -2) @ (skew @ span)
         compressed = 0.5 * (compressed + np.swapaxes(compressed.conj(), -1, -2))
         extremes = span @ eigh(compressed)[1][:, :, [0, -1]]
-        ends[t] = np.einsum("mit,mij,mjt->mt", extremes.conj(), a[t], extremes)
+        ends[t] = np.einsum("mit,ij,mjt->mt", extremes.conj(), a, extremes)
     return ends.ravel()
-
-
-def _dense_touch_points(a, phase) -> np.ndarray:
-    """Support touch points from dense ``eigh``: of each matrix of the stack
-    ``a`` in the direction of its entry of ``phase``.  The top-eigenvector
-    Rayleigh quotients come in that order, then the flat-edge ends of every
-    (near-)degenerate direction.  The directions go to ``eigh`` in chunks
-    of ``_DENSE_BATCH_BYTES``; it solves each matrix on its own, so the
-    chunks change no bit."""
-    n = a.shape[-1]
-    chunk = max(1, _DENSE_BATCH_BYTES // (16 * n * n))
-    tops, ends = [np.empty(0, dtype=complex)], []
-    for lo in range(0, phase.size, chunk):
-        m, ph = a[lo : lo + chunk], phase[lo : lo + chunk]
-        values, vecs = eigh(_hermitian_parts(m, ph))
-        top = vecs[:, :, -1]
-        tops.append(np.einsum("ti,tij,tj->t", top.conj(), m, top))
-        if n > 1:
-            t = np.flatnonzero(values[:, -1] - values[:, -2] <= _gap_tol(values[:, -1]))
-            ends.append(_flat_edge_ends(m[t], ph[t], values[t], vecs[t]))
-    return np.concatenate(tops + ends)
 
 
 def boundary_points(a, cfg: SweepConfig = SweepConfig()) -> np.ndarray:
     """Support touch points of W(a), at least one per sweep angle.
 
-    Every returned point is a Rayleigh quotient, hence a member of W(a).
-    When the top eigenvalue of the rotated Hermitian part is (near-)
-    degenerate the support line touches W(a) along a flat segment; an
-    arbitrary eigenvector would land somewhere inside it, so both segment
-    endpoints are emitted as well.  A non-finite intermediate raises
-    ``FloatingPointError``.
+    Every returned point is a Rayleigh quotient, hence a member of W(a): the
+    top eigenvectors' quotients, angle by angle, then both ends of the flat
+    segment along which the support line touches W(a) wherever the top
+    eigenvalue is (near-)degenerate.  The angles go to ``eigh`` in chunks of
+    ``_DENSE_BATCH_BYTES``, which change no bit.  A non-finite intermediate
+    raises ``FloatingPointError``.
     """
     a = as_matrix(a)
-    if a.shape[0] < 1:
+    n = a.shape[0]
+    if n < 1:
         raise ValueError("matrix must have dimension >= 1")
     phase = np.exp(-1j * phi_grid(cfg.num_theta))
-    stack = np.broadcast_to(a, (phase.size, *a.shape))
-    return _require_finite(_dense_touch_points(stack, phase), "touch point")
+    chunk = max(1, _DENSE_BATCH_BYTES // (16 * n * n))
+    tops, ends = [np.empty(0, dtype=complex)], []
+    for lo in range(0, phase.size, chunk):
+        ph = phase[lo : lo + chunk]
+        values, vecs = eigh(_hermitian_parts(a, ph))
+        top = vecs[:, :, -1]
+        tops.append(np.einsum("ti,ij,tj->t", top.conj(), a, top))
+        if n > 1:
+            t = np.flatnonzero(values[:, -1] - values[:, -2] <= _gap_tol(values[:, -1]))
+            ends.append(_flat_edge_ends(a, ph[t], values[t], vecs[t]))
+    return _require_finite(np.concatenate(tops + ends), "touch point")
 
 
 def range_boundary(a, cfg: SweepConfig = SweepConfig()) -> RangePolygon:
@@ -595,19 +575,19 @@ def _perron_vectors(d, e, sigma) -> np.ndarray:
     (p, columns) array scaled to largest entry 1: near the top of C, its
     Perron vectors to within ``(sigma - lambda_max) / gap``.
 
-    C is the real cycle with diagonal ``d`` and edges ``e`` (shape
+    C is the real cycle with diagonal ``d`` and edges ``e >= 0`` (shape
     (p, columns)): the path P plus ``w (e_0 e_{p-1}^T + e_{p-1} e_0^T)``
     for the wrap edge ``w = e_{p-1}``, which adds to the path's edge for
     p = 2 and lands twice on the diagonal for p = 1.  ``sigma`` above its top
     makes ``sigma - C`` a nonsingular M-matrix, so x > 0.  The pivots of
     ``P - sigma`` give ``y, z_0, z_1``, ``(sigma - P)^{-1}`` applied to
-    ``1, e_0, e_{p-1}``, all positive.  By the Woodbury identity
+    ``1, e_0, e_{p-1}``, all nonnegative.  By the Woodbury identity
     ``x = y + w (x_{p-1} z_0 + x_0 z_1)``, where ``(x_0, x_{p-1})`` solves
     ``[[1 - w g, -w g_00], [-w g_11, 1 - w g]]`` against ``(y_0, y_{p-1})``,
     with ``g_00 = z_0[0]``, ``g = z_0[p-1]``, ``g_11 = z_1[p-1]``.  Its
     determinant vanishes as sigma reaches the top, so ``det * x`` is formed
     from the adjugate; ``1 - w g > 0``, so all its terms but ``det * y`` are
-    positive.
+    nonnegative.
     """
     p = d.shape[0]
     q = next(_ldl_pivots(d, e * e, sigma, p, p))
@@ -810,49 +790,69 @@ def _union_directions(spec: PeriodSpec, cfg: SweepConfig) -> np.ndarray:
     return np.repeat(thetas, parts) + step * j / np.repeat(parts, parts)
 
 
-def _cycle_touch_points(spec: PeriodSpec, thetas, d, e, beta) -> np.ndarray:
-    """Union touch points in O(p) at directions ``thetas`` (``d, e, beta`` of
-    :func:`_scaled_tridiagonals`) where at most one edge vanishes, so the
-    gauged cycle stays connected: one per direction, at its Perron vector,
-    then the other end of each flat edge.  The phase ``u_j`` across a
-    vanishing edge j is free and moves only ``2 Re(gamma_j u_j) x_j x_{j+1}``
-    along the support line: the phases of ``conj(+-gamma_j)`` give the ends.
+def _cycle_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
+    """Touch points of the union of symbol ranges at directions ``thetas``,
+    in O(p) each: one per direction, then the bottom end of each flat edge.
+
+    The gauged Hermitian part is the real cycle of :func:`_scaled_tridiagonals`
+    with its vanishing edges cut (set to 0); its Perron vector at the band
+    edge gives the touch point.  Where edges vanish phi is free, so is the
+    phase ``u_j`` across every cut edge j, and the rows start after the
+    first cut edge, so the solve gives each block (the rows between two cut
+    edges) its own Perron vector.  Those within ``_gap_tol`` of the best
+    Hermitian quotient span the flat edge, and the skew part compressed to
+    them is a cycle of the m blocks, cut edge j adding
+    ``2 Re(gamma_j u_j) x_j x_{j+1}``: the Perron vectors of that cycle with
+    edges ``|gamma_j| x_j x_{j+1}`` and of its negation, at the phases of
+    ``conj(+-gamma_j)``, give the ends (m = 1 joins a block to itself).
     """
-    vanishing = np.abs(beta) <= _edge_rounding(spec)
-    gamma = _skew_edges(spec, thetas)
-    # an edge the operator lacks (gamma_j = 0 too) leaves no flat edge
-    split = (vanishing & (gamma != 0)).any(axis=1)
+    d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
+    p = d.shape[0]
+    cut = (np.abs(beta) <= _edge_rounding(spec)).T
+    split = np.flatnonzero(cut.any(axis=0))
+    start = cut[:, split].argmax(axis=0) + 1
+    roll = lambda y, by: np.take_along_axis(y, (np.arange(p)[:, None] + by) % p, axis=0)
+    e = np.where(cut, 0.0, e)
+    d[:, split], e[:, split] = roll(d[:, split], start), roll(e[:, split], start)
     x = _perron_vectors(d, e, _band_edges(d, e))
-    top = _touch_points(spec, np.where(vanishing, gamma, beta), x, cycle=True)
-    bottom = _touch_points(spec, np.where(vanishing, -gamma, beta)[split], x[:, split], cycle=True)
-    return np.concatenate([top, bottom])
-
-
-def _union_twists(spec: PeriodSpec, thetas, num_phi: int):
-    """The (direction, twist) pairs the union sweep solves densely, at
-    directions ``thetas`` where two or more edges vanish: the ``num_phi``
-    grid, or the twist 0 where the operator lacks an edge j
-    (``c_j = a_{j+1} = 0``): the diagonal that is 1 up to row j and
-    ``e^{i phi}`` after it gauges S(phi) to S(0)."""
-    if ((spec.c == 0) & (np.roll(spec.a, -1) == 0)).any():
-        return thetas, np.zeros_like(thetas)
-    return np.repeat(thetas, num_phi), np.tile(phi_grid(num_phi), thetas.size)
+    # the split directions' points are replaced by their ends below
+    points = _touch_points(spec, beta, x, cycle=True)
+    # the split directions, rows rolled: blocks by the cut edges before them
+    at = lambda y: roll(y.T, start)
+    beta, gamma, w = beta[split], _skew_edges(spec, thetas[split]), np.exp(-1j * thetas[split])[:, None]
+    c, v, d, e = roll(cut[:, split], start), x[:, split], d[:, split], e[:, split]
+    block, m, col, slot = np.cumsum(c, axis=0) - c, c.sum(axis=0), np.arange(split.size), np.arange(p)[:, None]
+    index = (block * split.size + col).ravel()
+    per_block = lambda y: np.bincount(index, y.ravel(), p * split.size).reshape(p, split.size)
+    v = v / np.sqrt(per_block(v * v))[block, col]
+    pairs = v * np.roll(v, -1, axis=0)
+    # unused slots stay out of the maximum: block tops can be negative
+    tops = np.where(slot < m, np.ldexp(per_block(d * v * v + 2 * e * pairs), exponent), -np.inf)
+    best = tops.max(axis=0, initial=-np.inf)
+    span = tops >= best - _gap_tol(best)
+    inner = np.where(c, 0.0, at((gamma * np.exp(-1j * np.angle(beta))).real))
+    skew = per_block(at((w * spec.b).imag) * v * v + 2 * inner * pairs)
+    across = per_block(np.where(c, at(np.abs(gamma)), 0.0) * pairs) * span * span[(slot + 1) % m, col]
+    scale = np.frexp(np.maximum(np.abs(skew * span), across).max(axis=0, initial=0.0))[1]
+    ends = np.empty((2, split.size), dtype=complex)
+    for size in set(m.tolist()):
+        g = np.flatnonzero(m == size)
+        # the negated and the plain cycle of each direction of g
+        both, sign = np.tile(g, 2), np.repeat([-1.0, 1.0], g.size)
+        on = span[:size, both]
+        bd = np.where(on, sign * np.ldexp(skew[:size, both], -scale[both]), -2.0)
+        be = np.ldexp(across[:size, both], -scale[both])
+        r = _perron_vectors(bd, be, _band_edges(bd, be))[block[:, both], np.arange(both.size)]
+        xs = roll(r * v[:, both] * span[block[:, both], both], -start[both])
+        phases = np.where(cut.T[split[both]], sign[:, None] * gamma[both], beta[both])
+        ends[:, g] = _touch_points(spec, phases, xs, cycle=True).reshape(2, -1)
+    points[split] = ends[1]
+    return np.concatenate([points, ends[0]])
 
 
 def _symbol_points(spec: PeriodSpec, cfg: SweepConfig) -> np.ndarray:
-    """Support touch points of the union of symbol ranges at the directions
-    of :func:`_union_directions`: :func:`_cycle_touch_points` where at most
-    one edge vanishes, else the dense code of :func:`boundary_points` at the
-    twists of :func:`_union_twists`, flat-edge ends included."""
-    directions = _union_directions(spec, cfg)
-    d, e, beta, _ = _scaled_tridiagonals(spec, directions)
-    few = (np.abs(beta) <= _edge_rounding(spec)).sum(axis=1) <= 1
-    thetas, phi = _union_twists(spec, directions[~few], cfg.num_phi)
-    points = [
-        _cycle_touch_points(spec, directions[few], d[:, few], e[:, few], beta[few]),
-        _dense_touch_points(build_symbol(spec, phi), np.exp(-1j * thetas)),
-    ]
-    return _require_finite(np.concatenate(points), "touch point")
+    """:func:`_cycle_touch_points` at the directions of :func:`_union_directions`."""
+    return _require_finite(_cycle_touch_points(spec, _union_directions(spec, cfg)), "touch point")
 
 
 def rayleigh_samples(a, trials: int, seed: int) -> np.ndarray:

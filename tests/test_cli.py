@@ -57,6 +57,24 @@ def test_range_malformed_spec_exits_2(capsys):
     assert cli.main(["range", "--word", "01", "--k", "0", "--mode", "truncation"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["range", "--word", "01", "--num-theta", "16", "--num-phi", "4"],
+        ["verify", "--filter", "selfadjoint"],
+        ["figure", "--n", "1", "--k", "4", "--num-theta", "16"],
+    ],
+    ids=["range", "verify", "figure"],
+)
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    # a usage error, not "a check failed" (1) and not a traceback
+    out = tmp_path / "missing" / "out.txt"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.parent.exists()
+
+
 def test_range_requires_spec_or_word():
     with pytest.raises(SystemExit) as exc:
         cli.main(["range"])

@@ -81,6 +81,15 @@ def test_selfadjoint_detection():
     assert not PeriodSpec(a=(1, 1), b=1j, c=(1, 1)).is_selfadjoint()
 
 
+@pytest.mark.parametrize("scale", [2.0**-500, 1e-13, 2.0**500])
+def test_selfadjoint_detection_is_relative(scale):
+    # the tolerance scales with the entries: word 01 stays non-self-adjoint
+    # however small, and the free Jacobi spec self-adjoint however large
+    assert not PeriodSpec(a=(0, scale), b=0, c=scale).is_selfadjoint()
+    assert PeriodSpec(a=scale, b=0, c=scale, p=2).is_selfadjoint()
+    assert not PeriodSpec(a=scale, b=1e-9j * scale, c=scale, p=2).is_selfadjoint()
+
+
 # --- truncations and circulants ----------------------------------------------
 
 

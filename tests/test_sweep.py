@@ -18,12 +18,10 @@ from numrange.operators import PeriodSpec, build_symbol, build_truncation, phi_g
 from numrange.sweep import (
     NotSelfAdjointError,
     SweepConfig,
-    _dense_touch_points,
     _symbol_points,
     _truncation_points,
     _twist_angles,
     _union_directions,
-    _union_twists,
     boundary_points,
     range_boundary,
     rayleigh_samples,
@@ -248,6 +246,16 @@ def test_selfadjoint_interval_alternating_vs_truncation():
 def test_selfadjoint_interval_rejects_non_selfadjoint():
     with pytest.raises(NotSelfAdjointError):
         selfadjoint_interval(WORD01)
+
+
+@pytest.mark.parametrize("scale", [2.0**-500, 1e-13, 2.0**500])
+def test_selfadjoint_interval_at_any_scale(scale):
+    # the free Jacobi spec's interval is [-2, 2] times the scale, and word 01
+    # is refused however small
+    lo, hi = selfadjoint_interval(PeriodSpec(a=scale, b=0, c=scale, p=2))
+    assert abs(lo / scale + 2) <= 1e-12 and abs(hi / scale - 2) <= 1e-12
+    with pytest.raises(NotSelfAdjointError):
+        selfadjoint_interval(PeriodSpec(a=(0, scale), b=0, c=scale))
 
 
 # --- union hulls and truncation ranges -------------------------------------------
@@ -483,43 +491,115 @@ TWO_EDGES = PeriodSpec(
 )
 
 
+def two_edge_specs() -> dict[str, PeriodSpec]:
+    """Seeded random complex specs (p = 4..7) whose edges j and l vanish at
+    pi/2: a_{j+1} = conj(c_j) makes edge j c_j cos(theta).  The wrap edge
+    is among them in some, and not in others."""
+    rng, specs = np.random.default_rng(2025), {}
+    for i in range(6):
+        p = 4 + i % 4
+        a, b, c = (rng.standard_normal(p) + 1j * rng.standard_normal(p) for _ in range(3))
+        for j in rng.choice(p, 2, replace=False):
+            a[(j + 1) % p] = np.conj(c[j])
+        specs[f"two-edges{i}"] = PeriodSpec(a=a, b=b, c=c)
+    return specs
+
+
 def core_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
-    """The union's O(p) touch points at directions where at most one edge vanishes."""
-    return sweep._cycle_touch_points(spec, thetas, *sweep._scaled_tridiagonals(spec, thetas)[:3])
+    """The union's O(p) touch points at directions ``thetas``."""
+    return sweep._cycle_touch_points(spec, np.asarray(thetas, dtype=float))
 
 
-@pytest.mark.parametrize(
-    "spec, thetas",
-    [
-        (WORD01, [np.pi / 2, 3 * np.pi / 2]),
-        (PeriodSpec.from_word("11"), [np.pi / 2]),
-        (PeriodSpec(a=0, b=(1.0, 1j), c=0), [0.0, np.pi / 4, 2.0]),
-        (PeriodSpec(a=(0.0, 1.0), b=0.0, c=(1.0, 0.0)), [0.3, np.pi / 2, 4.0]),
-        (TWO_EDGES, [np.pi / 2]),
-    ],
-    ids=["01", "11", "diagonal", "split", "two-edges"],
-)
-def test_split_touch_points_match_dense_sweep(spec, thetas):
-    # at each split direction the union's touch points (the two ends of the
-    # O(p) core where one edge vanishes: word 01, the split spec off pi/2;
-    # the dense grid for word 11 and the two-edge spec, the one twist 0 for
-    # the specs without an edge, where two vanish) are points of the per-phi
-    # dense sweep and span the same segment of the support line; degenerate
-    # directions (word 11 and the two-edge spec at pi/2, the diagonal spec at
-    # pi/4, the split spec at pi/2) add their flat-edge ends
+def flat_edge_extremes(spec: PeriodSpec, theta: float, phi):
+    """The dense oracle of the union at theta, for each twist of ``phi``:
+    the support of W(S(phi)) and the two ends, along the support line, of
+    the flat edge where it touches (the extremes of the skew part compressed
+    to the top eigenspace of the Hermitian part, by eigh)."""
+    m = np.exp(-1j * theta) * build_symbol(spec, phi)
+    values, vecs = np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
+    top = values[:, -1]
+    dims = (values >= (top - 1e-10 * (1 + np.abs(top)))[:, None]).sum(axis=1)
+    ends = np.empty((2, top.size))
+    for dim in np.unique(dims):
+        t = dims == dim
+        span = vecs[t][:, :, -dim:]
+        skew = (m[t] - np.conj(np.swapaxes(m[t], -1, -2))) / 2j
+        compressed = np.conj(np.swapaxes(span, -1, -2)) @ skew @ span
+        ends[:, t] = np.linalg.eigvalsh(0.5 * (compressed + np.conj(np.swapaxes(compressed, -1, -2))))[:, [0, -1]].T
+    return top, ends
+
+
+def dense_flat_edge(spec: PeriodSpec, theta: float, num_phi: int = 200_000):
+    """The union's support at theta, the ends of its flat edge along the
+    support line on a ``num_phi`` twist grid, and those ends refined by
+    golden-section search within a grid step of the best twist (the
+    extremes are smooth in phi, so a grid falls short of them by about the
+    square of its step: 4.7e-12 for TWO_EDGES at this grid)."""
+    grid, step = phi_grid(num_phi), 2 * np.pi / num_phi
+    parts = [flat_edge_extremes(spec, theta, grid[s : s + 20_000]) for s in range(0, num_phi, 20_000)]
+    top, ends = np.concatenate([x[0] for x in parts]), np.hstack([x[1] for x in parts])
+    refined, ratio = [], (np.sqrt(5) - 1) / 2
+    for side, sign in enumerate([-1.0, 1.0]):
+        values = sign * ends[side]
+        lo, hi = grid[values.argmax()] - step, grid[values.argmax()] + step
+        for _ in range(60):
+            left, right = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+            f = sign * flat_edge_extremes(spec, theta, [left, right])[1][side]
+            lo, hi = (lo, right) if f[0] >= f[1] else (left, hi)
+        best = sign * flat_edge_extremes(spec, theta, [(lo + hi) / 2])[1][side, 0]
+        refined.append(sign * max(values.max(), best))
+    return top.max(), ends[0].min(), ends[1].max(), np.array(refined)
+
+
+SPLIT_DIRECTIONS = {
+    "01": (WORD01, [np.pi / 2, 3 * np.pi / 2]),
+    "11": (PeriodSpec.from_word("11"), [np.pi / 2]),
+    "diagonal": (PeriodSpec(a=0, b=(1.0, 1j), c=0), [0.0, np.pi / 4, 2.0]),
+    "split": (PeriodSpec(a=(0.0, 1.0), b=0.0, c=(1.0, 0.0)), [0.3, np.pi / 2, 4.0]),
+    "two-edges": (TWO_EDGES, [np.pi / 2]),
+    **{name: (spec, [np.pi / 2]) for name, spec in two_edge_specs().items()},
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_DIRECTIONS)
+def test_split_touch_points_match_dense_sweep(name):
+    # at each split direction (where an edge vanishes: one for word 01 and
+    # the split spec off pi/2, two or more for the others) the union's two
+    # touch points lie on the support line and are the ends of its flat
+    # edge: the extremes along that line of a 200,000-twist dense sweep,
+    # refined around its best twists, and no twist of the grid reaches
+    # beyond them; degenerate directions (word 11 and TWO_EDGES at pi/2,
+    # the diagonal spec at pi/4, the split spec at pi/2) take the blocks
+    # the cut leaves
+    spec, thetas = SPLIT_DIRECTIONS[name]
     vanishing = _twist_angles(spec, np.array(thetas))[1]
     assert vanishing.any(axis=1).all()
-    symbols = build_symbol(spec, phi_grid(48))
-    for theta, many in zip(thetas, vanishing.sum(axis=1) >= 2):
-        if many:
-            directions, phi = _union_twists(spec, np.array([theta]), 48)
-            points = _dense_touch_points(build_symbol(spec, phi), np.exp(-1j * directions))
-        else:
-            points = core_touch_points(spec, np.array([theta]))
-        dense = _dense_touch_points(symbols, np.full(48, np.exp(-1j * theta)))
-        assert np.abs(points[:, None] - dense[None, :]).min(axis=1).max() <= 1e-12
-        ends = convex_hull(dense).vertices
-        assert np.abs(ends[:, None] - points[None, :]).min(axis=1).max() <= 1e-12
+    for theta in thetas:
+        points = core_touch_points(spec, [theta])
+        assert points.size == 2
+        z = np.exp(-1j * theta) * points
+        top, grid_lo, grid_hi, ends = dense_flat_edge(spec, theta)
+        assert np.abs(z.real - top).max() <= 1e-12
+        assert np.abs(np.sort(z.imag) - ends).max() <= 1e-12
+        assert grid_lo >= z.imag.min() - 1e-12 and grid_hi <= z.imag.max() + 1e-12
+
+
+def test_two_edge_specs_split_into_blocks():
+    # each seeded spec has exactly two vanishing edges at pi/2, the wrap
+    # edge among them in some specs and not in others
+    vanishing = [_twist_angles(s, np.array([np.pi / 2]))[1][0] for s in two_edge_specs().values()]
+    assert all(v.sum() == 2 for v in vanishing)
+    assert 0 < sum(v[-1] for v in vanishing) < len(vanishing)
+
+
+def test_tied_blocks_across_the_wrap_edge():
+    # TWO_EDGES turned by one row: edges 0 and 2 vanish, so the two equal
+    # blocks are rows 1..2 and rows 3, 0, across the wrap edge; the points
+    # are TWO_EDGES's, up to rounding
+    turned = PeriodSpec(a=np.roll(TWO_EDGES.a, 1), b=np.roll(TWO_EDGES.b, 1), c=np.roll(TWO_EDGES.c, 1))
+    assert _twist_angles(turned, np.array([np.pi / 2]))[1].nonzero()[1].tolist() == [0, 2]
+    points = core_touch_points(turned, [np.pi / 2])
+    np.testing.assert_allclose(points, core_touch_points(TWO_EDGES, [np.pi / 2]), rtol=0, atol=1e-14)
 
 
 def forced_split_specs() -> dict[str, PeriodSpec]:
@@ -551,24 +631,29 @@ def closed_form_twists(spec: PeriodSpec, theta: float) -> np.ndarray:
     return minus_arg_p + np.array([-np.pi / 2, np.pi / 2])
 
 
+def top_touch_points(spec: PeriodSpec, theta: float, phi) -> np.ndarray:
+    """Rayleigh quotients of S(phi) at the top eigenvectors of the Hermitian
+    parts of e^{-i theta} S(phi), one per twist, by eigh."""
+    symbols = build_symbol(spec, phi)
+    m = np.exp(-1j * theta) * symbols
+    y = np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))[1][:, :, -1]
+    return np.einsum("ti,tij,tj->t", y.conj(), symbols, y)
+
+
 @pytest.mark.parametrize("spec", forced_split_specs().values(), ids=forced_split_specs().keys())
 def test_split_twists_give_the_flat_edge_ends(spec):
     # the O(p) core's two touch points are those of the symbols at the
     # closed-form twists (dense eigh, the oracle), lie on the support line,
     # and no touch point of a 20,000-phi grid lies beyond them along it
     theta = np.pi / 2
-    ends = core_touch_points(spec, np.array([theta]))
+    ends = core_touch_points(spec, [theta])
     assert ends.size == 2
-    oracle = _dense_touch_points(build_symbol(spec, closed_form_twists(spec, theta)), np.full(2, np.exp(-1j * theta)))
-    assert oracle.size == 2
+    oracle = top_touch_points(spec, theta, closed_form_twists(spec, theta))
     assert np.abs(ends[:, None] - oracle[None, :]).min(axis=1).max() <= 1e-12
     assert np.abs(oracle[:, None] - ends[None, :]).min(axis=1).max() <= 1e-12
     top = top_eigenvalues(spec, theta, 0.0)
     assert np.abs((np.exp(-1j * theta) * ends).real - top).max() <= 1e-12
-    symbols = build_symbol(spec, phi_grid(20_000))
-    m = np.exp(-1j * theta) * symbols
-    y = np.linalg.eigh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))[1][:, :, -1]
-    along = (np.exp(-1j * theta) * np.einsum("ti,tij,tj->t", y.conj(), symbols, y)).imag
+    along = (np.exp(-1j * theta) * top_touch_points(spec, theta, phi_grid(20_000))).imag
     lo, hi = np.sort((np.exp(-1j * theta) * ends).imag)
     assert along.min() >= lo - 1e-13 and along.max() <= hi + 1e-13
 
@@ -689,28 +774,33 @@ def test_union_hull_off_split_directions_needs_no_lapack(monkeypatch):
     assert len(symbol_union_hull(spec, cfg)) > 720
 
 
-DENSE_SPLIT_SPECS = {**forced_split_specs(), "11": PeriodSpec.from_word("11"), "two-edges": TWO_EDGES}
+NO_LAPACK_SPECS = {
+    **forced_split_specs(),
+    "11": PeriodSpec.from_word("11"),
+    "two-edges": TWO_EDGES,
+    "diagonal": PeriodSpec(a=0, b=(1.0, 1j), c=0),
+    "split": PeriodSpec(a=(0.0, 1.0), b=0.0, c=(1.0, 0.0)),
+    "p8": random_spec(np.random.default_rng(1300), 8),
+    **two_edge_specs(),
+}
 
 
-@pytest.mark.parametrize("name", DENSE_SPLIT_SPECS)
+@pytest.mark.parametrize("name", NO_LAPACK_SPECS)
 def test_union_hull_solves_only_split_symbols_densely(monkeypatch, name):
-    # only the symbols of directions where two or more edges vanish go to
-    # eigh: none of 0^n 1 and the forced-split specs, whose split directions
-    # have one vanishing edge; the num_phi grid at pi/2 and 3pi/2, in one
-    # batch, for word 11 and the two-edge spec
-    spec, cfg = DENSE_SPLIT_SPECS[name], SweepConfig(720, 720)
+    # no symbol goes to eigh, however many edges vanish: one at the split
+    # directions of 0^n 1 and the forced-split specs, two at pi/2 and 3pi/2
+    # for word 11, TWO_EDGES and the seeded two-edge specs, every edge of
+    # the diagonal spec and one or two of the split spec at every direction,
+    # none for the seeded p = 8 spec
+    def refuse(_):
+        raise AssertionError("dense eigensolve")
+
+    spec, cfg = NO_LAPACK_SPECS[name], SweepConfig(720, 720)
     count = _twist_angles(spec, _union_directions(spec, cfg))[1].sum(axis=1)
-    seen, solve = [], sweep.eigh
-
-    def record(m):
-        seen.append(m.shape)
-        return solve(m)
-
-    monkeypatch.setattr(sweep, "eigh", record)
-    symbol_union_hull(spec, cfg)
-    many = (count >= 2).sum()
-    assert many == (2 if name in ("11", "two-edges") else 0) and count.max() >= 1
-    assert seen[:1] == ([(many * cfg.num_phi, spec.p, spec.p)] if many else [])
+    most = {"11": 2, "two-edges": 2, "diagonal": 2, "split": 2, "p8": 0}
+    assert count.max() == most.get(name, 2 if name.startswith("two-edges") else 1)
+    monkeypatch.setattr(sweep, "eigh", refuse)
+    assert len(symbol_union_hull(spec, cfg)) >= 2
 
 
 @pytest.mark.parametrize("word", ["01", "001", "0001", "011"])
@@ -724,8 +814,7 @@ def test_union_directions_match_the_per_interval_grids(word):
 
 
 def test_symbol_union_hull_memory_is_bounded():
-    # the O(p) core holds a few (p, directions) arrays, and the split
-    # directions go to eigh in bounded batches
+    # the O(p) core holds a few (p, directions) arrays
     tracemalloc.start()
     try:
         symbol_union_hull(PeriodSpec.from_word("0001"), SweepConfig(720, 720))
@@ -752,12 +841,11 @@ def test_dense_sweep_memory_is_bounded():
 def test_dense_sweep_chunks_change_no_bit(monkeypatch):
     # word 01's truncation has flat edges at theta = pi/2 and 3pi/2, whose
     # ends come after the top points whatever the chunking
-    stack = np.repeat(build_truncation(WORD01, 6)[None], 64, axis=0)
-    phase = np.exp(-1j * 2 * np.pi * np.arange(64) / 64)
-    whole = _dense_touch_points(stack, phase)
+    a, cfg = build_truncation(WORD01, 6), SweepConfig(64)
+    whole = boundary_points(a, cfg)
     assert whole.size > 64
     monkeypatch.setattr(sweep, "_DENSE_BATCH_BYTES", 7 * 16 * 36)
-    np.testing.assert_array_equal(_dense_touch_points(stack, phase), whole)
+    np.testing.assert_array_equal(boundary_points(a, cfg), whole)
 
 
 # --- flat-edge ends of truncations in O(k), and the multisection core ------------
