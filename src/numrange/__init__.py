@@ -24,7 +24,6 @@ from .operators import (
 from .geometry import (
     RangePolygon,
     convex_hull,
-    distance_to_region,
     hausdorff,
     polygon_from_csv,
     polygon_to_csv,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ellipse import stadium_region
-from .geometry import RangePolygon, convex_hull, distance_to_region, hausdorff, support_width
+from .geometry import RangePolygon, convex_hull, excess, hausdorff, support_width
 from .operators import (
     PeriodSpec,
     build_block_unitary,
@@ -189,10 +189,10 @@ def check_hull_convergence(
     cfg: SweepConfig,
 ) -> CheckReport:
     """Hausdorff gap between the k_max truncation range and the symbol-union
-    hull, given ``containment``, the farthest a vertex of ``trunc`` is from ``hull``."""
+    hull, given ``containment``, the :func:`~numrange.geometry.excess` of ``trunc`` over ``hull``."""
     if k_max < 2 * spec.p:
         raise ValueError("k_max must be at least twice the period")
-    hausdorff_gap = max(containment, float(distance_to_region(hull.vertices, trunc).max()))
+    hausdorff_gap = max(containment, excess(hull, trunc))
     return CheckReport(
         name="hull_convergence",
         parameters={
@@ -333,7 +333,7 @@ def check_range_negation_symmetry(
     return CheckReport(
         name="conjecture_symmetry",
         parameters={"n": n, "num_theta": cfg.num_theta},
-        metric=hausdorff(plus, convex_hull(-minus.vertices)),
+        metric=hausdorff(plus, RangePolygon(-minus.vertices)),
         tolerance=1e-8,
     )
 
@@ -435,7 +435,7 @@ def run_all(
     # them (each pair matrix is swept once); the caches live only for this call.
     union_hull = functools.cache(lambda word: symbol_union_hull(PeriodSpec.from_word(word), cfg))
     trunc_range = functools.cache(lambda word, k: truncation_range(PeriodSpec.from_word(word), k, cfg))
-    excess = functools.cache(lambda w, k: float(distance_to_region(trunc_range(w, k).vertices, union_hull(w)).max()))
+    outside = functools.cache(lambda w, k: excess(trunc_range(w, k), union_hull(w)))
     pair_ranges = functools.cache(lambda n: _pair_ranges(n, cfg))
     pair_hull = functools.cache(lambda n: _hull_of_pair_ranges(*pair_ranges(n)))
     stadium = functools.cache(lambda: stadium_region(cfg.num_theta))
@@ -449,10 +449,10 @@ def run_all(
     for word in params["main_words"]:
         spec = PeriodSpec.from_word(word)
         k = params["k_main"] + (len(word) - params["k_main"] % len(word)) % len(word)
-        shared = lambda w=word, kk=k: (trunc_range(w, kk), union_hull(w), excess(w, kk))
+        shared = lambda w=word, kk=k: (trunc_range(w, kk), union_hull(w), outside(w, kk))
         jobs.append(("hull_convergence", lambda sp=spec, kk=k, sh=shared: check_hull_convergence(sp, kk, *sh(), cfg)))
         jobs.append(
-            ("hull_containment", lambda sp=spec, kk=k, w=word: check_truncation_containment(sp, kk, excess(w, kk), cfg))
+            ("hull_containment", lambda sp=spec, kk=k, w=word: check_truncation_containment(sp, kk, outside(w, kk), cfg))
         )
 
     sa_spec = PeriodSpec(a=(1.0, 1.0), b=0.0, c=(1.0, 1.0))

@@ -69,16 +69,16 @@ def symbol_ellipse_point(phi: float, t) -> complex | np.ndarray:
     return complex(z) if z.ndim == 0 else z
 
 
-def tangency_parameter(phi: float, psi: float) -> float:
+def tangency_parameter(phi: float, psi) -> float | np.ndarray:
     """Parameter angle maximizing ``Re(symbol_ellipse_point(phi, t) e^{-i psi})``.
 
-    Writing the support profile as ``A cos(t - B)``, this returns B.
+    Writing the support profile as ``A cos(t - B)``, this returns B: a float
+    for a scalar ``psi``, an array for an array of them.
     """
     params = symbol_ellipse(phi)
-    delta = params.rotation - psi
-    return float(
-        np.arctan2((abs(params.w) - 1.0) * np.sin(delta), (abs(params.w) + 1.0) * np.cos(delta))
-    )
+    delta = params.rotation - np.asarray(psi, dtype=float)
+    b = np.arctan2((abs(params.w) - 1.0) * np.sin(delta), (abs(params.w) + 1.0) * np.cos(delta))
+    return float(b) if b.ndim == 0 else b
 
 
 def _validate_psi(psi: float) -> None:

@@ -674,7 +674,10 @@ def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas, d, e, beta, exponent
     lengths = np.diff(np.append(starts, n * k))
     angle = starts // k
     key = (angle * p + starts % k % p) * (p + 1) + lengths
-    _, rep, kind = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(key, kind="stable")
+    new = np.append(True, np.diff(key[order]) != 0)
+    rep, kind = order[new], np.empty_like(order)
+    kind[order] = np.cumsum(new) - 1
     offset = np.arange(lengths.max())[:, None]
     valid = offset < lengths[rep]
     index = np.where(valid, starts[rep] + offset, 0)

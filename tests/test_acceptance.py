@@ -13,7 +13,6 @@ from numrange.ellipse import symbol_ellipse_point, stadium_region, tangency_para
 from numrange.geometry import (
     RangePolygon,
     convex_hull,
-    distance_to_region,
     hausdorff,
     support_width,
 )
@@ -36,6 +35,7 @@ from numrange.sweep import (
     symbol_union_hull,
     truncation_range,
 )
+from oracles import distance_to_region
 
 SEED = 20260808
 FULL = SweepConfig(num_theta=720, num_phi=720)
@@ -220,7 +220,7 @@ def test_criterion_8_ellipse_cross_validation():
         swept = range_boundary(build_symbol(spec, phi), cfg)
         # polygonize the ellipse at the tangency parameters of the sweep
         # directions: both polygons then sample the same boundary contacts
-        t_match = np.array([tangency_parameter(phi, theta) for theta in thetas])
+        t_match = tangency_parameter(phi, thetas)
         ellipse = convex_hull(symbol_ellipse_point(phi, t_match))
         worst_hd = max(worst_hd, hausdorff(swept, ellipse))
         b_up = tangency_parameter(phi, np.pi / 2)

@@ -34,8 +34,9 @@ from numrange.operators import (
     phi_grid,
 )
 from numrange.ellipse import stadium_region
-from numrange.geometry import RangePolygon, distance_to_region
+from numrange.geometry import RangePolygon
 from numrange.sweep import NotSelfAdjointError, SweepConfig, symbol_union_hull, truncation_range
+from oracles import distance_to_region
 
 CFG = SweepConfig(num_theta=192, num_phi=192)
 WORD01 = PeriodSpec.from_word("01")
@@ -288,16 +289,16 @@ def test_run_all_builds_each_polygon_once(monkeypatch):
 
 
 def test_run_all_measures_the_truncation_excess_once(monkeypatch):
-    """hull_convergence and hull_containment share the distance of the
-    truncation's vertices from the union hull: with the hull's vertices
-    against the truncation, two distance sweeps per main word, not three."""
-    calls, measure = [], checks.distance_to_region
+    """hull_convergence and hull_containment share the excess of the
+    truncation range over the union hull: with the hull's excess over the
+    truncation, two excesses per main word, not three."""
+    calls, measure = [], checks.excess
 
-    def counting(points, polygon):
-        calls.append(polygon)
-        return measure(points, polygon)
+    def counting(p, q):
+        calls.append(q)
+        return measure(p, q)
 
-    monkeypatch.setattr(checks, "distance_to_region", counting)
+    monkeypatch.setattr(checks, "excess", counting)
     reports = run_all("quick", only="hull_con")
     assert sorted(r.name for r in reports) == ["hull_containment", "hull_convergence"]
     assert len(calls) == 2

@@ -12,9 +12,10 @@ from numrange.ellipse import (
     tangency_parameter,
     tangent_line_support,
 )
-from numrange.geometry import convex_hull, distance_to_region, hausdorff, support_width
+from numrange.geometry import convex_hull, hausdorff, support_width
 from numrange.operators import PeriodSpec, build_symbol, conjecture_matrices
 from numrange.sweep import SweepConfig, boundary_points, range_boundary
+from oracles import distance_to_region
 
 WORD01 = PeriodSpec.from_word("01")
 
@@ -139,6 +140,16 @@ def test_tangency_parameter_reproduces_contact_points():
         assert symbol_ellipse_point(psi, b) == pytest.approx(
             1 + 0.5 * np.exp(1j * psi), abs=1e-8
         )
+
+
+def test_tangency_parameter_takes_an_array_of_directions():
+    psi = np.linspace(0, 2 * np.pi, 97)
+    for phi in (0.0, 1.3, np.pi):
+        many = tangency_parameter(phi, psi)
+        assert isinstance(many, np.ndarray) and many.shape == psi.shape
+        one = [tangency_parameter(phi, x) for x in psi]
+        assert all(isinstance(b, float) for b in one)
+        np.testing.assert_allclose(many, one, rtol=0, atol=1e-15)
 
 
 # --- stadium ---------------------------------------------------------------------

@@ -9,7 +9,7 @@ from numrange.geometry import (
     CROSS_TOL,
     RangePolygon,
     convex_hull,
-    distance_to_region,
+    excess,
     hausdorff,
     polygon_from_csv,
     polygon_to_csv,
@@ -17,6 +17,7 @@ from numrange.geometry import (
 )
 from numrange.operators import PeriodSpec, build_symbol
 from numrange.sweep import SweepConfig, _symbol_points, boundary_points, phi_grid
+from oracles import distance_to_region
 
 RNG = np.random.default_rng(31)
 
@@ -294,6 +295,58 @@ def test_hausdorff_matches_boundary_sampling_oracle():
         )
         assert hausdorff(p, q) >= oracle - 1e-12  # sampling can only miss the max
         assert hausdorff(p, q) <= oracle + 1e-6
+
+
+def vertex_excess(p: RangePolygon, q: RangePolygon) -> float:
+    """The per-point oracle of :func:`excess`: the distance from filled ``q``
+    is convex, so over filled ``p`` it peaks at a vertex."""
+    return float(distance_to_region(p.vertices, q).max())
+
+
+def excess_cases():
+    """Pairs of polygons: random, a point or a segment against each other
+    and against polygons, nearly equal, and built directly."""
+    rng = np.random.default_rng(7)
+    noise = lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    cloud = lambda n, shift=0.0: convex_hull(shift + noise(n))
+    for _ in range(60):
+        n, m = rng.integers(3, 40, 2)
+        yield cloud(n), cloud(m, 0.5 * complex(*rng.standard_normal(2)))
+    small = [RangePolygon(np.array(v)) for v in ([0.3 - 0.2j], [2 + 1j], [-1 - 1j, 1 + 0.5j], [0.5j, 0.2 - 0.7j])]
+    for s in small:
+        yield s, cloud(12)
+        for t in small:
+            yield s, t
+    for _ in range(20):
+        p = cloud(int(rng.integers(3, 30)))
+        yield p, convex_hull(p.vertices + 1e-12 * noise(len(p)))
+        yield p, RangePolygon(p.vertices * (1 - 1e-13))
+    square = RangePolygon(np.array([0, 1, 1 + 1j, 1j]))
+    yield square, RangePolygon(np.array([0.5 - 0.5j, 1.5 + 0.5j, -0.2 + 0.6j]))
+    yield square, RangePolygon(square.vertices + 1e-15j)
+
+
+@pytest.mark.parametrize("scale", [2.0**-500, 1.0, 2.0**500], ids=["2^-500", "1", "2^500"])
+def test_excess_matches_the_vertex_oracle(scale):
+    for p, q in excess_cases():
+        p, q = RangePolygon(scale * p.vertices), RangePolygon(scale * q.vertices)
+        size = scale * max(np.abs(p.vertices).max(), np.abs(q.vertices).max(), 1.0)
+        for a, b in ((p, q), (q, p)):
+            assert excess(a, b) == pytest.approx(vertex_excess(a, b), rel=1e-12, abs=1e-15 * size)
+        assert hausdorff(p, q) == max(excess(p, q), excess(q, p))
+
+
+def test_excess_is_zero_inside_and_exact_outside():
+    square = RangePolygon(np.array([0, 2, 2 + 2j, 2j]))
+    inner = RangePolygon(np.array([0.5 + 0.5j, 1.5 + 0.5j, 1 + 1.5j]))
+    assert excess(inner, square) == 0.0 and excess(square, square) == 0.0
+    assert excess(RangePolygon(np.array([0.0])), square) == 0.0
+    # the farthest point of a filled triangle outside the square is its apex
+    apex = RangePolygon(np.array([0.5 + 0.5j, 1.5 + 0.5j, 1 + 3j]))
+    assert excess(apex, square) == 1.0
+    # off a corner the farthest direction lies inside an arc between normals
+    assert excess(RangePolygon(np.array([3 + 3j])), square) == pytest.approx(np.sqrt(2), abs=1e-15)
+    assert excess(square, RangePolygon(np.array([5 + 2j]))) == pytest.approx(abs(5 + 2j))
 
 
 def test_contains():

@@ -10,7 +10,6 @@ from numrange import sweep
 from numrange.geometry import (
     RangePolygon,
     convex_hull,
-    distance_to_region,
     hausdorff,
     support_width,
 )
@@ -30,6 +29,7 @@ from numrange.sweep import (
     truncation_range,
     truncation_support,
 )
+from oracles import distance_to_region
 
 RNG = np.random.default_rng(42)
 WORD01 = PeriodSpec.from_word("01")
