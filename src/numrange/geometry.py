@@ -160,7 +160,12 @@ def polygon_to_csv(polygon: RangePolygon, path) -> None:
 
 
 def polygon_from_csv(path) -> RangePolygon:
-    """Read a polygon written by :func:`polygon_to_csv`."""
+    """Read a polygon written by :func:`polygon_to_csv`.
+
+    Raises ``ValueError`` unless the vertices are distinct and, from three
+    on, counterclockwise convex: every turn positive, winding once.  That is
+    the contract of :class:`RangePolygon`, which :func:`excess` relies on.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "re,im":
@@ -172,4 +177,13 @@ def polygon_from_csv(path) -> RangePolygon:
                 continue
             re_s, im_s = line.split(",")
             vertices.append(complex(float(re_s), float(im_s)))
-    return RangePolygon(np.array(vertices, dtype=complex))
+    polygon = RangePolygon(np.array(vertices, dtype=complex))
+    v = polygon.vertices
+    if (np.diff(np.sort(v)) == 0).any():
+        raise ValueError("polygon vertices must be distinct")
+    if v.size > 2:
+        edges = np.roll(v, -1) - v
+        turns = _cross(np.roll(v, 1), v, np.roll(v, -1))
+        if not (turns > 0).all() or np.angle(np.roll(edges, -1) / edges).sum() > 3 * np.pi:
+            raise ValueError("polygon vertices must be counterclockwise convex")
+    return polygon

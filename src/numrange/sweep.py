@@ -13,12 +13,14 @@ truncations and symbol unions need none.  Truncations have tridiagonal
 Hermitian parts, similar to real symmetric ones: Sturm counts with Newton
 steps down from the periodic operator's top band edge, multisection and
 inverse iteration (Parlett, *The Symmetric Eigenvalue Problem*, ch. 7)
-take O(k) per angle, flat-edge ends included.  The union of the symbols' ranges
-takes one O(p) solve per direction: its support is attained at a twist
-known in closed form, where the symbol gauges to a real cycle whose top
-eigenvalue is the band edge and whose Perron vector gives the touch point.
-Where edges vanish the twist is free, and the ends of the union's flat
-edge come from a cycle of the blocks between them.
+take O(k) per angle.  The union of the symbols' ranges takes one O(p)
+solve per direction: its support is attained at a twist known in closed
+form, where the symbol gauges to a real cycle whose top eigenvalue is the
+band edge and whose Perron vector gives the touch point.  Both take their
+flat edges from one block core: where edges of the period's Hermitian part
+vanish it splits into blocks, one O(p) solve gives each block's top
+eigenvector, and the skew part compressed to the top blocks (a cycle for
+unions, a path of the period's blocks for truncations) gives the two ends.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ PIVMIN = np.finfo(float).eps
 # Bytes of Hermitian parts the dense sweep hands to one batched ``eigh``; the
 # directions go in chunks of this size, so memory stays bounded for any
 # number of angles.  Truncations chunk their flat-edge angles to the same
-# budget per (angles, k) array, and :func:`_top_eigenvalues` keeps the arrays
+# budget per (blocks, angles) array, and :func:`_top_eigenvalues` keeps the arrays
 # its multisection tiles within it.
 _DENSE_BATCH_BYTES = 1 << 22
 # Bytes of one (k, angles) array of truncation eigenvectors: the sweep takes
@@ -217,13 +219,6 @@ def _scaled_tridiagonals(spec: PeriodSpec, thetas: np.ndarray):
     exponent = int(np.frexp(max(np.abs(diag).max(initial=0.0), modulus.max(initial=0.0)))[1])
     scaled = [np.ascontiguousarray(np.ldexp(x.T, -exponent)) for x in (diag, modulus)]
     return *scaled, beta, exponent
-
-
-def _skew_edges(spec: PeriodSpec, thetas) -> np.ndarray:
-    """The entries ``gamma_j`` right of the diagonal of the skew part of
-    ``e^{-i theta} T``, shape (num_theta, p), as ``beta`` are of its Hermitian part."""
-    w = np.exp(-1j * np.asarray(thetas))[:, None]
-    return (w * spec.c - np.conj(w * np.roll(spec.a, -1))) / 2j
 
 
 def _edge_rounding(spec: PeriodSpec) -> np.ndarray:
@@ -626,6 +621,74 @@ def _touch_points(spec: PeriodSpec, beta, x, cycle=False) -> np.ndarray:
     return quotient / xx.sum(axis=0)
 
 
+def _cut_blocks(spec: PeriodSpec, thetas, d, e, beta, exponent, cut):
+    """The period's Hermitian part at each of ``thetas`` (``d, e, beta,
+    exponent`` of :func:`_scaled_tridiagonals`) with the edges ``cut`` (p,
+    directions) set to 0: its Perron vector at the band edge (rows rolled),
+    and per block (rows between two cut edges; slot j ends at cut edge j)
+    of the directions with cut edges, that vector's part normalised, near
+    the band edge the block's top eigenvector.  Their rows start after the
+    first cut edge, so the wrap edge is cut (else a wrap block tied with
+    another would leave the other ``det * y`` with a Woodbury determinant
+    that rounds to 0 or below).  Per block it returns the Hermitian quotient
+    (-inf in unused slots, as tops can be negative); in the gauge of
+    :func:`_touch_points` with the phase of ``conj(gamma_j)`` across each cut
+    edge j, the skew quotient and T's quotient; the first entry; and the last
+    entry times ``|gamma_j|`` and T's link term ``c_j u_j + a_{j+1} conj(u_j)``.
+    """
+    p, split = d.shape[0], np.flatnonzero(cut.any(axis=0))
+    at = (np.arange(p)[:, None] + cut[:, split].argmax(axis=0) + 1) % p
+    rows = lambda y: np.take_along_axis(y, at, axis=0)
+    d, e = d.copy(), np.where(cut, 0.0, e)
+    d[:, split], e[:, split] = rows(d[:, split]), rows(e[:, split])
+    x = _perron_vectors(d, e, _band_edges(d, e))
+    # from here on, only the directions with cut edges
+    thetas, beta, cut, d, e, v = thetas[split], beta[split].T, *(y[:, split] for y in (cut, d, e, x))
+    m, c, col = cut.sum(axis=0), rows(cut), np.arange(split.size)
+    block = rows((np.cumsum(cut, axis=0) - cut) % m)
+    index = (block * split.size + col).ravel()
+    sums = lambda y: np.bincount(index, y.ravel(), p * split.size).reshape(p, -1)
+    per_block = lambda y: sums(y.real) + 1j * sums(y.imag) if np.iscomplexobj(y) else sums(y)
+    v = v / np.sqrt(per_block(v * v))[block, col]
+    pairs = v * np.roll(v, -1, axis=0)
+    w = np.exp(-1j * thetas)
+    gamma = (w * spec.c[:, None] - np.conj(w * np.roll(spec.a, -1)[:, None])) / 2j
+    u = np.exp(-1j * np.angle(np.where(cut, gamma, beta)))
+    coupling = rows(spec.c[:, None] * u + np.roll(spec.a, -1)[:, None] * np.conj(u))
+    inner = rows(np.where(cut, 0.0, (gamma * u).real))
+    used = np.arange(p)[:, None] < m
+    h = np.where(used, np.ldexp(per_block(d * v * v + 2 * e * pairs), exponent), -np.inf)
+    s = per_block(rows((w * spec.b[:, None]).imag) * v * v + 2 * inner * pairs)
+    q = per_block(spec.b[at] * v * v + np.where(c, 0.0, coupling) * pairs) / np.where(used, per_block(v * v), 1.0)
+    head = per_block(np.where(np.roll(c, 1, axis=0), v, 0.0))
+    out_gamma = per_block(np.where(c, rows(np.abs(gamma)) * v, 0.0))
+    out_link = per_block(np.where(c, coupling * v, 0.0))
+    return x, (h, s, q, head, out_gamma, out_link)
+
+
+def _flat_ends(s, span, across, after, index, q, out_link, solve) -> np.ndarray:
+    """Both ends of each flat edge (columns), bottom ends first, from its
+    blocks (rows): the top vectors r of the skew part compressed to the
+    spanning blocks (diagonal ``s``, edges ``across``) and of its negation,
+    by ``solve``, give the Rayleigh quotients of T at the phases of
+    ``conj(+-gamma_j)`` across the cut edges,
+    ``(sum r_b^2 q_b +- sum r_b r_{b+1} after_b out_link_b) / sum r_b^2``.
+    Block b is entry ``index[b]`` of ``q`` and ``out_link`` (of
+    :func:`_cut_blocks`), and ``after`` the next block's first entry.  The
+    sums go by entry, so no (blocks, columns) complex array is formed.
+    """
+    scale = np.frexp(np.maximum(np.abs(s * span), across).max(axis=0, initial=0.0))[1]
+    sign, on, shape = np.array([[-1.0], [1.0]]), span[:, None], (len(s), 2, s.shape[1])
+    # the negated and the plain matrix of each column, side by side
+    bd = np.where(on, sign * np.ldexp(s, -scale)[:, None], -2.0)
+    r = solve(bd.reshape(len(s), -1), np.broadcast_to(np.ldexp(across, -scale)[:, None], shape).reshape(len(s), -1))
+    r = r.reshape(shape) * on
+    by_entry = lambda w: np.stack([np.bincount(index.ravel(), w[:, i].ravel(), q.size) for i in (0, 1)])
+    squares = by_entry(r * r).reshape(2, *q.shape)
+    links = by_entry(r * np.roll(r, -1, axis=0) * after[:, None]).reshape(2, *q.shape)
+    return ((squares * q).sum(axis=1) + sign * (links * out_link).sum(axis=1)) / squares.sum(axis=1)
+
+
 def truncation_support(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
     """Support function of W(T_k) at ``thetas``, in the shape of ``thetas``:
     the largest eigenvalue of the Hermitian part of ``e^{-i theta} T_k``, in
@@ -639,83 +702,46 @@ def truncation_support(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
     return np.ldexp(_top_eigenvalues(d, e, k), exponent).reshape(thetas.shape)
 
 
-def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas, d, e, beta, exponent) -> np.ndarray:
-    """Both ends of the flat edge of W(T_k) at each of ``thetas``, in O(k) each.
+def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
+    """Both ends of the flat edge of W(T_k) at each of ``thetas``, in O(k)
+    each: bottom and top end of the first, then of the second, and so on.
 
-    ``d, e, beta, exponent`` are those of :func:`_scaled_tridiagonals` at
-    ``thetas``.  Cutting S at the period's smallest edges (the smallest one,
-    and any within rounding of zero) leaves blocks of at most p rows.  The
-    Sturm core gives the top eigenvalue and eigenvector of each distinct
-    block (by angle, first residue and length), the vector nonnegative by
-    Perron-Frobenius; the blocks whose top is within ``_gap_tol`` of the
-    largest span the flat edge.  The skew part of
-    ``e^{-i theta} T_k`` compressed to that span is tridiagonal over the
-    blocks, and real with a nonnegative off-diagonal once the phase of
-    ``D`` across each cut edge, which the cut leaves free, is that of the
-    skew part's entry there.  The top eigenvectors of it and of its
-    negation (in the ``(-1)^j`` gauge), one column each per angle, combine
-    the block vectors into the ends: Rayleigh quotients of T_k, bottom end
-    first, as in :func:`_flat_edge_ends`.
+    S is cut at the period's smallest edges (the smallest one, and any within
+    rounding of zero).  T_k compresses the periodic operator, so its blocks
+    are copies of the cut period's, but for the first and the last: those
+    come from the period also cut before row 0 and after row k - 1.  One
+    :func:`_cut_blocks` solves the three, each with the rows it does not
+    supply at -4, below any block's top (scaled entries lie in [-1, 1));
+    the blocks of T_k then form a path.
     """
+    d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
     n, p = beta.shape
-    res = np.arange(k) % p
-    size = np.abs(beta)
-    present = np.arange(p) < k - 1
-    smallest = np.where(present, size, np.inf).min(axis=1, keepdims=True)
-    cut = present & (size <= np.maximum(smallest, _edge_rounding(spec)))
-    cut_after = np.zeros((n, k), dtype=bool)
-    cut_after[:, :-1] = cut[:, res[:-1]]
-    link = ~cut_after
-    link[:, -1] = False
-    first = np.ones((n, k), dtype=bool)
-    first[:, 1:] = cut_after[:, :-1]
-    # each block type (angle, first residue, length) as one column, padded
-    starts = np.flatnonzero(first)
-    lengths = np.diff(np.append(starts, n * k))
-    angle = starts // k
-    key = (angle * p + starts % k % p) * (p + 1) + lengths
-    order = np.argsort(key, kind="stable")
-    new = np.append(True, np.diff(key[order]) != 0)
-    rep, kind = order[new], np.empty_like(order)
-    kind[order] = np.cumsum(new) - 1
-    offset = np.arange(lengths.max())[:, None]
-    valid = offset < lengths[rep]
-    index = np.where(valid, starts[rep] + offset, 0)
-    rows = lambda x, keep=True: np.where(keep, x[:, res], 0.0).ravel()
-    gather = lambda x, fill=0.0: np.where(valid, x[index], fill)
-    w = np.exp(-1j * np.asarray(thetas))[:, None]
-    gamma = _skew_edges(spec, thetas)
-    bd, be = gather(rows(d.T), -2.0), gather(rows(e.T, link))
-    tops = _top_eigenvalues(bd, be, offset.size)
-    v = np.where(valid, np.abs(_top_eigenvectors(bd, be, tops, offset.size)), 0.0)
-    v /= np.sqrt((v * v).sum(axis=0))
-    inner = gather(rows((gamma * np.exp(-1j * np.angle(beta))).real, link))
-    diag = (gather(rows((w * spec.b).imag)) * v * v).sum(axis=0)
-    diag += 2 * (inner[:-1] * v[:-1] * v[1:]).sum(axis=0)
-    # the span, block by block
-    head = np.searchsorted(starts, np.arange(n) * k)
-    tops = np.ldexp(tops, exponent)[kind]
-    best = np.maximum.reduceat(tops, head)
-    span = tops >= (best - _gap_tol(best))[angle]
-    # the compressed skew part: blocks as rows, one column per angle
-    across = rows(np.abs(gamma), cut_after)[starts + lengths - 1]
-    off = v[lengths - 1, kind] * span * across * np.append(v[0, kind[1:]] * span[1:], 0.0)
-    pos = np.arange(starts.size) - head[angle]
-    keep, cd, ce = np.zeros((3, pos.max() + 1, n))
-    keep[pos, angle], cd[pos, angle], ce[pos, angle] = span, diag[kind], off
-    scale = np.frexp(np.maximum(np.abs(keep * cd), ce).max(axis=0))[1]
-    # columns 2t and 2t + 1: the negated and the plain matrix of angle t
-    twice = np.repeat(np.arange(n), 2)
-    keep = keep[:, twice] > 0
-    cd = np.where(keep, np.ldexp(cd, -scale)[:, twice] * np.tile([-1.0, 1.0], n), -2.0)
-    ce = np.ldexp(ce, -scale)[:, twice]
-    r = _top_eigenvectors(cd, ce, _top_eigenvalues(cd, ce, keep.shape[0]), keep.shape[0])
-    r[1::2, ::2] *= -1
-    # the combined vectors, row by row, and their Rayleigh quotients
-    block = np.cumsum(first) - 1
-    vrow = (v[np.arange(n * k) - starts[block], kind[block]] * span[block]).reshape(n, k)
-    x = r[pos[block].reshape(n, k)[twice], np.arange(2 * n)[:, None]] * vrow[twice]
-    return _touch_points(spec, np.where(cut, gamma, beta)[twice], x.T)
+    res, size = np.arange(p)[:, None], np.abs(beta).T
+    present = res < k - 1
+    smallest = np.where(present, size, np.inf).min(axis=0)
+    cut = present & (size <= np.maximum(smallest, _edge_rounding(spec)[:, None]))
+    m, first = cut.sum(axis=0), cut.argmax(axis=0)
+    last = k - 2 - np.where(cut, (k - 2 - res) % p, p).min(axis=0)
+    count = (k - 1) // p * m + cut[: (k - 1) % p].sum(axis=0) + 1
+    # rows lo..hi of T_k, bounded by cut edges: its inner, first and last blocks
+    lo = np.concatenate([first + 1, np.zeros(n, dtype=int), last + 1])
+    hi = np.concatenate([last, first, np.full(n, k - 1)])
+    three = np.tile(np.arange(n), 3)
+    cuts = cut[:, three] | (res == (lo - 1) % p) | (res == hi % p)
+    d = np.where((res - lo) % p <= hi - lo, d[:, three], -4.0)
+    h, s, q, head, out_gamma, out_link = _cut_blocks(spec, thetas[three], d, e[:, three], beta[three], exponent, cuts)[1]
+    # T_k's blocks in order, as indices into those; its block j ends at cut edge j
+    t = np.arange(count.max())[:, None]
+    last_slot = cuts[: (k - 1) % p, 2 * n :].sum(axis=0)
+    index = np.where(t == 0, n, np.where(t == count - 1, (3 * last_slot + 2) * n, 3 * n * (t % m))) + np.arange(n)
+    take = lambda y: y.ravel()[index]
+    h = np.where(t < count, take(h), -np.inf)
+    best = h.max(axis=0)
+    span = h >= best - _gap_tol(best)
+    after = np.roll(take(head), -1, axis=0) * (t < count - 1)
+    across = take(out_gamma) * after * span * np.roll(span, -1, axis=0)
+    solve = lambda bd, be: _top_eigenvectors(bd, be, _top_eigenvalues(bd, be, t.size), t.size)
+    return _flat_ends(take(s), span, across, after, index, q.reshape(-1, n), out_link.reshape(-1, n), solve).T.ravel()
 
 
 def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray:
@@ -745,12 +771,12 @@ def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray
         _touch_points(spec, beta[t], _top_eigenvectors(d[:, t], e[:, t], scaled_top[t], k))
         for t in np.array_split(np.arange(thetas.size), parts)
     ]
-    # specs flat at every angle would otherwise hold (num_theta, k) arrays
-    # several times over
+    # specs flat at every angle would otherwise hold (blocks, num_theta)
+    # arrays several times over
     chunk = max(1, _DENSE_BATCH_BYTES // (8 * k))
     for lo in range(0, flat.size, chunk):
         t = flat[lo : lo + chunk]
-        points.append(_truncation_flat_ends(spec, k, thetas[t], d[:, t], e[:, t], beta[t], exponent))
+        points.append(_truncation_flat_ends(spec, k, thetas[t]))
     return _require_finite(np.concatenate(points), "touch point")
 
 
@@ -798,57 +824,30 @@ def _cycle_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
     in O(p) each: one per direction, then the bottom end of each flat edge.
 
     The gauged Hermitian part is the real cycle of :func:`_scaled_tridiagonals`
-    with its vanishing edges cut (set to 0); its Perron vector at the band
-    edge gives the touch point.  Where edges vanish phi is free, so is the
-    phase ``u_j`` across every cut edge j, and the rows start after the
-    first cut edge, so the solve gives each block (the rows between two cut
-    edges) its own Perron vector.  Those within ``_gap_tol`` of the best
-    Hermitian quotient span the flat edge, and the skew part compressed to
-    them is a cycle of the m blocks, cut edge j adding
-    ``2 Re(gamma_j u_j) x_j x_{j+1}``: the Perron vectors of that cycle with
-    edges ``|gamma_j| x_j x_{j+1}`` and of its negation, at the phases of
-    ``conj(+-gamma_j)``, give the ends (m = 1 joins a block to itself).
+    with its vanishing edges cut; its Perron vector at the band edge gives the
+    touch point.  Where edges vanish phi is free, and so is the phase across
+    each cut edge: the blocks whose Hermitian quotient is within ``_gap_tol``
+    of the best span the flat edge, in a cycle (m = 1 joins a block to itself).
     """
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
-    p = d.shape[0]
     cut = (np.abs(beta) <= _edge_rounding(spec)).T
-    split = np.flatnonzero(cut.any(axis=0))
-    start = cut[:, split].argmax(axis=0) + 1
-    roll = lambda y, by: np.take_along_axis(y, (np.arange(p)[:, None] + by) % p, axis=0)
-    e = np.where(cut, 0.0, e)
-    d[:, split], e[:, split] = roll(d[:, split], start), roll(e[:, split], start)
-    x = _perron_vectors(d, e, _band_edges(d, e))
+    x, (h, s, q, head, out_gamma, out_link) = _cut_blocks(spec, thetas, d, e, beta, exponent, cut)
     # the split directions' points are replaced by their ends below
     points = _touch_points(spec, beta, x, cycle=True)
-    # the split directions, rows rolled: blocks by the cut edges before them
-    at = lambda y: roll(y.T, start)
-    beta, gamma, w = beta[split], _skew_edges(spec, thetas[split]), np.exp(-1j * thetas[split])[:, None]
-    c, v, d, e = roll(cut[:, split], start), x[:, split], d[:, split], e[:, split]
-    block, m, col, slot = np.cumsum(c, axis=0) - c, c.sum(axis=0), np.arange(split.size), np.arange(p)[:, None]
-    index = (block * split.size + col).ravel()
-    per_block = lambda y: np.bincount(index, y.ravel(), p * split.size).reshape(p, split.size)
-    v = v / np.sqrt(per_block(v * v))[block, col]
-    pairs = v * np.roll(v, -1, axis=0)
-    # unused slots stay out of the maximum: block tops can be negative
-    tops = np.where(slot < m, np.ldexp(per_block(d * v * v + 2 * e * pairs), exponent), -np.inf)
-    best = tops.max(axis=0, initial=-np.inf)
-    span = tops >= best - _gap_tol(best)
-    inner = np.where(c, 0.0, at((gamma * np.exp(-1j * np.angle(beta))).real))
-    skew = per_block(at((w * spec.b).imag) * v * v + 2 * inner * pairs)
-    across = per_block(np.where(c, at(np.abs(gamma)), 0.0) * pairs) * span * span[(slot + 1) % m, col]
-    scale = np.frexp(np.maximum(np.abs(skew * span), across).max(axis=0, initial=0.0))[1]
+    split = np.flatnonzero(cut.any(axis=0))
+    m, col = cut[:, split].sum(axis=0), np.arange(split.size)
+    best = h.max(axis=0, initial=-np.inf)
+    span = h >= best - _gap_tol(best)
+    nxt = (np.arange(spec.p)[:, None] + 1) % m
+    after = head[nxt, col]
+    across = out_gamma * after * span * span[nxt, col]
     ends = np.empty((2, split.size), dtype=complex)
+    solve = lambda bd, be: _perron_vectors(bd, be, _band_edges(bd, be))
     for size in set(m.tolist()):
         g = np.flatnonzero(m == size)
-        # the negated and the plain cycle of each direction of g
-        both, sign = np.tile(g, 2), np.repeat([-1.0, 1.0], g.size)
-        on = span[:size, both]
-        bd = np.where(on, sign * np.ldexp(skew[:size, both], -scale[both]), -2.0)
-        be = np.ldexp(across[:size, both], -scale[both])
-        r = _perron_vectors(bd, be, _band_edges(bd, be))[block[:, both], np.arange(both.size)]
-        xs = roll(r * v[:, both] * span[block[:, both], both], -start[both])
-        phases = np.where(cut.T[split[both]], sign[:, None] * gamma[both], beta[both])
-        ends[:, g] = _touch_points(spec, phases, xs, cycle=True).reshape(2, -1)
+        blocks = (y[:size, g] for y in (s, span, across, after))
+        index = np.arange(size * g.size).reshape(size, -1)
+        ends[:, g] = _flat_ends(*blocks, index, q[:size, g], out_link[:size, g], solve)
     points[split] = ends[1]
     return np.concatenate([points, ends[0]])
 

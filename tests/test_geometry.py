@@ -396,6 +396,34 @@ def test_csv_rejects_bad_header(tmp_path):
         polygon_from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [0, 1j, 1 + 1j, 1],  # the unit square clockwise
+        [0, 1, 1 + 1j, 1, 1j],  # a repeated vertex
+        [0, 1, 1],
+        [0, 1, 2, 1j],  # a straight turn at 1
+        [np.exp(4j * np.pi * j / 5) for j in range(5)],  # a pentagram: left turns, winding twice
+    ],
+)
+def test_csv_rejects_polygons_that_break_the_contract(tmp_path, vertices):
+    # a clockwise square read back at hausdorff 1.0 from itself, and a
+    # repeated vertex divided by a zero-length edge in excess
+    path = tmp_path / "bad.csv"
+    path.write_text("re,im\n" + "".join(f"{z.real:.17g},{z.imag:.17g}\n" for z in np.asarray(vertices, dtype=complex)))
+    with pytest.raises(ValueError, match="distinct|counterclockwise"):
+        polygon_from_csv(path)
+
+
+@pytest.mark.parametrize("vertices", [[2 - 1j], [0, 1j], [0, 1, 1 + 1j, 1j]])
+def test_csv_accepts_points_segments_and_counterclockwise_polygons(tmp_path, vertices):
+    path = tmp_path / "good.csv"
+    polygon_to_csv(RangePolygon(np.array(vertices, dtype=complex)), path)
+    back = polygon_from_csv(path)
+    assert back.vertices.tolist() == vertices
+    assert hausdorff(back, back) == 0.0
+
+
 def test_polygon_validation():
     with pytest.raises(ValueError):
         RangePolygon(np.array([], dtype=complex))

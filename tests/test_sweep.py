@@ -1169,6 +1169,22 @@ def test_truncation_flat_edge_ends_match_dense(name, k):
     assert np.abs(fast - slow).max() <= 1e-12
 
 
+def test_truncation_flat_ends_solve_only_the_rows_of_their_blocks():
+    # edge 1 vanishes at pi/2, and T_4's blocks, rows 0-1 and 2-3, have the
+    # same Hermitian part; the period also cut before row 0 holds rows 2..5
+    # as one block whose top lies far above theirs (rows 4 and 5 sit at 2),
+    # and solved together with it the first block's vector puts the ends 0.41 off
+    spec = PeriodSpec(
+        a=(0.4, 0, 0.7, -0.5, 0.3, 0.2),
+        b=(0.5 + 0.3j, -0.2j, 0.1 + 0.3j, 0.4 - 0.2j, 2j, 2j),
+        c=(1, 0.7, 0.5, 0.8, 0.6, 0.9),
+    )
+    cfg = SweepConfig(4, 1)
+    points, dense = _truncation_points(spec, 4, cfg), boundary_points(build_truncation(spec, 4), cfg)
+    assert points.size == dense.size == 8
+    np.testing.assert_allclose(points[4:], dense[4:], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("k", [200, 201])
 def test_truncation_near_split_is_inscribed_and_not_below_dense(k):
     # edge 0 of the Hermitian part only falls to 5e-9 at pi/2, far above the
@@ -1179,6 +1195,33 @@ def test_truncation_near_split_is_inscribed_and_not_below_dense(k):
     fast = support(truncation_range(spec, k, cfg))
     assert np.all(fast >= support(range_boundary(build_truncation(spec, k), cfg)) - 1e-12)
     assert np.all(fast <= truncation_support(spec, k, thetas) + 1e-12)
+
+
+AGREEING_FLAT_EDGES = {
+    "01": (WORD01, np.pi / 2),
+    "11": (PeriodSpec.from_word("11"), np.pi / 2),
+    "two-edges": (TWO_EDGES, np.pi / 2),
+    "split": (FLAT_SPECS["split"], 0.3),
+}
+
+
+@pytest.mark.parametrize("name", list(AGREEING_FLAT_EDGES))
+def test_truncation_flat_ends_approach_the_union_ends(name):
+    # both come from the blocks of the cut period: the truncation's ends lie
+    # on the union's flat edge and close in on its ends as k grows (by about
+    # 16x per 4x k; the split spec's are the union's at every k)
+    spec, theta = AGREEING_FLAT_EDGES[name]
+    top, bottom = core_touch_points(spec, [theta])
+    turn = np.exp(-1j * theta)
+    gaps = []
+    for k in (201, 801, 3201):
+        ends = sweep._truncation_flat_ends(spec, k, np.array([theta]))
+        assert np.abs((turn * ends).real - (turn * top).real).max() <= 1e-12
+        along = (turn * ends).imag
+        assert (turn * bottom).imag - 1e-12 <= along.min() and along.max() <= (turn * top).imag + 1e-12
+        gaps.append(np.abs(ends - [bottom, top]))
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert np.all(8 * narrow <= wide)
 
 
 def test_truncation_flat_edge_chunks(monkeypatch):
