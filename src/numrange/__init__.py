@@ -34,7 +34,6 @@ from .sweep import (
     SweepConfig,
     boundary_points,
     range_boundary,
-    rayleigh_samples,
     selfadjoint_interval,
     symbol_union_hull,
     truncation_range,

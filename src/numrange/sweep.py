@@ -10,10 +10,10 @@ sweep emits the edge's endpoints, so flat pieces are exact.
 
 General matrices go through dense LAPACK solves in bounded batches;
 truncations and symbol unions need none.  Truncations have tridiagonal
-Hermitian parts, similar to real symmetric ones: Sturm counts with Newton
-steps down from the periodic operator's top band edge, multisection and
-inverse iteration (Parlett, *The Symmetric Eigenvalue Problem*, ch. 7)
-take O(k) per angle.  The union of the symbols' ranges takes one O(p)
+Hermitian parts, similar to real symmetric ones: Rayleigh-quotient
+iteration from the periodic operator's top band edge, certified by one
+Sturm count (Parlett, *The Symmetric Eigenvalue Problem*, ch. 4 and 7),
+takes O(k) per angle.  The union of the symbols' ranges takes one O(p)
 solve per direction: its support is attained at a twist known in closed
 form, where the symbol gauges to a real cycle whose top eigenvalue is the
 band edge and whose Perron vector gives the touch point.  Both take their
@@ -43,7 +43,6 @@ __all__ = [
     "symbol_union_hull",
     "truncation_range",
     "truncation_support",
-    "rayleigh_samples",
 ]
 
 
@@ -102,6 +101,11 @@ _NEWTON_PASSES = 24
 _CONTINUANT_ROWS = 32
 _CONTINUANT_RANGE = 2.0**400
 _DERIVATIVE_WEIGHTS = np.array([[1.0], [2.0]])
+
+
+def _bracket_width(lo, hi):
+    """Width at which a bracket [lo, hi] on a scaled top eigenvalue is closed."""
+    return 2 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi)) + PIVMIN
 
 
 def _gap_tol(top):
@@ -438,50 +442,41 @@ def _count_above(d, e2, sigma, k: int, slope=None) -> np.ndarray:
 
 
 def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
-    """Largest eigenvalue of each k-by-k S, by Sturm counts.
+    """Largest eigenvalue of each k-by-k S, by Sturm counts: the fallback and
+    reference of :func:`_top_pairs`.
 
     The bracket starts between the largest diagonal entry (a Rayleigh
     quotient) and the Gershgorin bound, and each pass sweeps only the
     columns whose bracket is still open.  With fewer than W of them,
     W = ``_MULTISECTION_WIDTH`` (less where W columns of one period of S
-    would take more than ``_DENSE_BATCH_BYTES``), a pass tests
-    ``s = W // columns`` shifts per column in one Sturm sweep (Lo, Philippe
-    & Sameh, *SIAM J. Sci. Stat. Comput.* 8 (1987) s155-s165); from that
-    many columns on, ``s = 1``.  Without ``start`` the shifts split the
-    bracket evenly, so ``s = 1`` is bisection.
+    would take more than ``_DENSE_BATCH_BYTES``), a pass tests ``s = W //
+    columns`` shifts per column in one Sturm sweep (Lo, Philippe & Sameh,
+    *SIAM J. Sci. Stat. Comput.* 8 (1987) s155-s165), else one; without
+    ``start`` they split the bracket evenly.
 
-    ``start``, an upper bound on each top eigenvalue, switches on Newton
-    steps from above where more than ``W // 2`` columns are open (with
-    fewer, multisection takes fewer sweeps).  The first pass
-    counts at it; a column with an eigenvalue at or above it keeps the
-    Gershgorin upper end and bisects.  A pass with one shift per column
-    also returns ``G = sum_j 1 / (sigma - lambda_j)`` at it, and the top
-    shift of the next pass is ``hi - max(1/G, tol)``, with ``hi`` the
-    bracket's upper end and ``tol`` half its final width; the other
-    ``s - 1`` split the bracket below it.  ``det(sigma - S)`` is
-    real-rooted, so above the top a Newton step never overshoots it (but
-    by rounding), and the ``tol`` floor gives the lower end of the final
-    bracket.  A Newton point at or below the lower end ``lo`` puts the top
-    at ``lo``, to rounding, so ``lo + tol`` replaces it.  Columns still
-    open after ``_NEWTON_PASSES`` passes bisect, which bounds the passes
-    whatever the slopes.
+    ``start``, an upper bound on each top, switches on Newton steps from
+    above where more than ``W // 2`` columns are open.  The first pass counts
+    at it (a column with an eigenvalue at or above it bisects from the
+    Gershgorin bound); a pass with one shift per column also returns
+    ``G = sum_j 1 / (sigma - lambda_j)``, and the next top shift is
+    ``hi - max(1/G, tol)``, ``tol`` half the final width, the other
+    ``s - 1`` below it.  ``det(sigma - S)`` is real-rooted, so from above a
+    Newton step never overshoots the top (but by rounding); a Newton point
+    at or below the lower end ``lo`` puts the top at ``lo``, so ``lo + tol``
+    replaces it.  Columns open after ``_NEWTON_PASSES`` passes bisect.
 
-    The new bracket runs from the last shift with an eigenvalue at or
-    above it to the next shift, so it stays valid even where rounding makes
-    the counts non-monotone.  It shrinks to a few ulps, and its upper end is
-    returned: no eigenvalue lies above it, so ``S`` minus it factors without
-    pivoting as a negative (semi)definite matrix.
+    The new bracket runs from the last shift with an eigenvalue at or above
+    it to the next shift, valid even where rounding makes the counts
+    non-monotone.  Its upper end, a few ulps above the top, is returned.
     """
     rows = np.arange(min(k, d.shape[0]))
     lo = d[rows].max(axis=0)
     hi = _gershgorin(d, e)[rows].max(axis=0)
     e2 = e * e
-    eps = np.finfo(float).eps
-    width = lambda lo, hi: 2 * eps * np.maximum(np.abs(lo), np.abs(hi)) + PIVMIN
     # the Newton step 1/G from each upper end, infinite where unknown, and
     # the columns that take no Newton steps
     step = np.full(lo.shape, np.inf)
-    at = np.flatnonzero(hi - lo > width(lo, hi))
+    at = np.flatnonzero(hi - lo > _bracket_width(lo, hi))
     # W: a pass tiles one period of d and e2 to W columns
     per_pass = min(_MULTISECTION_WIDTH, max(1, _DENSE_BATCH_BYTES // (8 * d.shape[0])))
     # Newton steps pay only where a pass tests one shift per column
@@ -511,7 +506,7 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
         hi[at] = np.where(inside[0], hi[at], sigma)
         step[at] = np.where(inside[0], np.inf, steps[0])
     for passes in itertools.count():
-        at = np.flatnonzero(hi - lo > width(lo, hi))
+        at = np.flatnonzero(hi - lo > _bracket_width(lo, hi))
         if at.size == 0:
             return hi
         if passes == _NEWTON_PASSES:
@@ -519,7 +514,7 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
         a, b, h = lo[at], hi[at], step[at]
         s = max(1, per_pass // at.size)
         j = np.arange(1, s + 1)[:, None]
-        tol = 0.5 * width(b, b)
+        tol = 0.5 * _bracket_width(b, b)
         newton = b - np.maximum(h, tol)
         # a Newton point at or below lo means the top sits at lo, to rounding
         newton = np.where(newton > a, newton, np.minimum(a + tol, 0.5 * (a + b)))
@@ -533,23 +528,93 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
         step[at] = np.vstack([steps, h])[last, columns]
 
 
-def _top_eigenvectors(d, e, top, k: int) -> np.ndarray:
-    """Top eigenvectors of each S, as the columns of a (k, columns) array.
+def _top_eigenvectors(d, e, top, k: int, x=None, sweeps=3):
+    """Top eigenvectors of each S, as the columns of a (k, columns) array
+    (``x``, in place, if given), and the pivots of ``S - top``.
 
     Inverse iteration with the pivots of ``S - top``, ``top`` from
-    :func:`_top_eigenvalues`.  The off-diagonal of S is nonnegative, so by
+    :func:`_top_eigenvalues`: ``sweeps`` solves, each scaled to largest
+    modulus 1 per column.  The off-diagonal of S is nonnegative, so by
     Perron-Frobenius its top eigenvector can be taken nonnegative and the
-    all-ones start vector is never orthogonal to it.  Each of the three
-    sweeps shrinks the other components by (a few ulps) / (spectral gap),
-    and outside the flat-edge angles that gap exceeds ``DEGENERATE_GAP``.
+    all-ones start vector is never orthogonal to it.  Each sweep shrinks the
+    other components by (a few ulps) / (spectral gap), and outside the
+    flat-edge angles that gap exceeds ``DEGENERATE_GAP``.
     """
     q = next(_ldl_pivots(d, e * e, top, k, k))
-    mult = e[np.arange(k - 1) % d.shape[0]] / q[:-1]
-    x = np.ones_like(q)
-    for _ in range(3):
+    mult = e[np.arange(k - 1) % d.shape[0]]
+    mult /= q[:-1]
+    x = np.ones_like(q) if x is None else x
+    for _ in range(sweeps):
         _ldl_solve(q, mult, x)
-        x /= np.abs(x).max(axis=0)
-    return x
+        x /= np.maximum(x.max(axis=0), -x.min(axis=0))
+    return x, q
+
+
+def _residue_sums(d, e, x, k: int, shift=None):
+    """``x^T S x / x^T x`` per column of ``x`` (rows 1 to k, the others zero,
+    to a multiple of p plus two); with ``shift``, ``x^T (S - shift) x`` and
+    ``|(S - shift) x|^2`` over ``x^T x``.  Sums by residue mod p, with
+    ``einsum`` over (periods, p, columns) views: no BLAS."""
+    p, n = d.shape[0], x.shape[1]
+    before, here, after = (x[i : x.shape[0] - 2 + i].reshape(-1, p, n) for i in range(3))
+    norm = np.einsum("mrj,mrj->j", here, here)
+    if shift is None:
+        return (np.einsum("rj,mrj,mrj->j", d, here, here) + 2 * np.einsum("rj,mrj,mrj->j", e, here, after)) / norm
+    r = (d - shift) * here
+    r += e * after
+    r += np.roll(e, 1, axis=0) * before
+    r.reshape(-1, n)[k:] = 0.0
+    return np.einsum("mrj,mrj->j", here, r) / norm, np.einsum("mrj,mrj->j", r, r) / norm
+
+
+def _top_pairs(d, e, k: int, start=None, use=lambda t, x: x):
+    """Top eigenvalue of each k-by-k S, and an iterator of ``use(columns,
+    top eigenvectors as a (k, columns) array)`` over chunks of columns.
+
+    Rayleigh-quotient iteration from the all-ones vector: up to four sweeps,
+    the first at ``start``, an upper bound (by default the Gershgorin
+    bound).  With ``hi = rho + |(S - rho) x| / |x|`` plus a margin, the
+    negative pivots of ``S - hi`` certify that no eigenvalue lies at or
+    above it (a Sturm count), and give the last sweep.  An eigenvalue lies
+    within the residual of rho, kept below ``16 eps (|rho| + 1)``, so hi
+    exceeds the top by at most twice it plus the margin.  Failed columns (as on reducible S) and those whose bracket
+    of :func:`_top_eigenvalues` starts closed go to it and
+    :func:`_top_eigenvectors`; so do calls where most such brackets are
+    closed, or where one ``_VECTOR_BATCH_BYTES`` batch holds too few columns
+    (narrow chunks of many rows pay per row what Sturm passes share).
+    """
+    n, eps = d.shape[1], np.finfo(float).eps
+    lo, hi = (y[: min(k, d.shape[0])].max(axis=0) for y in (d, _gershgorin(d, e)))
+    parts = -(-n // max(2, _VECTOR_BATCH_BYTES // (8 * k)))
+    closed = ~(hi - lo > _bracket_width(lo, hi))
+    if parts > 1 or 2 * np.count_nonzero(closed) >= n:
+        top = _top_eigenvalues(d, e, k, start)
+        chunks = [slice(t[0], t[-1] + 1) for t in np.array_split(np.arange(n), parts)]
+        return top, (use(t, _top_eigenvectors(d[:, t], e[:, t], top[t], k)[0]) for t in chunks)
+    x = np.zeros((-(-k // d.shape[0]) * d.shape[0] + 2, n))
+    x[1 : k + 1] = 1.0
+    rho = hi if start is None else np.minimum(start, hi)
+    with np.errstate(all="ignore"):
+        quotient = _residue_sums(d, e, x, k)
+        for _ in range(4):
+            _top_eigenvectors(d, e, rho, k, x[1 : k + 1], 1)
+            last, quotient = quotient, _residue_sums(d, e, x, k)
+            # shifts just above the quotients keep S - rho from singular
+            rho = quotient + _bracket_width(quotient, quotient)
+            # converging cubically, a quotient that moved by delta leaves a
+            # residual near delta^1.5 / gap^0.5: rounding level below eps^(2/3)
+            if (np.abs(quotient - last) <= eps ** (2 / 3) * (np.abs(quotient) + 1)).all():
+                break
+        shifted, square = _residue_sums(d, e, x, k, rho)
+        rho, residual = rho + shifted, np.sqrt(np.maximum(square - shifted * shifted, 0.0))
+        top = rho + residual + _bracket_width(rho, rho)
+        negative = _top_eigenvectors(d, e, top, k, x[1 : k + 1], 1)[1] < 0
+    fail = np.flatnonzero(~(negative.all(axis=0) & (residual <= 16 * eps * (np.abs(rho) + 1))) | closed)
+    if fail.size:
+        d, e = d[:, fail], e[:, fail]
+        top[fail] = _top_eigenvalues(d, e, k, None if start is None else start[fail])
+        x[1 : k + 1, fail] = _top_eigenvectors(d, e, top[fail], k)[0]
+    return top, iter([use(slice(None), x[1 : k + 1])])
 
 
 def _ldl_solve(q, mult, x):
@@ -699,7 +764,7 @@ def truncation_support(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
     if thetas.size == 0:
         return np.zeros(thetas.shape)
     d, e, _, exponent = _scaled_tridiagonals(spec, thetas.ravel())
-    return np.ldexp(_top_eigenvalues(d, e, k), exponent).reshape(thetas.shape)
+    return np.ldexp(_top_pairs(d, e, k, _band_edges(d, e))[0], exponent).reshape(thetas.shape)
 
 
 def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
@@ -740,7 +805,7 @@ def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
     span = h >= best - _gap_tol(best)
     after = np.roll(take(head), -1, axis=0) * (t < count - 1)
     across = take(out_gamma) * after * span * np.roll(span, -1, axis=0)
-    solve = lambda bd, be: _top_eigenvectors(bd, be, _top_eigenvalues(bd, be, t.size), t.size)
+    solve = lambda bd, be: np.hstack(list(_top_pairs(bd, be, t.size)[1]))
     return _flat_ends(take(s), span, across, after, index, q.reshape(-1, n), out_link.reshape(-1, n), solve).T.ravel()
 
 
@@ -748,36 +813,26 @@ def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray
     """:func:`boundary_points` of the k-by-k truncation, from its three diagonals.
 
     The sweep runs on the real symmetric tridiagonal S(theta) similar to
-    each Hermitian part (Sturm counts with Newton steps down from the band
-    edge of :func:`_band_edges`, then inverse iteration), in
-    O(num_theta * k) time and memory.  Where the top eigenvalue is
-    degenerate, by the test of :func:`boundary_points`, both ends of the
-    flat edge follow, from :func:`_truncation_flat_ends` in O(k) per angle:
-    flat edges stay exact, and no dense k-by-k matrix is ever built.
+    each Hermitian part (:func:`_top_pairs` from the band edge of
+    :func:`_band_edges`), in O(num_theta * k) time and memory.  Where the
+    top eigenvalue is degenerate, by the test of :func:`boundary_points`,
+    both ends of the flat edge follow, from :func:`_truncation_flat_ends` in
+    O(k) per angle: flat edges stay exact, and no dense k-by-k matrix is
+    ever built.
     """
     if k < 1:
         raise ValueError("truncation size must be >= 1")
     thetas = phi_grid(cfg.num_theta)
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
-    scaled_top = _top_eigenvalues(d, e, k, _band_edges(d, e))
+    scaled_top, points = _top_pairs(d, e, k, _band_edges(d, e), lambda t, x: _touch_points(spec, beta[t], x))
     top = np.ldexp(scaled_top, exponent)
     below = np.ldexp(top - _gap_tol(top), -exponent)
     flat = np.nonzero(_count_above(d, e * e, below, k) >= 2)[0]
-    # the eigenvectors and their products are (k, angles) arrays; the chunks
-    # change no bit, as each takes two angles or more (numpy sums a single
-    # column in another order)
-    parts = -(-thetas.size // max(2, _VECTOR_BATCH_BYTES // (8 * k)))
-    points = [
-        _touch_points(spec, beta[t], _top_eigenvectors(d[:, t], e[:, t], scaled_top[t], k))
-        for t in np.array_split(np.arange(thetas.size), parts)
-    ]
     # specs flat at every angle would otherwise hold (blocks, num_theta)
     # arrays several times over
     chunk = max(1, _DENSE_BATCH_BYTES // (8 * k))
-    for lo in range(0, flat.size, chunk):
-        t = flat[lo : lo + chunk]
-        points.append(_truncation_flat_ends(spec, k, thetas[t]))
-    return _require_finite(np.concatenate(points), "touch point")
+    ends = [_truncation_flat_ends(spec, k, thetas[flat[lo : lo + chunk]]) for lo in range(0, flat.size, chunk)]
+    return _require_finite(np.concatenate([*points, *ends]), "touch point")
 
 
 def truncation_range(
@@ -855,19 +910,3 @@ def _cycle_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
 def _symbol_points(spec: PeriodSpec, cfg: SweepConfig) -> np.ndarray:
     """:func:`_cycle_touch_points` at the directions of :func:`_union_directions`."""
     return _require_finite(_cycle_touch_points(spec, _union_directions(spec, cfg)), "touch point")
-
-
-def rayleigh_samples(a, trials: int, seed: int) -> np.ndarray:
-    """Rayleigh quotients of seeded pseudo-random complex Gaussian unit vectors.
-
-    Each sample lies in W(a) by definition; useful as an inclusion probe
-    against swept polygons.
-    """
-    a = as_matrix(a)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = a.shape[0]
-    x = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
-    x /= np.linalg.norm(x, axis=1)[:, None]
-    return np.einsum("ti,ij,tj->t", x.conj(), a, x)

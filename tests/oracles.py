@@ -3,6 +3,7 @@
 import numpy as np
 
 from numrange.geometry import RangePolygon
+from numrange.linalg import as_matrix
 
 
 def distance_to_region(points, polygon: RangePolygon) -> np.ndarray:
@@ -24,3 +25,19 @@ def distance_to_region(points, polygon: RangePolygon) -> np.ndarray:
             d[((ab.conj() * az).imag >= 0).all(axis=1)] = 0.0
         out[start : start + 512] = d
     return out
+
+
+def rayleigh_samples(a, trials: int, seed: int) -> np.ndarray:
+    """Rayleigh quotients of seeded pseudo-random complex Gaussian unit vectors.
+
+    Each sample lies in W(a) by definition; useful as an inclusion probe
+    against swept polygons.
+    """
+    a = as_matrix(a)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    n = a.shape[0]
+    x = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    return np.einsum("ti,ij,tj->t", x.conj(), a, x)

@@ -30,12 +30,11 @@ from numrange.sweep import (
     SweepConfig,
     boundary_points,
     range_boundary,
-    rayleigh_samples,
     selfadjoint_interval,
     symbol_union_hull,
     truncation_range,
 )
-from oracles import distance_to_region
+from oracles import distance_to_region, rayleigh_samples
 
 SEED = 20260808
 FULL = SweepConfig(num_theta=720, num_phi=720)

@@ -23,13 +23,12 @@ from numrange.sweep import (
     _union_directions,
     boundary_points,
     range_boundary,
-    rayleigh_samples,
     selfadjoint_interval,
     symbol_union_hull,
     truncation_range,
     truncation_support,
 )
-from oracles import distance_to_region
+from oracles import distance_to_region, rayleigh_samples
 
 RNG = np.random.default_rng(42)
 WORD01 = PeriodSpec.from_word("01")
@@ -1235,13 +1234,113 @@ def test_truncation_flat_edge_chunks(monkeypatch):
 
 
 def test_truncation_vector_chunks_change_no_bit(monkeypatch):
-    # the eigenvectors go in chunks of angles, two or more each: budgets of
-    # one angle and of seven (120 = 17 * 7 + 1)
+    # where one vector batch cannot hold every angle, the eigenvectors go by
+    # Sturm counts in chunks of angles, two or more each: budgets of 60
+    # angles, of one and of seven (120 = 17 * 7 + 1) agree bit for bit, and
+    # with the Rayleigh-quotient core of a whole batch to rounding (but the
+    # top points of the two flat-edge angles, which may lie anywhere on it)
     spec, cfg, k = FLAT_SPECS["random"], SweepConfig(120, 1), 61
     whole = _truncation_points(spec, k, cfg)
+    monkeypatch.setattr(sweep, "_VECTOR_BATCH_BYTES", 8 * k * 60)
+    chunked = _truncation_points(spec, k, cfg)
+    assert hausdorff(convex_hull(chunked), convex_hull(whole)) <= 1e-14
+    np.testing.assert_allclose(np.delete(chunked, [7, 67]), np.delete(whole, [7, 67]), rtol=0, atol=1e-14)
     for angles in (1, 7):
         monkeypatch.setattr(sweep, "_VECTOR_BATCH_BYTES", 8 * k * angles)
-        assert _truncation_points(spec, k, cfg).tobytes() == whole.tobytes()
+        points = _truncation_points(spec, k, cfg)
+        assert points[: cfg.num_theta].tobytes() == chunked[: cfg.num_theta].tobytes()
+        # the budget also picks the path of the flat ends' compressed solves
+        np.testing.assert_allclose(points, chunked, rtol=0, atol=1e-14)
+
+
+def fallback_columns(monkeypatch, d, e, k):
+    """Columns of :func:`sweep._top_pairs` from the band edge that go to
+    :func:`sweep._top_eigenvalues`, and its tops and vectors."""
+    columns, tops = [], sweep._top_eigenvalues
+
+    def record(d, e, k, start=None):
+        columns.append(d.shape[1])
+        return tops(d, e, k, start)
+
+    monkeypatch.setattr(sweep, "_top_eigenvalues", record)
+    top, vectors = sweep._top_pairs(d, e, k, sweep._band_edges(d, e))
+    x = next(vectors)
+    monkeypatch.undo()
+    return sum(columns), top, x
+
+
+@pytest.mark.parametrize(
+    "text, k, fallback",
+    [
+        # reducible at small k: many columns fail the count or the residual
+        ("p=3;a=0.5,1,0;b=0.2,0,1;c=1,0,0.3", 4, (16, 96)),
+        ("p=4;a=1,1,0,1;b=0,0,1.2,0;c=1,0,1,0", 5, (16, 96)),
+        # every column certified
+        ("p=3;a=1,0.5j,0.3;b=0.2j,0,1;c=0.4,1,0.7j", 7, (0, 0)),
+    ],
+)
+def test_rayleigh_core_and_its_fallback_match_dense(monkeypatch, text, k, fallback):
+    spec, cfg = PeriodSpec.parse(text), SweepConfig(96, 1)
+    d, e = sweep._scaled_tridiagonals(spec, phi_grid(cfg.num_theta))[:2]
+    assert fallback[0] <= fallback_columns(monkeypatch, d, e, k)[0] <= fallback[1]
+    points, dense = _truncation_points(spec, k, cfg), boundary_points(build_truncation(spec, k), cfg)
+    assert points.shape == dense.shape
+    assert hausdorff(convex_hull(points), convex_hull(dense)) <= 1e-13
+    flat = np.abs(points[: cfg.num_theta] - dense[: cfg.num_theta]) > 1e-13
+    # only flat-edge angles, whose top points may lie anywhere on the edge
+    assert 2 * flat.sum() <= points.size - cfg.num_theta
+
+
+def jacobi_cases():
+    """Seeded (d, e) paths of k rows, one matrix per column (e[k - 1]
+    unused): random, with a zero edge, and two equal blocks."""
+    rng = np.random.default_rng(77)
+    for k in (1, 2, 3, 400):
+        d, e = rng.uniform(-1.0, 1.0, (k, 8)), rng.uniform(0.0, 1.0, (k, 8))
+        yield d, e
+        cut = e.copy()
+        cut[k // 2 - 1] = 0.0
+        yield d, cut
+        if k % 2 == 0:
+            half = k // 2
+            tied_d, tied_e = np.vstack([d[:half], d[:half]]), np.vstack([e[:half], e[:half]])
+            tied_e[half - 1] = 0.0
+            yield tied_d, tied_e
+
+
+def test_rayleigh_core_is_certified_on_seeded_jacobi_matrices(monkeypatch):
+    # no eigenvalue at or above the top, and at most twice the residual
+    # bound (16 eps (|top| + 1)) plus the margin above bisection's top;
+    # eigvalsh itself strays by up to 46 ulps at k = 400; vectors at
+    # rounding level
+    eps = np.finfo(float).eps
+    for d, e in jacobi_cases():
+        k = d.shape[0]
+        top, x = fallback_columns(monkeypatch, d, e, k)[1:]
+        plain = bisection_tops(monkeypatch, d, e, k)
+        assert not sweep._count_above(d, e * e, top, k).any()
+        assert np.all(top - plain <= 34 * eps * (np.abs(plain) + 1) + 2 * sweep._bracket_width(plain, plain))
+        for j in range(d.shape[1]):
+            s = np.diag(d[:, j]) + np.diag(e[:-1, j], 1) + np.diag(e[:-1, j], -1)
+            assert abs(top[j] - np.linalg.eigvalsh(s)[-1]) <= 1e-13
+            v = x[:, j]
+            quotient = v @ s @ v / (v @ v)
+            assert np.linalg.norm(s @ v - quotient * v) <= 64 * eps * np.linalg.norm(v)
+
+
+def test_truncation_support_bounds_the_dense_top():
+    rng = np.random.default_rng(78)
+    eps = np.finfo(float).eps
+    thetas = phi_grid(24)
+    for p in (2, 3, 5):
+        spec = random_spec(rng, p)
+        for k in (1, 7, 400):
+            t_k = build_truncation(spec, k)
+            dense = np.array([np.linalg.eigvalsh(hermitian_part(t_k, t))[-1] for t in thetas])
+            scale = np.abs(t_k).sum(axis=1).max()
+            gap = truncation_support(spec, k, thetas) - dense
+            assert np.all(gap >= -8 * eps * scale)
+            assert np.all(gap <= 40 * eps * scale)
 
 
 def test_truncation_range_needs_no_lapack(monkeypatch):
