@@ -84,7 +84,9 @@ class PeriodSpec:
         """Parse ``"word=01"`` or ``"p=2;a=0,1;b=0,0;c=1,1"``.
 
         Sequence entries accept anything Python's ``complex()`` does
-        (``1``, ``-1.5``, ``2+3j``); a single value broadcasts.
+        (``1``, ``-1.5``, ``2+3j``); a single value broadcasts.  Each field
+        may appear once, and the sequence form takes no field but p, a, b
+        and c.
         """
         fields: dict[str, str] = {}
         for chunk in text.split(";"):
@@ -92,9 +94,12 @@ class PeriodSpec:
             if not chunk:
                 continue
             key, sep, value = chunk.partition("=")
+            key = key.strip()
             if not sep or not value:
                 raise SpecParseError(f"malformed field {chunk!r}")
-            fields[key.strip()] = value.strip()
+            if key in fields:
+                raise SpecParseError(f"repeated field {key!r}")
+            fields[key] = value.strip()
 
         if "word" in fields:
             extra = set(fields) - {"word"}
@@ -102,6 +107,9 @@ class PeriodSpec:
                 raise SpecParseError(f"unexpected fields with word form: {sorted(extra)}")
             return cls.from_word(fields["word"])
 
+        unknown = set(fields) - {"p", "a", "b", "c"}
+        if unknown:
+            raise SpecParseError(f"unknown fields: {sorted(unknown)}")
         missing = {"p", "a", "b", "c"} - set(fields)
         if missing:
             raise SpecParseError(f"missing fields: {sorted(missing)}")

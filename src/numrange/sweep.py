@@ -80,16 +80,13 @@ PIVMIN = np.finfo(float).eps
 # Bytes of Hermitian parts the dense sweep hands to one batched ``eigh``; the
 # directions go in chunks of this size, so memory stays bounded for any
 # number of angles.  Truncations chunk their flat-edge angles to the same
-# budget per (blocks, angles) array, and :func:`_top_eigenvalues` keeps the arrays
-# its multisection tiles within it.
+# budget per (blocks, angles) array.
 _DENSE_BATCH_BYTES = 1 << 22
 # Bytes of one (k, angles) array of truncation eigenvectors: the sweep takes
 # its angles in chunks of this size, which holds k = 800 at 720 angles.
 _VECTOR_BATCH_BYTES = 1 << 23
-# Shifts one Sturm pass of :func:`_top_eigenvalues` tests across all its
-# columns, and pivot rows :func:`_count_above` keeps at a time, which are
-# also the rows :func:`_ldl_pivots` checks for its guard at a time.
-_MULTISECTION_WIDTH = 512
+# Pivot rows :func:`_count_above` keeps at a time, which are also the rows
+# :func:`_ldl_pivots` checks for its guard at a time.
 _PIVOT_ROWS = 256
 # Caps on the Laguerre steps of :func:`_band_edges`, and on the passes of
 # :func:`_top_eigenvalues` that take Newton steps; columns still open after
@@ -442,32 +439,26 @@ def _count_above(d, e2, sigma, k: int, slope=None) -> np.ndarray:
 
 
 def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
-    """Largest eigenvalue of each k-by-k S, by Sturm counts: the fallback and
-    reference of :func:`_top_pairs`.
+    """Largest eigenvalue of each k-by-k S, by Sturm counts: the certified
+    search of :func:`_top_pairs` for calls too big for one vector batch and
+    for the columns that fail its certificate.
 
     The bracket starts between the largest diagonal entry (a Rayleigh
-    quotient) and the Gershgorin bound, and each pass sweeps only the
-    columns whose bracket is still open.  With fewer than W of them,
-    W = ``_MULTISECTION_WIDTH`` (less where W columns of one period of S
-    would take more than ``_DENSE_BATCH_BYTES``), a pass tests ``s = W //
-    columns`` shifts per column in one Sturm sweep (Lo, Philippe & Sameh,
-    *SIAM J. Sci. Stat. Comput.* 8 (1987) s155-s165), else one; without
-    ``start`` they split the bracket evenly.
+    quotient) and the Gershgorin bound, and each pass tests one shift in
+    each column whose bracket is still open.  With ``start``, an upper
+    bound on each top, the first pass counts at it (a column with an
+    eigenvalue at or above it bisects from the Gershgorin bound) and also
+    returns ``G = sum_j 1 / (sigma - lambda_j)``; the next shift is the
+    Newton point ``hi - max(1/G, tol)``, ``tol`` half the final width.
+    ``det(sigma - S)`` is real-rooted, so from above a Newton step never
+    overshoots the top (but by rounding); a Newton point at or below the
+    lower end ``lo`` puts the top at ``lo``, so ``lo + tol`` replaces it.
+    Without ``start``, and for columns open after ``_NEWTON_PASSES``
+    passes, the shift bisects the bracket.
 
-    ``start``, an upper bound on each top, switches on Newton steps from
-    above where more than ``W // 2`` columns are open.  The first pass counts
-    at it (a column with an eigenvalue at or above it bisects from the
-    Gershgorin bound); a pass with one shift per column also returns
-    ``G = sum_j 1 / (sigma - lambda_j)``, and the next top shift is
-    ``hi - max(1/G, tol)``, ``tol`` half the final width, the other
-    ``s - 1`` below it.  ``det(sigma - S)`` is real-rooted, so from above a
-    Newton step never overshoots the top (but by rounding); a Newton point
-    at or below the lower end ``lo`` puts the top at ``lo``, so ``lo + tol``
-    replaces it.  Columns open after ``_NEWTON_PASSES`` passes bisect.
-
-    The new bracket runs from the last shift with an eigenvalue at or above
-    it to the next shift, valid even where rounding makes the counts
-    non-monotone.  Its upper end, a few ulps above the top, is returned.
+    The new bracket runs from the shift to the upper end where an
+    eigenvalue lies at or above it, else from the lower end to the shift.
+    Its upper end, a few ulps above the top, is returned.
     """
     rows = np.arange(min(k, d.shape[0]))
     lo = d[rows].max(axis=0)
@@ -476,35 +467,27 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
     # the Newton step 1/G from each upper end, infinite where unknown, and
     # the columns that take no Newton steps
     step = np.full(lo.shape, np.inf)
-    at = np.flatnonzero(hi - lo > _bracket_width(lo, hi))
-    # W: a pass tiles one period of d and e2 to W columns
-    per_pass = min(_MULTISECTION_WIDTH, max(1, _DENSE_BATCH_BYTES // (8 * d.shape[0])))
-    # Newton steps pay only where a pass tests one shift per column
-    plain = np.full(lo.shape, start is None or per_pass // max(1, at.size) > 1)
+    plain = np.full(lo.shape, start is None)
 
-    def count(at, shifts):
-        """Which of the (s, len(at)) shifts have an eigenvalue at or above
-        them, and the Newton steps from them: only where s = 1 (a pass with
-        slopes, five ufuncs a row against two, costs about 2 to 2.5 passes
-        without, and multisection does without) and infinite where not
-        wanted or not finite and positive."""
-        s = shifts.shape[0]
-        slope = None if s > 1 or plain[at].all() else np.zeros(at.size)
+    def count(at, sigma):
+        """Which columns ``at`` have an eigenvalue at or above ``sigma``, and
+        the Newton steps from it: infinite where not wanted or not finite
+        and positive (a pass with slopes costs five ufuncs a row, not two)."""
+        slope = None if plain[at].all() else np.zeros(at.size)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # take, unlike d[:, at], keeps the rows the recurrence runs along contiguous
-            tiled = (np.tile(x.take(at, axis=1), s) for x in (d, e2))
-            above = _count_above(*tiled, shifts.ravel(), k, slope)
+            above = _count_above(d.take(at, axis=1), e2.take(at, axis=1), sigma, k, slope)
             steps = np.inf if slope is None else 1.0 / slope
-        steps = np.where(~plain[at] & np.isfinite(steps) & (steps > 0), steps, np.inf)
-        return (above >= 1).reshape(s, -1), np.broadcast_to(steps, shifts.shape)
+        return above >= 1, np.where(~plain[at] & np.isfinite(steps) & (steps > 0), steps, np.inf)
 
     if not plain.all():
+        at = np.flatnonzero(hi - lo > _bracket_width(lo, hi))
         sigma = np.minimum(start[at], hi[at])
-        inside, steps = count(at, sigma[None])
-        plain[at] = inside[0]
-        lo[at] = np.where(inside[0], np.maximum(lo[at], sigma), lo[at])
-        hi[at] = np.where(inside[0], hi[at], sigma)
-        step[at] = np.where(inside[0], np.inf, steps[0])
+        inside, steps = count(at, sigma)
+        plain[at] = inside
+        lo[at] = np.where(inside, np.maximum(lo[at], sigma), lo[at])
+        hi[at] = np.where(inside, hi[at], sigma)
+        step[at] = np.where(inside, np.inf, steps)
     for passes in itertools.count():
         at = np.flatnonzero(hi - lo > _bracket_width(lo, hi))
         if at.size == 0:
@@ -512,28 +495,22 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
         if passes == _NEWTON_PASSES:
             plain[:], step[:] = True, np.inf
         a, b, h = lo[at], hi[at], step[at]
-        s = max(1, per_pass // at.size)
-        j = np.arange(1, s + 1)[:, None]
         tol = 0.5 * _bracket_width(b, b)
         newton = b - np.maximum(h, tol)
         # a Newton point at or below lo means the top sits at lo, to rounding
         newton = np.where(newton > a, newton, np.minimum(a + tol, 0.5 * (a + b)))
-        even = np.minimum(a + (b - a) * j / (s + 1), b)
-        shifts = np.where(np.isinf(h), even, newton - (newton - a) * (s - j) / s)
-        inside, steps = count(at, shifts)
-        last = np.where(inside.any(axis=0), s - np.argmax(inside[::-1], axis=0), 0)
-        columns = np.arange(at.size)
-        grid = np.vstack([a, shifts, b])
-        lo[at], hi[at] = grid[last, columns], grid[last + 1, columns]
-        step[at] = np.vstack([steps, h])[last, columns]
+        sigma = np.where(np.isinf(h), np.minimum(a + (b - a) / 2, b), newton)
+        inside, steps = count(at, sigma)
+        lo[at], hi[at] = np.where(inside, sigma, a), np.where(inside, b, sigma)
+        step[at] = np.where(inside, h, steps)
 
 
 def _top_eigenvectors(d, e, top, k: int, x=None, sweeps=3):
     """Top eigenvectors of each S, as the columns of a (k, columns) array
     (``x``, in place, if given), and the pivots of ``S - top``.
 
-    Inverse iteration with the pivots of ``S - top``, ``top`` from
-    :func:`_top_eigenvalues`: ``sweeps`` solves, each scaled to largest
+    Inverse iteration with the pivots of ``S - top``, ``top`` a shift at
+    or near the top: ``sweeps`` solves, each scaled to largest
     modulus 1 per column.  The off-diagonal of S is nonnegative, so by
     Perron-Frobenius its top eigenvector can be taken nonnegative and the
     all-ones start vector is never orthogonal to it.  Each sweep shrinks the
@@ -577,18 +554,26 @@ def _top_pairs(d, e, k: int, start=None, use=lambda t, x: x):
     negative pivots of ``S - hi`` certify that no eigenvalue lies at or
     above it (a Sturm count), and give the last sweep.  An eigenvalue lies
     within the residual of rho, kept below ``16 eps (|rho| + 1)``, so hi
-    exceeds the top by at most twice it plus the margin.  Failed columns (as on reducible S) and those whose bracket
-    of :func:`_top_eigenvalues` starts closed go to it and
-    :func:`_top_eigenvectors`; so do calls where most such brackets are
-    closed, or where one ``_VECTOR_BATCH_BYTES`` batch holds too few columns
-    (narrow chunks of many rows pay per row what Sturm passes share).
+    exceeds the top by at most twice it plus the margin.  Failed columns
+    (as on reducible S) go to :func:`_top_eigenvalues` and
+    :func:`_top_eigenvectors`; so do calls where one ``_VECTOR_BATCH_BYTES``
+    batch holds too few columns (narrow chunks of many rows pay per row what
+    Sturm passes share).  Where at least half the brackets of
+    :func:`_top_eigenvalues` start closed (the flat-edge paths of split
+    specs), their upper ends are the tops, the open columns take this core
+    on their own, and all take one pass of :func:`_top_eigenvectors`.
     """
     n, eps = d.shape[1], np.finfo(float).eps
     lo, hi = (y[: min(k, d.shape[0])].max(axis=0) for y in (d, _gershgorin(d, e)))
     parts = -(-n // max(2, _VECTOR_BATCH_BYTES // (8 * k)))
     closed = ~(hi - lo > _bracket_width(lo, hi))
     if parts > 1 or 2 * np.count_nonzero(closed) >= n:
-        top = _top_eigenvalues(d, e, k, start)
+        if parts > 1:
+            top = _top_eigenvalues(d, e, k, start)
+        else:
+            top, at = hi.copy(), np.flatnonzero(~closed)
+            if at.size:
+                top[at] = _top_pairs(d[:, at], e[:, at], k, None if start is None else start[at])[0]
         chunks = [slice(t[0], t[-1] + 1) for t in np.array_split(np.arange(n), parts)]
         return top, (use(t, _top_eigenvectors(d[:, t], e[:, t], top[t], k)[0]) for t in chunks)
     x = np.zeros((-(-k // d.shape[0]) * d.shape[0] + 2, n))
@@ -609,7 +594,7 @@ def _top_pairs(d, e, k: int, start=None, use=lambda t, x: x):
         rho, residual = rho + shifted, np.sqrt(np.maximum(square - shifted * shifted, 0.0))
         top = rho + residual + _bracket_width(rho, rho)
         negative = _top_eigenvectors(d, e, top, k, x[1 : k + 1], 1)[1] < 0
-    fail = np.flatnonzero(~(negative.all(axis=0) & (residual <= 16 * eps * (np.abs(rho) + 1))) | closed)
+    fail = np.flatnonzero(~(negative.all(axis=0) & (residual <= 16 * eps * (np.abs(rho) + 1))))
     if fail.size:
         d, e = d[:, fail], e[:, fail]
         top[fail] = _top_eigenvalues(d, e, k, None if start is None else start[fail])

@@ -1,7 +1,8 @@
-"""Per-point reference geometry for the tests."""
+"""Per-point reference geometry and reference eigenvalues for the tests."""
 
 import numpy as np
 
+from numrange import sweep
 from numrange.geometry import RangePolygon
 from numrange.linalg import as_matrix
 
@@ -41,3 +42,25 @@ def rayleigh_samples(a, trials: int, seed: int) -> np.ndarray:
     x = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
     x /= np.linalg.norm(x, axis=1)[:, None]
     return np.einsum("ti,ij,tj->t", x.conj(), a, x)
+
+
+def bisection_tops(d, e, k: int) -> np.ndarray:
+    """Largest eigenvalue of the k-by-k real symmetric tridiagonal of each
+    column, with one period ``d, e`` (shape (p, columns), as in
+    :mod:`numrange.sweep`), by plain bisection on :func:`sweep._count_above`:
+    from the largest diagonal entry and the Gershgorin bound, one midpoint
+    per column and pass, until the bracket is a few ulps wide.  Returns the
+    upper ends, at or above which no count finds an eigenvalue."""
+    rows = min(k, d.shape[0])
+    lo = d[:rows].max(axis=0)
+    hi = (d + e + np.roll(e, 1, axis=0))[:rows].max(axis=0)
+    e2 = e * e
+    while True:
+        width = 2 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi)) + sweep.PIVMIN
+        at = np.flatnonzero(hi - lo > width)
+        if at.size == 0:
+            return hi
+        mid = np.minimum(lo[at] + (hi[at] - lo[at]) / 2, hi[at])
+        above = sweep._count_above(d[:, at], e2[:, at], mid, k) >= 1
+        lo[at] = np.where(above, mid, lo[at])
+        hi[at] = np.where(above, hi[at], mid)

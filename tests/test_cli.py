@@ -54,6 +54,10 @@ def test_range_malformed_spec_exits_2(capsys):
     assert cli.main(["range", "--spec", "definitely-not-a-spec"]) == 2
     assert "error" in capsys.readouterr().err
     assert cli.main(["range", "--spec", "word=0"]) == 2
+    # an unknown or a repeated field is an error, not ignored or overwritten
+    assert cli.main(["range", "--spec", "p=2;a=0,1;b=0;c=1;q=7", "--mode", "truncation", "--k", "4"]) == 2
+    assert cli.main(["range", "--spec", "p=2;a=0,1;b=0;c=1;c=2"]) == 2
+    assert cli.main(["range", "--spec", "word=01;word=001"]) == 2
     assert cli.main(["range", "--word", "01", "--k", "0", "--mode", "truncation"]) == 2
 
 

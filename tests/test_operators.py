@@ -67,6 +67,12 @@ def test_parse_field_form():
         "p=2;a=zz;b=0;c=0",
         "word=01;p=2",
         "p=x;a=0,1;b=0;c=0",
+        # unknown and repeated fields
+        "p=2;a=0,1;b=0;c=1;x=5",
+        "p=2;a=0,1;b=0;c=1;q=7",
+        "p=2;a=0,1;b=0;c=1;c=2",
+        "p=2;p=2;a=0,1;b=0;c=1",
+        "word=01;word=001",
     ],
 )
 def test_parse_rejects_malformed(text):

@@ -28,7 +28,7 @@ from numrange.sweep import (
     truncation_range,
     truncation_support,
 )
-from oracles import distance_to_region, rayleigh_samples
+from oracles import bisection_tops, distance_to_region, rayleigh_samples
 
 RNG = np.random.default_rng(42)
 WORD01 = PeriodSpec.from_word("01")
@@ -847,7 +847,7 @@ def test_dense_sweep_chunks_change_no_bit(monkeypatch):
     np.testing.assert_array_equal(boundary_points(a, cfg), whole)
 
 
-# --- flat-edge ends of truncations in O(k), and the multisection core ------------
+# --- flat-edge ends of truncations in O(k), and the Sturm core ------------------
 
 
 def test_truncation_support_input_shapes():
@@ -859,32 +859,30 @@ def test_truncation_support_input_shapes():
     assert truncation_support(WORD01, 7, 0.5).shape == ()
 
 
-def test_multisection_matches_bisection(monkeypatch):
-    # few columns take many shifts per Sturm pass; one shift per pass is
-    # bisection, and both stop at a bracket of a few ulps around the top
+def test_multisection_matches_bisection():
+    # without a start the Sturm core tests one shift per open column and
+    # pass, and it and the bisection oracle stop at a bracket of a few ulps
+    # around the top; a period of three rows with its wrap edge cut makes
+    # S a path of k // 3 tied blocks (3 at k = 9, 133 at k = 400), whose
+    # top is multiple
     rng = np.random.default_rng(8)
     eps = np.finfo(float).eps
+    cases = []
     for p in (2, 3, 5):
         spec = random_spec(rng, p)
         thetas = rng.uniform(0.0, 2 * np.pi, 3)
         d, e = sweep._scaled_tridiagonals(spec, thetas)[:2]
-        for k in (1, 2, 9, 300):
-            multi = sweep._top_eigenvalues(d, e, k)
-            monkeypatch.setattr(sweep, "_MULTISECTION_WIDTH", 1)
-            plain = sweep._top_eigenvalues(d, e, k)
-            monkeypatch.undo()
-            assert np.all(np.abs(multi - plain) <= 2 * eps * (np.abs(plain) + 1))
-            # both are upper ends of brackets: no eigenvalue at or above them
-            assert not sweep._count_above(d, e * e, multi, k).any()
-            assert not sweep._count_above(d, e * e, plain, k).any()
-
-
-def bisection_tops(monkeypatch, d, e, k):
-    monkeypatch.setattr(sweep, "_MULTISECTION_WIDTH", 1)
-    try:
-        return sweep._top_eigenvalues(d, e, k)
-    finally:
-        monkeypatch.undo()
+        cases += [(d, e, k) for k in (1, 2, 9, 300)]
+    d, e = rng.uniform(-1.0, 1.0, (3, 4)), rng.uniform(0.0, 1.0, (3, 4))
+    e[2] = 0.0
+    cases += [(d, e, k) for k in (9, 400)]
+    for d, e, k in cases:
+        multi = sweep._top_eigenvalues(d, e, k)
+        plain = bisection_tops(d, e, k)
+        assert np.all(np.abs(multi - plain) <= 2 * eps * (np.abs(plain) + 1))
+        # both are upper ends of brackets: no eigenvalue at or above them
+        assert not sweep._count_above(d, e * e, multi, k).any()
+        assert not sweep._count_above(d, e * e, plain, k).any()
 
 
 def assert_certified_tops(top, plain, d, e, k):
@@ -899,7 +897,7 @@ def assert_certified_tops(top, plain, d, e, k):
 
 
 @pytest.mark.parametrize("p", range(2, 9))
-def test_newton_tops_are_certified(monkeypatch, p):
+def test_newton_tops_are_certified(p):
     # Newton steps down from the band edge, over every grid size the sweeps use
     rng = np.random.default_rng(900 + p)
     spec = random_spec(rng, p)
@@ -908,7 +906,7 @@ def test_newton_tops_are_certified(monkeypatch, p):
         start = sweep._band_edges(d, e)
         for k in sorted({1, 2, p - 1, p, p + 1, 120, 800}):
             top = sweep._top_eigenvalues(d, e, k, start)
-            assert_certified_tops(top, bisection_tops(monkeypatch, d, e, k), d, e, k)
+            assert_certified_tops(top, bisection_tops(d, e, k), d, e, k)
             # the band edge bounds every truncation's top
             assert np.all(top <= start)
 
@@ -987,12 +985,12 @@ def test_band_edge_is_the_top_of_the_maximising_twist_symbol(p):
     np.testing.assert_allclose(start, tops, rtol=0, atol=1e-12)
 
 
-def test_newton_start_below_the_top_still_certifies(monkeypatch):
-    # a start with an eigenvalue above it keeps the Gershgorin upper end
-    # (Newton steps run where many columns are open)
+def test_newton_start_below_the_top_still_certifies():
+    # a start with an eigenvalue above it keeps the Gershgorin upper end,
+    # and those columns bisect
     d, e = sweep._scaled_tridiagonals(WORD01, phi_grid(720))[:2]
     for k in (5, 300):
-        plain = bisection_tops(monkeypatch, d, e, k)
+        plain = bisection_tops(d, e, k)
         for offset in (1e-3, 1e-14, 0.0):
             top = sweep._top_eigenvalues(d, e, k, plain - offset)
             assert_certified_tops(top, plain, d, e, k)
@@ -1116,14 +1114,36 @@ def test_split_spec_sweeps_only_open_brackets(monkeypatch):
     # every angle is flat, and the compressed skew parts of the first chunk
     # of them form one 800-row call of 2 * 655 columns; only the four of
     # theta = pi/2 and 3pi/2 (all edges vanish there) start with an open
-    # bracket, so their 128 shifts each are all its passes sweep
-    passes = sturm_passes(monkeypatch)
+    # bracket, and they take the Rayleigh-quotient core on their own: no
+    # column reaches the Sturm search
+    passes, searched = sturm_passes(monkeypatch), searched_columns(monkeypatch)
+    calls, pairs = [], sweep._top_pairs
+
+    def record(d, e, k, start=None, *rest):
+        top, vectors = pairs(d, e, k, start, *rest)
+        calls.append((d, e, k, start, top))
+        return top, vectors
+
+    monkeypatch.setattr(sweep, "_top_pairs", record)
     poly = truncation_range(PeriodSpec(a=(0, 1), b=0, c=(1, 0)), 800, SweepConfig(720, 1))
     np.testing.assert_allclose(poly.vertices, [-1, 1], rtol=0, atol=1e-15)
     counts = [columns for rows, columns, block in passes if rows == 800 and block == sweep._PIVOT_ROWS]
     assert max(counts) <= 720
     # bisection swept about 50 * (720 + 1310) columns of 800 rows
     assert sum(counts) <= 16 * 720
+    assert sum(searched) == 0
+
+    # the open columns' own call, on compressed paths of 800 blocks
+    def all_open(d, e):
+        lo, hi = d.max(axis=0), sweep._gershgorin(d, e).max(axis=0)
+        return np.all(hi - lo > sweep._bracket_width(lo, hi))
+
+    ((d, e, k, top),) = [(d, e, k, top) for d, e, k, start, top in calls if start is None and all_open(d, e)]
+    assert d.shape == (800, 4)
+    assert not sweep._count_above(d, e * e, top, k).any()
+    for j in range(4):
+        s = np.diag(d[:, j]) + np.diag(e[:-1, j], 1) + np.diag(e[:-1, j], -1)
+        assert abs(top[j] - np.linalg.eigvalsh(s)[-1]) <= 1e-13
 
 
 def vanishing_edge_spec(seed: int, p: int, theta: float) -> PeriodSpec:
@@ -1224,8 +1244,9 @@ def test_truncation_flat_ends_approach_the_union_ends(name):
 
 
 def test_truncation_flat_edge_chunks(monkeypatch):
-    # the split spec is flat at every angle; chunks of 5 angles change the
-    # multisection width of the Sturm core, so only rounding may move
+    # the split spec is flat at every angle; chunks of 5 angles change which
+    # open columns of the compressed paths share the Rayleigh-quotient sweeps
+    # (they stop once every quotient has settled), so only rounding may move
     spec, cfg, k = FLAT_SPECS["split"], SweepConfig(64, 1), 61
     whole = _truncation_points(spec, k, cfg)
     assert whole.size == 3 * cfg.num_theta
@@ -1253,9 +1274,8 @@ def test_truncation_vector_chunks_change_no_bit(monkeypatch):
         np.testing.assert_allclose(points, chunked, rtol=0, atol=1e-14)
 
 
-def fallback_columns(monkeypatch, d, e, k):
-    """Columns of :func:`sweep._top_pairs` from the band edge that go to
-    :func:`sweep._top_eigenvalues`, and its tops and vectors."""
+def searched_columns(monkeypatch):
+    """Columns of every call of :func:`sweep._top_eigenvalues`, in the order they run."""
     columns, tops = [], sweep._top_eigenvalues
 
     def record(d, e, k, start=None):
@@ -1263,6 +1283,13 @@ def fallback_columns(monkeypatch, d, e, k):
         return tops(d, e, k, start)
 
     monkeypatch.setattr(sweep, "_top_eigenvalues", record)
+    return columns
+
+
+def fallback_columns(monkeypatch, d, e, k):
+    """Columns of :func:`sweep._top_pairs` from the band edge that go to
+    :func:`sweep._top_eigenvalues`, and its tops and vectors."""
+    columns = searched_columns(monkeypatch)
     top, vectors = sweep._top_pairs(d, e, k, sweep._band_edges(d, e))
     x = next(vectors)
     monkeypatch.undo()
@@ -1317,7 +1344,7 @@ def test_rayleigh_core_is_certified_on_seeded_jacobi_matrices(monkeypatch):
     for d, e in jacobi_cases():
         k = d.shape[0]
         top, x = fallback_columns(monkeypatch, d, e, k)[1:]
-        plain = bisection_tops(monkeypatch, d, e, k)
+        plain = bisection_tops(d, e, k)
         assert not sweep._count_above(d, e * e, top, k).any()
         assert np.all(top - plain <= 34 * eps * (np.abs(plain) + 1) + 2 * sweep._bracket_width(plain, plain))
         for j in range(d.shape[1]):
@@ -1368,14 +1395,15 @@ def test_truncation_flat_edges_memory_is_linear_in_k():
 
 
 def test_truncation_support_memory_is_bounded_in_k():
-    # two angles take hundreds of shifts per Sturm pass; the pivots go
-    # through a fixed block of rows instead of a (k, shifts) array
+    # the vectors of the two angles are one (k, 2) array, and the Sturm
+    # counts run through a fixed block of pivot rows
     assert _traced_peak(lambda: truncation_support(WORD01, 5000, [0.0, np.pi])) < 4 * 2**20
 
 
 def test_multisection_memory_is_bounded_for_long_periods():
-    # two open columns of a 4000-row S took 256 shifts each, tiled whole:
-    # three (4000, 512) arrays, about 47 MiB
+    # two open columns of a 4000-row S (one period of 4000 rows): each pass
+    # tests one shift per column, on the period as it is, and the pivots go
+    # through a fixed block of rows
     rng = np.random.default_rng(13)
     k = 4000
     d, e = rng.uniform(-1.0, 0.0, (k, 2)), rng.uniform(0.0, 0.5, (k, 2))
