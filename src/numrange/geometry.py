@@ -150,7 +150,8 @@ def support_width(polygon: RangePolygon, theta: float) -> float:
 def polygon_csv(polygon: RangePolygon) -> str:
     """Vertices as CSV text: an ``re,im`` header, then one line per vertex
     with 17 significant digits."""
-    return "re,im\n" + "".join(f"{z.real:.17g},{z.imag:.17g}\n" for z in polygon.vertices)
+    v = polygon.vertices
+    return "re,im\n" + ("%.17g,%.17g\n" * v.size) % tuple(np.column_stack([v.real, v.imag]).ravel().tolist())
 
 
 def polygon_to_csv(polygon: RangePolygon, path) -> None:

@@ -9,18 +9,17 @@ line meets the range along a flat edge (degenerate top eigenvalue) the
 sweep emits the edge's endpoints, so flat pieces are exact.
 
 General matrices go through dense LAPACK solves in bounded batches;
-truncations and symbol unions need none.  Truncations have tridiagonal
-Hermitian parts, similar to real symmetric ones: Rayleigh-quotient
-iteration from the periodic operator's top band edge, certified by one
-Sturm count (Parlett, *The Symmetric Eigenvalue Problem*, ch. 4 and 7),
-takes O(k) per angle.  The union of the symbols' ranges takes one O(p)
-solve per direction: its support is attained at a twist known in closed
-form, where the symbol gauges to a real cycle whose top eigenvalue is the
-band edge and whose Perron vector gives the touch point.  Both take their
-flat edges from one block core: where edges of the period's Hermitian part
-vanish it splits into blocks, one O(p) solve gives each block's top
-eigenvector, and the skew part compressed to the top blocks (a cycle for
-unions, a path of the period's blocks for truncations) gives the two ends.
+truncations and symbol unions need none.  A truncation's Hermitian part is
+similar to a real tridiagonal of copies of one period, whose characteristic
+polynomial has a closed form in the period's Floquet discriminant (Teschl,
+*Jacobi Operators and Completely Integrable Nonlinear Lattices*, ch. 7):
+Newton steps on it give the top in O(p) per step, two Sturm counts certify
+it, and their O(k) factorization gives the eigenvector.  The symbols' union
+takes one O(p) solve per direction, at a twist known in closed form: the
+band edge and the Perron vector of a real cycle.  Both take flat edges from
+one block core: where edges vanish the period splits into blocks, and the
+skew part compressed to the top blocks (a cycle for unions, a path of
+copies for truncations) gives the two ends.
 """
 
 from __future__ import annotations
@@ -77,10 +76,9 @@ DEGENERATE_GAP = 1e-10
 # overflow; replacing a pivot by -PIVMIN moves one diagonal entry by less
 # than 2 * PIVMIN.
 PIVMIN = np.finfo(float).eps
-# Bytes of Hermitian parts the dense sweep hands to one batched ``eigh``; the
-# directions go in chunks of this size, so memory stays bounded for any
-# number of angles.  Truncations chunk their flat-edge angles to the same
-# budget per (blocks, angles) array.
+# Bytes of Hermitian parts the dense sweep hands to one batched ``eigh``, so
+# memory stays bounded for any number of angles; truncations chunk their
+# flat-edge angles to the same budget per (blocks, angles) array.
 _DENSE_BATCH_BYTES = 1 << 22
 # Bytes of one (k, angles) array of truncation eigenvectors: the sweep takes
 # its angles in chunks of this size, which holds k = 800 at 720 angles.
@@ -88,9 +86,8 @@ _VECTOR_BATCH_BYTES = 1 << 23
 # Pivot rows :func:`_count_above` keeps at a time, which are also the rows
 # :func:`_ldl_pivots` checks for its guard at a time.
 _PIVOT_ROWS = 256
-# Caps on the Laguerre steps of :func:`_band_edges`, and on the passes of
-# :func:`_top_eigenvalues` that take Newton steps; columns still open after
-# that many passes go on by bisection.
+# Caps on the steps of :func:`_descend`, and on the passes of
+# :func:`_top_eigenvalues` that take Newton steps (then it bisects).
 _BAND_EDGE_STEPS = 60
 _NEWTON_PASSES = 24
 # Rows :func:`_continuant` runs between two rescalings, the range its sums
@@ -203,15 +200,13 @@ def symbol_union_hull(spec: PeriodSpec, cfg: SweepConfig = SweepConfig()) -> Ran
 def _scaled_tridiagonals(spec: PeriodSpec, thetas: np.ndarray):
     """One period of the Hermitian part of ``e^{-i theta} T``, per angle.
 
-    Row j of a truncation (j taken mod p) has the diagonal entry
-    ``Re(e^{-i theta} b_j)`` and, right of it,
-    ``beta_j = (e^{-i theta} c_j + conj(e^{-i theta} a_{j+1})) / 2``.  The
-    unitary diagonal similarity with ``D_{j+1} / D_j = conj(beta_j) / |beta_j|``
-    turns it into the real symmetric S(theta) with diagonal ``d`` and
-    off-diagonal ``e = |beta|``.  Returns ``d, e`` as (p, num_theta) arrays
-    divided by ``2**exponent``, which brings their largest entry into
-    [1/2, 1) exactly, so that squares neither overflow nor underflow; and
-    ``beta`` itself, shape (num_theta, p).
+    Row j of a truncation (j mod p) has the diagonal entry ``Re(e^{-i theta}
+    b_j)`` and, right of it, ``beta_j = (e^{-i theta} c_j + conj(e^{-i
+    theta} a_{j+1})) / 2``.  The unitary diagonal similarity with ``D_{j+1}
+    / D_j = conj(beta_j) / |beta_j|`` makes it the real symmetric S(theta)
+    with diagonal ``d`` and off-diagonal ``e = |beta|``.  Returns ``d, e``,
+    (p, num_theta), over ``2**exponent``, which puts their largest entry in
+    [1/2, 1) so squares neither over- nor underflow; and ``beta``, (num_theta, p).
     """
     w = np.exp(-1j * thetas)[:, None]
     diag = _require_finite((w * spec.b).real, "diagonal entry")
@@ -244,19 +239,18 @@ def _continuant_rows(d, e2, lam, rows, top, prev):
 
 
 def _continuant(d, e2, lam, rows):
-    """``det(lam - S)`` of the path through ``rows`` of S and its first two
-    derivatives in ``lam`` (the rows of one array), by the three-term
-    recurrence, and ``scale``: they are divided by ``2**scale``, exactly.
+    """``det(lam - S)`` of the path through ``rows`` of S (row j joins the
+    one before by the edge ``e2[j - 1]``) and its first two derivatives in
+    ``lam`` (the rows of one array), by the three-term recurrence, and
+    ``scale``: they are divided by ``2**scale``, exactly.
 
-    The rows go in blocks of ``_CONTINUANT_ROWS``, and each column is
-    rescaled by a power of two only after a block, to a sum of moduli in
-    [1/2, 1).  With ``|lam - d| < 4`` and ``e2 < 1``, as for the scaled
-    tridiagonals below their Gershgorin bounds, a row grows the larger
-    such sum of the last two rows by less than a factor of 8, so a block
-    that ends with its sum within ``_CONTINUANT_RANGE`` of 1 stayed far
-    from under- and overflow; the rescaling is exact, so it changes no bit
-    against rescaling at every row.  A column whose block ends out of that
-    range, or not finite, is redone row by row.
+    Each column is rescaled by a power of two only after a block of
+    ``_CONTINUANT_ROWS`` rows, to a sum of moduli in [1/2, 1).  With
+    ``|lam - d| < 4`` and ``e2 < 1`` a row grows that sum by less than 8, so
+    a block ending within ``_CONTINUANT_RANGE`` of 1 stayed far from under-
+    and overflow, and the exact rescaling changes no bit against rescaling
+    at every row; a column out of that range, or not finite, is redone row
+    by row.
     """
     top = np.outer([1.0, 0.0, 0.0], np.ones_like(lam))
     prev, scale = np.zeros_like(top), np.zeros(lam.shape, dtype=int)
@@ -291,41 +285,112 @@ def _band_edges(d, e, upper=True) -> np.ndarray:
     eigenvalue of every truncation S, each a compression of that operator.
 
     By Perron-Frobenius the top is that of the twist-0 Floquet matrix, the
-    top root of ``f(lam) = det(lam - H_0) = D(lam) - 2 prod e`` with
-    ``D = K_{0..p-1} - e_{p-1}^2 K_{1..p-2}`` (Teschl, ch. 7), real-rooted
-    of degree p.  Laguerre steps on f from the Gershgorin bound (Parlett,
-    *Math. Comp.* 18 (1964) 464-485), each O(p) by the continuants K,
-    decrease to that root without crossing it, but by rounding, where
-    Newton steps crawl while many roots lie close below.  A step is taken
-    only where it is finite and ``f'/f > 0``, as above the root.  K and the
-    product carry powers of two, so p may be large; K takes them out once
-    per block of rows, so a step costs about six ufuncs a row.  No LAPACK
-    is involved.  :func:`_top_eigenvalues` checks the bound before it uses
-    it.
+    top root of ``f(lam) = det(lam - H_0) = D(lam) - 2 prod e``, ``D =
+    K_{0..p-1} - e_{p-1}^2 K_{1..p-2}`` (Teschl, ch. 7; ``K_0`` for p = 1):
+    :func:`_laguerre` steps from the Gershgorin bound, O(p) each by the
+    continuants K, which carry powers of two, so p may be large.
     """
     # the recurrence runs along rows: keep each one contiguous
     d, e = np.ascontiguousarray(d), np.ascontiguousarray(e)
-    p = d.shape[0]
-    e2 = e * e
-    lam = _gershgorin(d, e).max(axis=0)
-    product, product_scale = np.ones(lam.shape), 1
+    p, e2 = d.shape[0], e * e
+    product, product_scale = np.ones(d.shape[1]), 1
     for row in e:
         product, s = np.frexp(product * row)
         product_scale = product_scale + s
-    eps = np.finfo(float).eps
+
+    def steps(lam):
+        k, scale = _continuant(d, e2, lam, range(p))
+        m, m_scale = _continuant(d, e2, lam, range(1, p - 1))
+        f = k - (p > 1) * e2[p - 1] * np.ldexp(m, m_scale - scale)
+        f[0] -= np.ldexp(product, product_scale - scale)
+        return _laguerre(f, p)
+
+    lam = _descend(steps, _gershgorin(d, e).max(axis=0))
+    return lam + 2 * np.finfo(float).eps * np.abs(lam) + PIVMIN if upper else lam
+
+
+def _descend(steps, lam) -> np.ndarray:
+    """``lam`` less the finite positive ``steps(lam)`` until each is at most ``4 eps |lam|``."""
     for _ in range(_BAND_EDGE_STEPS):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            k, scale = _continuant(d, e2, lam, range(p))
-            m, m_scale = _continuant(d, e2, lam, range(1, p - 1))
-            f = k - e2[p - 1] * np.ldexp(m, m_scale - scale)
-            f[0] -= np.ldexp(product, product_scale - scale)
-            g, h = f[1] / f[0], f[2] / f[0]
-            step = p / (g + np.sqrt(np.maximum((p - 1) * ((p - 1) * g * g - p * h), 0.0)))
-        step = np.where(np.isfinite(step) & (g > 0), step, 0.0)
+            step = np.where(np.isfinite(s := steps(lam)) & (s > 0), s, 0.0)
         lam = lam - step
-        if not (step > 4 * eps * np.abs(lam)).any():
+        if not (step > 4 * np.finfo(float).eps * np.abs(lam)).any():
             break
-    return lam + 2 * eps * np.abs(lam) + PIVMIN if upper else lam
+    return lam
+
+
+def _laguerre(f, degree: int) -> np.ndarray:
+    """Laguerre's step on a real-rooted polynomial of ``degree`` from its
+    value and two derivatives (rows of ``f``): from above the largest root
+    it never crosses it (Parlett, *Math. Comp.* 18 (1964) 464-485).  NaN
+    where ``f'/f <= 0``, as below that root."""
+    g, h = f[1] / f[0], f[2] / f[0]
+    step = degree / (g + np.sqrt(np.maximum((degree - 1) * ((degree - 1) * g * g - degree * h), 0.0)))
+    return np.where(g > 0, step, np.nan)
+
+
+def _closed_form_tops(d, e, k: int, start, lo: int, m: int, n: int) -> np.ndarray:
+    """Largest eigenvalue of each path S, rows 0..k-1 of ``d, e`` (taken mod
+    their number), in O(m + rows besides the copies) per step; uncertified.
+
+    Rows ``lo .. lo + n m - 1`` are n copies of the period ``lo .. lo + m -
+    1``, and the edge before row lo, if any, is the period's last.  The
+    period's transfer matrix M has determinant D (its squared edges'
+    product) and trace ``Delta = K_period - e_last^2 K_inner``; by
+    Cayley-Hamilton ``det(lam - S) = D^((n-1)/2) (U_{n-1}(tau) C_1 - sqrt(D)
+    U_{n-2}(tau) C_0)`` at ``tau = Delta / (2 sqrt D)``, C_j the continuant
+    of S with j copies kept, U Chebyshev polynomials of the second kind.
+    For n >= 2 the top lies in the top band (|tau| <= 1) unless the other
+    rows lift it (a count then fails): Newton steps on the form over
+    ``U_{n-1}`` run from the band edge, ``start`` less its margin, except
+    where the band is narrower than ``n^2 / 64`` bracket widths (D = 0 where
+    an edge vanishes) and so holds the top within a fraction of a width of
+    that edge.  For n <= 1, Laguerre steps on the continuant of S from
+    ``start``, an upper bound.
+    """
+    p, e2 = d.shape[0], e * e
+    rows = lambda r: [j % p for j in r]
+    if n <= 1:
+        f = lambda lam: _continuant(d, e2, lam, rows(range(k)))[0]
+        lam = _descend(lambda lam: _laguerre(f(lam), k), start)
+        # a last step from far above may overshoot by rounding (8 widths at
+        # k = 2 from 58 times the top): one short Newton step either way
+        with np.errstate(invalid="ignore", divide="ignore"):
+            step = (lambda y: y[0] / y[1])(f(lam))
+        return lam - np.where(np.abs(step) <= 1e-8 * (np.abs(lam) + 1), step, 0.0)
+    head, period, tail = rows(range(lo)), rows(range(lo, lo + m)), rows(range(lo + n * m, k))
+    product, product_scale = np.ones(d.shape[1]), 0
+    for j in period:
+        product, s = np.frexp(product * e[j])
+        product_scale = product_scale + s
+
+    def steps(lam):
+        """The Newton steps, and tau'."""
+        c1, s1 = _continuant(d, e2, lam, head + period + tail)
+        c0, s0 = _continuant(d, e2, lam, head + tail)
+        ck, sk = _continuant(d, e2, lam, period)
+        cm, sm = _continuant(d, e2, lam, period[1:-1])
+        tau = np.ldexp(ck[:2] - (m > 1) * e2[period[-1]] * np.ldexp(cm[:2], sm - sk), sk - product_scale) / (2 * product)
+        # U_m(cos phi) = sin((m+1) phi) / sin phi, phi = arccos |tau| (imaginary
+        # above 1), U_m(-tau) = (-1)^m U_m(tau): U_{n-2} / U_{n-1}, and U_m' / U_m
+        # = (phi / sin phi) ((m+1)^2 h((m+1) phi) - h(phi)), h(x) = (1 - x cot x) / x^2
+        # a series near 0, so nothing cancels where sin phi is small; limits at 0
+        sign, phi = np.where(tau[0] < 0, -1.0, 1.0), np.arccos(np.abs(tau[0]) + 0j)
+        h = lambda x: np.where(np.abs(x) < 1e-3, 1 / 3 + x * x / 45, (1 - x / np.tan(x)) / (x * x))
+        sinc = sign * tau[1] * np.where(phi == 0, 1.0, phi / np.sin(phi))
+        slope = lambda j: (sinc * ((j + 1) ** 2 * h((j + 1) * phi) - h(phi))).real
+        ratio = np.where(phi == 0, (n - 1) / n, np.cos(phi) - np.sin(phi) / np.tan(n * phi)).real
+        g = np.ldexp(product, product_scale + s0 - s1) * sign * ratio
+        return (c1[0] - g * c0[0]) / (slope(n - 1) * c1[0] + c1[1] - g * (slope(n - 2) * c0[0] + c0[1])), tau[1]
+
+    lam = start - _bracket_width(start, start)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        at = np.flatnonzero(steps(lam)[1] * (n * n * _bracket_width(lam, lam)) < 128)
+    # the steps from here on see only the columns of wide bands
+    d, e2, product, product_scale = d.take(at, axis=1), e2.take(at, axis=1), product[at], product_scale[at]
+    lam[at] = _descend(lambda x: steps(x)[0], lam[at])
+    return lam
 
 
 def _pivot_rows(shifted, e2, first, q, ratio=None, guard=True):
@@ -358,10 +423,9 @@ def _pivot_window(period, arrays, first, q, ratio, guard: bool) -> bool:
     """Rows ``first, ...`` of :func:`_pivot_rows` into ``q[1:]`` and
     ``ratio[1:]``, with the guard only where it acts: a pass without it,
     then the columns with a pivot below ``PIVMIN`` (or not finite) again
-    with it, from the window's first such row.  Where that is most columns,
-    all are redone in place and the windows after run with the guard from
-    the start: the returned ``guard``.  ``period`` holds the rows of
-    ``arrays``."""
+    with it, from the window's first such row; where that is most columns,
+    all, and later windows are guarded from the start (the returned ``guard``).
+    ``period`` holds the rows of ``arrays``."""
     if guard:
         _pivot_rows(*period, first, q, ratio)
         return True
@@ -389,25 +453,19 @@ def _pivot_window(period, arrays, first, q, ratio, guard: bool) -> bool:
 
 
 def _ldl_pivots(d, e2, sigma, k: int, block: int, slope=None):
-    """Pivots of ``S - sigma = L D L^T`` for the k-by-k S of every column.
-
-    ``d`` and ``e2`` are one period of the diagonal and of the squared
-    off-diagonal, shape (p, columns).  The pivots come in consecutive
-    blocks of at most ``block`` rows, each written over the one before it.
-    A pivot of modulus below ``PIVMIN`` becomes ``-PIVMIN``.  By Sylvester's
-    law of inertia the number of negative pivots is the number of
-    eigenvalues below ``sigma`` (the Sturm count).  With ``slope`` (one
-    entry per column) the same sweep adds
-    ``G(sigma) = sum q_i' / q_i = sum_j 1 / (sigma - lambda_j)`` into it,
-    the logarithmic derivative of ``det(sigma - S)``, from
-    ``q_i' = -1 + e_{i-1}^2 q_{i-1}' / q_{i-1}^2``.
-
-    As in LAPACK's ``dlaneg`` (Marques, Riedy & Voemel, *SIAM J. Sci.
-    Comput.* 28 (2006) 1613-1633), each window of ``_PIVOT_ROWS`` rows
-    first runs without the guard, at two ufuncs a row, and only the
-    columns it would act on are redone with it (:func:`_pivot_window`).
-    The guard acts on no other column, so the pivots, counts and slopes
-    are those of the guarded recurrence bit for bit.
+    """Pivots of ``S - sigma = L D L^T`` for the k-by-k S of every column,
+    ``d, e2`` one period (p, columns) of its diagonal and squared
+    off-diagonal, in consecutive blocks of at most ``block`` rows, each
+    written over the one before.  A pivot of modulus below ``PIVMIN``
+    becomes ``-PIVMIN``.  By Sylvester's law of inertia the negative pivots
+    count the eigenvalues below ``sigma`` (the Sturm count).  With ``slope``
+    (per column) the sweep adds ``G(sigma) = sum q_i' / q_i = sum_j 1 /
+    (sigma - lambda_j)`` into it, from ``q_i' = -1 + e_{i-1}^2 q_{i-1}' /
+    q_{i-1}^2``.  As in LAPACK's ``dlaneg`` (Marques, Riedy & Voemel, *SIAM
+    J. Sci. Comput.* 28 (2006) 1613-1633), each window of ``_PIVOT_ROWS``
+    rows runs without the guard, at two ufuncs a row, and only the columns
+    it would act on are redone with it (:func:`_pivot_window`), so pivots,
+    counts and slopes are those of the guarded recurrence bit for bit.
     """
     # rows contiguous (d[:, mask] is not), as the recurrence runs along them
     arrays = np.subtract(d, sigma, order="C"), np.ascontiguousarray(e2)
@@ -440,30 +498,20 @@ def _count_above(d, e2, sigma, k: int, slope=None) -> np.ndarray:
 
 def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
     """Largest eigenvalue of each k-by-k S, by Sturm counts: the certified
-    search of :func:`_top_pairs` for calls too big for one vector batch and
-    for the columns that fail its certificate.
+    search for the columns of :func:`_top_pairs` that fail its counts.
 
-    The bracket starts between the largest diagonal entry (a Rayleigh
-    quotient) and the Gershgorin bound, and each pass tests one shift in
-    each column whose bracket is still open.  With ``start``, an upper
-    bound on each top, the first pass counts at it (a column with an
-    eigenvalue at or above it bisects from the Gershgorin bound) and also
-    returns ``G = sum_j 1 / (sigma - lambda_j)``; the next shift is the
-    Newton point ``hi - max(1/G, tol)``, ``tol`` half the final width.
-    ``det(sigma - S)`` is real-rooted, so from above a Newton step never
-    overshoots the top (but by rounding); a Newton point at or below the
-    lower end ``lo`` puts the top at ``lo``, so ``lo + tol`` replaces it.
-    Without ``start``, and for columns open after ``_NEWTON_PASSES``
-    passes, the shift bisects the bracket.
-
-    The new bracket runs from the shift to the upper end where an
-    eigenvalue lies at or above it, else from the lower end to the shift.
-    Its upper end, a few ulps above the top, is returned.
+    The bracket runs from the largest diagonal entry (a Rayleigh quotient)
+    to the Gershgorin bound, and each pass tests one shift per open column.
+    With ``start``, an upper bound, the first pass counts there (a column
+    with an eigenvalue at or above it bisects) and returns ``G = sum_j 1 /
+    (sigma - lambda_j)``; the next shift is the Newton point ``hi - max(1/G,
+    tol)``, ``tol`` half the final width, which from above never overshoots
+    the top but by rounding (one at or below ``lo`` becomes ``lo + tol``).
+    Without ``start``, and after ``_NEWTON_PASSES`` passes, shifts bisect.
+    The bracket keeps the side with the top; its upper end is returned.
     """
-    rows = np.arange(min(k, d.shape[0]))
-    lo = d[rows].max(axis=0)
-    hi = _gershgorin(d, e)[rows].max(axis=0)
-    e2 = e * e
+    rows = min(k, d.shape[0])
+    lo, hi, e2 = d[:rows].max(axis=0), _gershgorin(d, e)[:rows].max(axis=0), e * e
     # the Newton step 1/G from each upper end, infinite where unknown, and
     # the columns that take no Newton steps
     step = np.full(lo.shape, np.inf)
@@ -505,101 +553,60 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
         step[at] = np.where(inside, h, steps)
 
 
-def _top_eigenvectors(d, e, top, k: int, x=None, sweeps=3):
-    """Top eigenvectors of each S, as the columns of a (k, columns) array
-    (``x``, in place, if given), and the pivots of ``S - top``.
-
-    Inverse iteration with the pivots of ``S - top``, ``top`` a shift at
-    or near the top: ``sweeps`` solves, each scaled to largest
-    modulus 1 per column.  The off-diagonal of S is nonnegative, so by
-    Perron-Frobenius its top eigenvector can be taken nonnegative and the
-    all-ones start vector is never orthogonal to it.  Each sweep shrinks the
-    other components by (a few ulps) / (spectral gap), and outside the
-    flat-edge angles that gap exceeds ``DEGENERATE_GAP``.
-    """
-    q = next(_ldl_pivots(d, e * e, top, k, k))
-    mult = e[np.arange(k - 1) % d.shape[0]]
+def _top_eigenvectors(e, q) -> np.ndarray:
+    """Top eigenvectors of each S, the columns of a (k, columns) array: two
+    solves from all ones with the pivots ``q`` of ``S - sigma``, sigma a few
+    ulps above the top, each scaled to largest modulus 1.  By Perron-Frobenius
+    the top eigenvector is nonnegative, so not orthogonal to the start; each
+    solve shrinks the others by (a few ulps) / (gap > ``DEGENERATE_GAP``)."""
+    mult = e[np.arange(q.shape[0] - 1) % e.shape[0]]
     mult /= q[:-1]
-    x = np.ones_like(q) if x is None else x
-    for _ in range(sweeps):
+    x = np.ones_like(q)
+    for _ in range(2):
         _ldl_solve(q, mult, x)
         x /= np.maximum(x.max(axis=0), -x.min(axis=0))
-    return x, q
+    return x
 
 
-def _residue_sums(d, e, x, k: int, shift=None):
-    """``x^T S x / x^T x`` per column of ``x`` (rows 1 to k, the others zero,
-    to a multiple of p plus two); with ``shift``, ``x^T (S - shift) x`` and
-    ``|(S - shift) x|^2`` over ``x^T x``.  Sums by residue mod p, with
-    ``einsum`` over (periods, p, columns) views: no BLAS."""
-    p, n = d.shape[0], x.shape[1]
-    before, here, after = (x[i : x.shape[0] - 2 + i].reshape(-1, p, n) for i in range(3))
-    norm = np.einsum("mrj,mrj->j", here, here)
-    if shift is None:
-        return (np.einsum("rj,mrj,mrj->j", d, here, here) + 2 * np.einsum("rj,mrj,mrj->j", e, here, after)) / norm
-    r = (d - shift) * here
-    r += e * after
-    r += np.roll(e, 1, axis=0) * before
-    r.reshape(-1, n)[k:] = 0.0
-    return np.einsum("mrj,mrj->j", here, r) / norm, np.einsum("mrj,mrj->j", r, r) / norm
+def _top_pairs(d, e, k: int, start=None, repeat=None, use=lambda t, x: x):
+    """Top eigenvalue of each path S (rows 0..k-1 of ``d, e``, taken mod
+    their number p), and an iterator of ``use(columns, top eigenvectors as a
+    (k, columns) array)`` over chunks of columns (none if ``use`` is None).
 
-
-def _top_pairs(d, e, k: int, start=None, use=lambda t, x: x):
-    """Top eigenvalue of each k-by-k S, and an iterator of ``use(columns,
-    top eigenvectors as a (k, columns) array)`` over chunks of columns.
-
-    Rayleigh-quotient iteration from the all-ones vector: up to four sweeps,
-    the first at ``start``, an upper bound (by default the Gershgorin
-    bound).  With ``hi = rho + |(S - rho) x| / |x|`` plus a margin, the
-    negative pivots of ``S - hi`` certify that no eigenvalue lies at or
-    above it (a Sturm count), and give the last sweep.  An eigenvalue lies
-    within the residual of rho, kept below ``16 eps (|rho| + 1)``, so hi
-    exceeds the top by at most twice it plus the margin.  Failed columns
-    (as on reducible S) go to :func:`_top_eigenvalues` and
-    :func:`_top_eigenvectors`; so do calls where one ``_VECTOR_BATCH_BYTES``
-    batch holds too few columns (narrow chunks of many rows pay per row what
-    Sturm passes share).  Where at least half the brackets of
-    :func:`_top_eigenvalues` start closed (the flat-edge paths of split
-    specs), their upper ends are the tops, the open columns take this core
-    on their own, and all take one pass of :func:`_top_eigenvectors`.
+    lam comes from :func:`_closed_form_tops` for ``repeat = (lo, m, n)``
+    (default ``(0, p, k // p)``: a truncation) and ``start`` (default the
+    period's band edge, or if n <= 1 the Gershgorin bound).  With w the
+    :func:`_bracket_width` at lam, the pivots of ``S - (lam + w)`` (a chunk
+    of ``_VECTOR_BATCH_BYTES`` at a time; they also drive
+    :func:`_top_eigenvectors`) must all be negative, and a second count or
+    a diagonal entry (a Rayleigh quotient) must put an eigenvalue at or
+    above ``lam - w``; lam + w is returned.  Other columns, and those with
+    lam not finite, go to :func:`_top_eigenvalues`.
     """
-    n, eps = d.shape[1], np.finfo(float).eps
-    lo, hi = (y[: min(k, d.shape[0])].max(axis=0) for y in (d, _gershgorin(d, e)))
-    parts = -(-n // max(2, _VECTOR_BATCH_BYTES // (8 * k)))
-    closed = ~(hi - lo > _bracket_width(lo, hi))
-    if parts > 1 or 2 * np.count_nonzero(closed) >= n:
-        if parts > 1:
-            top = _top_eigenvalues(d, e, k, start)
-        else:
-            top, at = hi.copy(), np.flatnonzero(~closed)
-            if at.size:
-                top[at] = _top_pairs(d[:, at], e[:, at], k, None if start is None else start[at])[0]
-        chunks = [slice(t[0], t[-1] + 1) for t in np.array_split(np.arange(n), parts)]
-        return top, (use(t, _top_eigenvectors(d[:, t], e[:, t], top[t], k)[0]) for t in chunks)
-    x = np.zeros((-(-k // d.shape[0]) * d.shape[0] + 2, n))
-    x[1 : k + 1] = 1.0
-    rho = hi if start is None else np.minimum(start, hi)
-    with np.errstate(all="ignore"):
-        quotient = _residue_sums(d, e, x, k)
-        for _ in range(4):
-            _top_eigenvectors(d, e, rho, k, x[1 : k + 1], 1)
-            last, quotient = quotient, _residue_sums(d, e, x, k)
-            # shifts just above the quotients keep S - rho from singular
-            rho = quotient + _bracket_width(quotient, quotient)
-            # converging cubically, a quotient that moved by delta leaves a
-            # residual near delta^1.5 / gap^0.5: rounding level below eps^(2/3)
-            if (np.abs(quotient - last) <= eps ** (2 / 3) * (np.abs(quotient) + 1)).all():
-                break
-        shifted, square = _residue_sums(d, e, x, k, rho)
-        rho, residual = rho + shifted, np.sqrt(np.maximum(square - shifted * shifted, 0.0))
-        top = rho + residual + _bracket_width(rho, rho)
-        negative = _top_eigenvectors(d, e, top, k, x[1 : k + 1], 1)[1] < 0
-    fail = np.flatnonzero(~(negative.all(axis=0) & (residual <= 16 * eps * (np.abs(rho) + 1))))
-    if fail.size:
-        d, e = d[:, fail], e[:, fail]
-        top[fail] = _top_eigenvalues(d, e, k, None if start is None else start[fail])
-        x[1 : k + 1, fail] = _top_eigenvectors(d, e, top[fail], k)[0]
-    return top, iter([use(slice(None), x[1 : k + 1])])
+    p, n = d.shape
+    lo, m, copies = (0, p, k // p) if repeat is None else repeat
+    if start is None:
+        start = _band_edges(d[lo : lo + m], e[lo : lo + m]) if copies >= 2 else _gershgorin(d, e)[:k].max(axis=0)
+    lam = _closed_form_tops(d, e, k, start, lo, m, copies)
+    finite, lam = np.isfinite(lam), np.where(np.isfinite(lam), lam, start)
+    width, e2 = _bracket_width(lam, lam), e * e
+    top, ok = lam + width, d[:k].max(axis=0) >= lam - width
+    at = np.flatnonzero(~ok)
+    ok[at] = _count_above(d.take(at, axis=1), e2.take(at, axis=1), lam[at] - width[at], k) >= 1
+    ok &= finite
+    vectors = []
+    for c in np.array_split(np.arange(n), -(-n // max(2, _VECTOR_BATCH_BYTES // (8 * k)))):
+        t = slice(c[0], c[-1] + 1)
+        q = next(_ldl_pivots(d[:, t], e2[:, t], top[t], k, k))
+        f = c[~(ok[t] & (q < 0).all(axis=0))]
+        if f.size:
+            top[f] = _top_eigenvalues(d[:, f], e[:, f], k, start[f])
+            q[:, f - c[0]] = next(_ldl_pivots(d[:, f], e2[:, f], top[f], k, k))
+        if use is not None:
+            # the vectors replace the pivots, so ``use`` and the next chunk see one (k, columns) array
+            q = _top_eigenvectors(e[:, t], q)
+            vectors.append(use(t, q))
+    return top, iter(vectors)
 
 
 def _ldl_solve(q, mult, x):
@@ -616,23 +623,19 @@ def _ldl_solve(q, mult, x):
 
 
 def _perron_vectors(d, e, sigma) -> np.ndarray:
-    """Positive multiples of ``(sigma - C)^{-1} 1``, as the columns of a
-    (p, columns) array scaled to largest entry 1: near the top of C, its
-    Perron vectors to within ``(sigma - lambda_max) / gap``.
+    """Positive multiples of ``(sigma - C)^{-1} 1``, the columns of a (p,
+    columns) array scaled to largest entry 1: near the top of C, its Perron
+    vectors to within ``(sigma - lambda_max) / gap``.
 
-    C is the real cycle with diagonal ``d`` and edges ``e >= 0`` (shape
-    (p, columns)): the path P plus ``w (e_0 e_{p-1}^T + e_{p-1} e_0^T)``
-    for the wrap edge ``w = e_{p-1}``, which adds to the path's edge for
-    p = 2 and lands twice on the diagonal for p = 1.  ``sigma`` above its top
-    makes ``sigma - C`` a nonsingular M-matrix, so x > 0.  The pivots of
-    ``P - sigma`` give ``y, z_0, z_1``, ``(sigma - P)^{-1}`` applied to
-    ``1, e_0, e_{p-1}``, all nonnegative.  By the Woodbury identity
-    ``x = y + w (x_{p-1} z_0 + x_0 z_1)``, where ``(x_0, x_{p-1})`` solves
-    ``[[1 - w g, -w g_00], [-w g_11, 1 - w g]]`` against ``(y_0, y_{p-1})``,
-    with ``g_00 = z_0[0]``, ``g = z_0[p-1]``, ``g_11 = z_1[p-1]``.  Its
-    determinant vanishes as sigma reaches the top, so ``det * x`` is formed
-    from the adjugate; ``1 - w g > 0``, so all its terms but ``det * y`` are
-    nonnegative.
+    C is the real cycle with diagonal ``d`` and edges ``e >= 0``: the path P
+    plus ``w (e_0 e_{p-1}^T + e_{p-1} e_0^T)``, ``w = e_{p-1}``.  With sigma
+    above its top, ``sigma - C`` is a nonsingular M-matrix, so x > 0.  The
+    pivots of ``P - sigma`` give ``y, z_0, z_1 = (sigma - P)^{-1} (1, e_0,
+    e_{p-1})``, all nonnegative; by Woodbury ``x = y + w (x_{p-1} z_0 + x_0
+    z_1)``, ``(x_0, x_{p-1})`` solving ``[[1 - w g, -w g_00], [-w g_11, 1 - w
+    g]]`` against ``(y_0, y_{p-1})`` (``g_00 = z_0[0]``, ``g = z_0[p-1]``,
+    ``g_11 = z_1[p-1]``).  Its determinant vanishes at the top, so ``det *
+    x`` comes from the adjugate, all of whose terms but ``det * y`` are >= 0.
     """
     p = d.shape[0]
     q = next(_ldl_pivots(d, e * e, sigma, p, p))
@@ -650,14 +653,12 @@ def _perron_vectors(d, e, sigma) -> np.ndarray:
 def _touch_points(spec: PeriodSpec, beta, x, cycle=False) -> np.ndarray:
     """Rayleigh quotients of T_k at the eigenvectors ``D x`` of its Hermitian parts.
 
-    With ``u_j = D_{j+1} / D_j`` the phase of ``conj(beta_j)`` (1 where
-    ``beta_j = 0``), ``(D x)^* T_k (D x)`` is
-    ``sum b_j x_j^2 + sum (c_j u_j + a_{j+1} conj(u_j)) x_j x_{j+1}``.
-    With ``cycle`` (x has p rows) the sum also takes the wrap edge, row
-    p - 1 to row 0: the quotient of the symbol ``S(phi)`` whose twisted wrap
-    terms ``a_0 e^{-i phi}`` and ``c_{p-1} e^{i phi}`` the phase ``u_{p-1}``
-    gauges, ``e^{i phi} = u_{p-1} D_{p-1}``.  Real sums by residue mod p
-    keep BLAS, whose rounding depends on its thread count, out of it.
+    With ``u_j = D_{j+1} / D_j`` the phase of ``conj(beta_j)`` (1 where 0),
+    ``(D x)^* T_k (D x) = sum b_j x_j^2 + sum (c_j u_j + a_{j+1} conj(u_j))
+    x_j x_{j+1}``.  With ``cycle`` (x has p rows) the sum also takes the wrap
+    edge: the quotient of the symbol ``S(phi)``, ``e^{i phi} = u_{p-1}
+    D_{p-1}``.  Real sums by residue mod p keep BLAS, whose rounding depends
+    on its thread count, out of it.
     """
     p = spec.p
     u = np.exp(-1j * np.angle(beta))
@@ -675,16 +676,15 @@ def _cut_blocks(spec: PeriodSpec, thetas, d, e, beta, exponent, cut):
     """The period's Hermitian part at each of ``thetas`` (``d, e, beta,
     exponent`` of :func:`_scaled_tridiagonals`) with the edges ``cut`` (p,
     directions) set to 0: its Perron vector at the band edge (rows rolled),
-    and per block (rows between two cut edges; slot j ends at cut edge j)
-    of the directions with cut edges, that vector's part normalised, near
-    the band edge the block's top eigenvector.  Their rows start after the
-    first cut edge, so the wrap edge is cut (else a wrap block tied with
-    another would leave the other ``det * y`` with a Woodbury determinant
-    that rounds to 0 or below).  Per block it returns the Hermitian quotient
-    (-inf in unused slots, as tops can be negative); in the gauge of
-    :func:`_touch_points` with the phase of ``conj(gamma_j)`` across each cut
-    edge j, the skew quotient and T's quotient; the first entry; and the last
-    entry times ``|gamma_j|`` and T's link term ``c_j u_j + a_{j+1} conj(u_j)``.
+    and per block (rows between cut edges; slot j ends at cut edge j) of
+    the directions with cut edges, that vector's part normalised: the
+    block's top eigenvector.  Rows start after the first cut edge, so the
+    wrap edge is cut (else tied blocks leave a Woodbury determinant that
+    rounds to 0 or below).  Per block: the Hermitian quotient (-inf in
+    unused slots); in the gauge of :func:`_touch_points` with the phase of
+    ``conj(gamma_j)`` across each cut edge j, the skew quotient and T's; the
+    first entry; the last times ``|gamma_j|`` and T's link ``c_j u_j +
+    a_{j+1} conj(u_j)``.
     """
     p, split = d.shape[0], np.flatnonzero(cut.any(axis=0))
     at = (np.arange(p)[:, None] + cut[:, split].argmax(axis=0) + 1) % p
@@ -718,14 +718,12 @@ def _cut_blocks(spec: PeriodSpec, thetas, d, e, beta, exponent, cut):
 
 def _flat_ends(s, span, across, after, index, q, out_link, solve) -> np.ndarray:
     """Both ends of each flat edge (columns), bottom ends first, from its
-    blocks (rows): the top vectors r of the skew part compressed to the
-    spanning blocks (diagonal ``s``, edges ``across``) and of its negation,
-    by ``solve``, give the Rayleigh quotients of T at the phases of
-    ``conj(+-gamma_j)`` across the cut edges,
-    ``(sum r_b^2 q_b +- sum r_b r_{b+1} after_b out_link_b) / sum r_b^2``.
-    Block b is entry ``index[b]`` of ``q`` and ``out_link`` (of
-    :func:`_cut_blocks`), and ``after`` the next block's first entry.  The
-    sums go by entry, so no (blocks, columns) complex array is formed.
+    blocks (rows): the top vectors r, by ``solve``, of the skew part
+    compressed to the spanning blocks (diagonal ``s``, edges ``across``) and
+    of its negation give T's quotients at the phases ``conj(+-gamma_j)``,
+    ``(sum r_b^2 q_b +- sum r_b r_{b+1} after_b out_link_b) / sum r_b^2``,
+    block b being entry ``index[b]`` of ``q`` and ``out_link`` (of
+    :func:`_cut_blocks`), ``after`` the next block's first entry.
     """
     scale = np.frexp(np.maximum(np.abs(s * span), across).max(axis=0, initial=0.0))[1]
     sign, on, shape = np.array([[-1.0], [1.0]]), span[:, None], (len(s), 2, s.shape[1])
@@ -741,28 +739,27 @@ def _flat_ends(s, span, across, after, index, q, out_link, solve) -> np.ndarray:
 
 def truncation_support(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
     """Support function of W(T_k) at ``thetas``, in the shape of ``thetas``:
-    the largest eigenvalue of the Hermitian part of ``e^{-i theta} T_k``, in
-    O(k) per angle."""
+    the largest eigenvalue of the Hermitian part of ``e^{-i theta} T_k`` by
+    :func:`_top_pairs`, the upper end of a certified bracket, no vectors."""
     if k < 1:
         raise ValueError("truncation size must be >= 1")
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size == 0:
         return np.zeros(thetas.shape)
     d, e, _, exponent = _scaled_tridiagonals(spec, thetas.ravel())
-    return np.ldexp(_top_pairs(d, e, k, _band_edges(d, e))[0], exponent).reshape(thetas.shape)
+    return np.ldexp(_top_pairs(d, e, k, _band_edges(d, e), None, None)[0], exponent).reshape(thetas.shape)
 
 
 def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
-    """Both ends of the flat edge of W(T_k) at each of ``thetas``, in O(k)
-    each: bottom and top end of the first, then of the second, and so on.
+    """Both ends of the flat edge of W(T_k) at each of ``thetas``: bottom
+    and top end of the first, then of the second, and so on.
 
-    S is cut at the period's smallest edges (the smallest one, and any within
-    rounding of zero).  T_k compresses the periodic operator, so its blocks
-    are copies of the cut period's, but for the first and the last: those
-    come from the period also cut before row 0 and after row k - 1.  One
-    :func:`_cut_blocks` solves the three, each with the rows it does not
-    supply at -4, below any block's top (scaled entries lie in [-1, 1));
-    the blocks of T_k then form a path.
+    S is cut at the period's smallest edges (and any within rounding of 0).
+    Its blocks are copies of the cut period's but for the first and the
+    last, from the period also cut before row 0 and after row k - 1; one
+    :func:`_cut_blocks` solves the three (rows outside a block at -4, below
+    any top).  The blocks form a path that repeats the period's every m
+    blocks, which :func:`_top_pairs` solves per m in O(p) per step.
     """
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
     n, p = beta.shape
@@ -790,31 +787,35 @@ def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
     span = h >= best - _gap_tol(best)
     after = np.roll(take(head), -1, axis=0) * (t < count - 1)
     across = take(out_gamma) * after * span * np.roll(span, -1, axis=0)
-    solve = lambda bd, be: np.hstack(list(_top_pairs(bd, be, t.size)[1]))
-    return _flat_ends(take(s), span, across, after, index, q.reshape(-1, n), out_link.reshape(-1, n), solve).T.ravel()
+    s, q, out_link = take(s), q.reshape(-1, n), out_link.reshape(-1, n)
+    ends = np.empty((2, n), dtype=complex)
+    for size in set(m.tolist()):
+        g = np.flatnonzero(m == size)
+        rows = count[g].max()
+        # blocks 1..count-2 repeat every ``size``; block 0 and one period head the copies
+        repeat = 1 + size, size, max((count[g].min() - 3) // size - 1, 0)
+        solve = lambda bd, be: np.hstack(list(_top_pairs(bd, be, rows, None, repeat)[1]))
+        at = index[:rows, g] // n * g.size + np.arange(g.size)
+        ends[:, g] = _flat_ends(*(y[:rows, g] for y in (s, span, across, after)), at, q[:, g], out_link[:, g], solve)
+    return ends.T.ravel()
 
 
 def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray:
-    """:func:`boundary_points` of the k-by-k truncation, from its three diagonals.
-
-    The sweep runs on the real symmetric tridiagonal S(theta) similar to
-    each Hermitian part (:func:`_top_pairs` from the band edge of
-    :func:`_band_edges`), in O(num_theta * k) time and memory.  Where the
-    top eigenvalue is degenerate, by the test of :func:`boundary_points`,
-    both ends of the flat edge follow, from :func:`_truncation_flat_ends` in
-    O(k) per angle: flat edges stay exact, and no dense k-by-k matrix is
-    ever built.
-    """
+    """:func:`boundary_points` of the k-by-k truncation, from its three
+    diagonals: :func:`_top_pairs` on the real symmetric tridiagonal S(theta)
+    similar to each Hermitian part, in O(num_theta * k) time and memory, and
+    where the top is degenerate, by the test of :func:`boundary_points`, both
+    ends of the flat edge from :func:`_truncation_flat_ends`; no dense k-by-k
+    matrix is ever built."""
     if k < 1:
         raise ValueError("truncation size must be >= 1")
     thetas = phi_grid(cfg.num_theta)
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
-    scaled_top, points = _top_pairs(d, e, k, _band_edges(d, e), lambda t, x: _touch_points(spec, beta[t], x))
+    scaled_top, points = _top_pairs(d, e, k, _band_edges(d, e), None, lambda t, x: _touch_points(spec, beta[t], x))
     top = np.ldexp(scaled_top, exponent)
     below = np.ldexp(top - _gap_tol(top), -exponent)
     flat = np.nonzero(_count_above(d, e * e, below, k) >= 2)[0]
-    # specs flat at every angle would otherwise hold (blocks, num_theta)
-    # arrays several times over
+    # specs flat at every angle would otherwise hold many (blocks, num_theta) arrays
     chunk = max(1, _DENSE_BATCH_BYTES // (8 * k))
     ends = [_truncation_flat_ends(spec, k, thetas[flat[lo : lo + chunk]]) for lo in range(0, flat.size, chunk)]
     return _require_finite(np.concatenate([*points, *ends]), "touch point")
@@ -863,11 +864,10 @@ def _cycle_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
     """Touch points of the union of symbol ranges at directions ``thetas``,
     in O(p) each: one per direction, then the bottom end of each flat edge.
 
-    The gauged Hermitian part is the real cycle of :func:`_scaled_tridiagonals`
-    with its vanishing edges cut; its Perron vector at the band edge gives the
-    touch point.  Where edges vanish phi is free, and so is the phase across
-    each cut edge: the blocks whose Hermitian quotient is within ``_gap_tol``
-    of the best span the flat edge, in a cycle (m = 1 joins a block to itself).
+    The Perron vector at the band edge of the real cycle of
+    :func:`_scaled_tridiagonals`, vanishing edges cut, gives the touch point.
+    Where edges vanish, phi and the phases across them are free: the blocks
+    within ``_gap_tol`` of the best span the flat edge, in a cycle.
     """
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
     cut = (np.abs(beta) <= _edge_rounding(spec)).T

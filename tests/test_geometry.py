@@ -11,6 +11,7 @@ from numrange.geometry import (
     convex_hull,
     excess,
     hausdorff,
+    polygon_csv,
     polygon_from_csv,
     polygon_to_csv,
     support_width,
@@ -387,6 +388,14 @@ def test_csv_round_trip_exact(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "re,im"
     assert len(text) == len(poly.vertices) + 1
+    # negative zero, subnormals and the ends of the range: the text is that
+    # of one 17-digit f-string per coordinate, and reads back bit for bit
+    edge = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e-300, -1e-300, 1e300, -1e300, 1 / 3, np.pi])
+    z = edge[:, None] + 1j * edge[None, ::-1]
+    text = polygon_csv(RangePolygon(z.ravel()))
+    assert text == "re,im\n" + "".join(f"{w.real:.17g},{w.imag:.17g}\n" for w in z.ravel())
+    back = np.array([[float(x) for x in line.split(",")] for line in text.splitlines()[1:]])
+    assert back.tobytes() == np.column_stack([z.real.ravel(), z.imag.ravel()]).tobytes()
 
 
 def test_csv_rejects_bad_header(tmp_path):

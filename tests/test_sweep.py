@@ -1111,11 +1111,10 @@ def test_word01_takes_few_sturm_passes(monkeypatch, k):
 
 
 def test_split_spec_sweeps_only_open_brackets(monkeypatch):
-    # every angle is flat, and the compressed skew parts of the first chunk
-    # of them form one 800-row call of 2 * 655 columns; only the four of
-    # theta = pi/2 and 3pi/2 (all edges vanish there) start with an open
-    # bracket, and they take the Rayleigh-quotient core on their own: no
-    # column reaches the Sturm search
+    # every angle is flat; the compressed skew parts are grouped by the cut
+    # edges per period, and the four of theta = pi/2 and 3pi/2 (all edges
+    # vanish there) make an 800-block call of their own, every bracket open;
+    # the closed form certifies every column, so none reaches the Sturm search
     passes, searched = sturm_passes(monkeypatch), searched_columns(monkeypatch)
     calls, pairs = [], sweep._top_pairs
 
@@ -1245,8 +1244,8 @@ def test_truncation_flat_ends_approach_the_union_ends(name):
 
 def test_truncation_flat_edge_chunks(monkeypatch):
     # the split spec is flat at every angle; chunks of 5 angles change which
-    # open columns of the compressed paths share the Rayleigh-quotient sweeps
-    # (they stop once every quotient has settled), so only rounding may move
+    # columns share a compressed-path call, and so how those paths split into
+    # copies of a period and the rows around them: only rounding may move
     spec, cfg, k = FLAT_SPECS["split"], SweepConfig(64, 1), 61
     whole = _truncation_points(spec, k, cfg)
     assert whole.size == 3 * cfg.num_theta
@@ -1256,10 +1255,10 @@ def test_truncation_flat_edge_chunks(monkeypatch):
 
 def test_truncation_vector_chunks_change_no_bit(monkeypatch):
     # where one vector batch cannot hold every angle, the eigenvectors go by
-    # Sturm counts in chunks of angles, two or more each: budgets of 60
-    # angles, of one and of seven (120 = 17 * 7 + 1) agree bit for bit, and
-    # with the Rayleigh-quotient core of a whole batch to rounding (but the
-    # top points of the two flat-edge angles, which may lie anywhere on it)
+    # pivots in chunks of angles, two or more each: budgets of 60 angles, of
+    # one and of seven (120 = 17 * 7 + 1) agree bit for bit, and with a
+    # whole batch to rounding (the flat ends' compressed paths, whose chunks
+    # the budget also picks, may move by rounding)
     spec, cfg, k = FLAT_SPECS["random"], SweepConfig(120, 1), 61
     whole = _truncation_points(spec, k, cfg)
     monkeypatch.setattr(sweep, "_VECTOR_BATCH_BYTES", 8 * k * 60)
@@ -1296,26 +1295,91 @@ def fallback_columns(monkeypatch, d, e, k):
     return sum(columns), top, x
 
 
+def closed_form_fails(d, e, k):
+    """Columns whose closed-form top from the band edge fails the counts of
+    :func:`sweep._top_pairs`: not finite, an eigenvalue at or above
+    ``lam + w``, or none at or above ``lam - w`` and no diagonal entry there."""
+    p = d.shape[0]
+    lam = sweep._closed_form_tops(d, e, k, sweep._band_edges(d, e), 0, p, k // p)
+    w = sweep._bracket_width(lam, lam)
+    with np.errstate(invalid="ignore"):
+        above, below = (sweep._count_above(d, e * e, lam + s * w, k) for s in (1, -1))
+    low = (below >= 1) | (d[: min(k, p)].max(axis=0) >= lam - w)
+    return ~(np.isfinite(lam) & (above == 0) & low)
+
+
 @pytest.mark.parametrize(
     "text, k, fallback",
     [
-        # reducible at small k: many columns fail the count or the residual
-        ("p=3;a=0.5,1,0;b=0.2,0,1;c=1,0,0.3", 4, (16, 96)),
-        ("p=4;a=1,1,0,1;b=0,0,1.2,0;c=1,0,1,0", 5, (16, 96)),
-        # every column certified
+        # an edge vanishes at every angle; k < 2p: Laguerre steps on the
+        # whole path, a Newton step mending the last one's rounding
+        ("p=3;a=0.5,1,0;b=0.2,0,1;c=1,0,0.3", 4, (0, 0)),
+        ("p=4;a=1,1,0,1;b=0,0,1.2,0;c=1,0,1,0", 5, (0, 0)),
+        # two copies of the period and a row: the closed form
         ("p=3;a=1,0.5j,0.3;b=0.2j,0,1;c=0.4,1,0.7j", 7, (0, 0)),
     ],
 )
 def test_rayleigh_core_and_its_fallback_match_dense(monkeypatch, text, k, fallback):
+    # exactly the columns whose closed-form top fails a count go to the
+    # Sturm search, and with it the points are those of the dense sweep
     spec, cfg = PeriodSpec.parse(text), SweepConfig(96, 1)
     d, e = sweep._scaled_tridiagonals(spec, phi_grid(cfg.num_theta))[:2]
-    assert fallback[0] <= fallback_columns(monkeypatch, d, e, k)[0] <= fallback[1]
+    fails = closed_form_fails(d, e, k).sum()
+    assert fallback_columns(monkeypatch, d, e, k)[0] == fails
+    assert fallback[0] <= fails <= fallback[1]
     points, dense = _truncation_points(spec, k, cfg), boundary_points(build_truncation(spec, k), cfg)
     assert points.shape == dense.shape
     assert hausdorff(convex_hull(points), convex_hull(dense)) <= 1e-13
     flat = np.abs(points[: cfg.num_theta] - dense[: cfg.num_theta]) > 1e-13
     # only flat-edge angles, whose top points may lie anywhere on the edge
     assert 2 * flat.sum() <= points.size - cfg.num_theta
+
+
+def test_closed_form_failures_take_the_sturm_search(monkeypatch):
+    # closed-form tops pushed far below (a count above fails), above (the
+    # count below fails) or to NaN go to the Sturm search, and the points
+    # stay those of the dense sweep
+    spec, cfg, k = PeriodSpec.parse("p=3;a=1,0.5j,0.3;b=0.2j,0,1;c=0.4,1,0.7j"), SweepConfig(96, 1), 40
+    tops = sweep._closed_form_tops
+    push = np.resize([0.0, -1e-3, 1e-3, np.nan], cfg.num_theta)
+    monkeypatch.setattr(sweep, "_closed_form_tops", lambda *args: tops(*args) + push[: args[0].shape[1]])
+    searched = searched_columns(monkeypatch)
+    points, dense = _truncation_points(spec, k, cfg), boundary_points(build_truncation(spec, k), cfg)
+    assert sum(searched) == 72
+    assert hausdorff(convex_hull(points), convex_hull(dense)) <= 1e-13
+    np.testing.assert_allclose(points[: cfg.num_theta], dense[: cfg.num_theta], rtol=0, atol=1e-13)
+
+
+STRESS_SPECS = {
+    **{f"random-{j}": random_spec(np.random.default_rng(2020 + j), 2 + j % 7) for j in range(12)},
+    "11": PeriodSpec.from_word("11"),
+    "split": PeriodSpec(a=(0, 1), b=0, c=(1, 0)),
+    "near-flat": PeriodSpec(a=0.05, b=(1, 0, 0, 0, 0, 0), c=0.05j),
+    "two-edges": TWO_EDGES,
+    "p24": PeriodSpec(p=24, a=1, b=0.5j, c=0.3),
+    "01": WORD01,
+    "001": PeriodSpec.from_word("001"),
+}
+
+
+@pytest.mark.parametrize("name", list(STRESS_SPECS))
+def test_closed_form_tops_match_bisection(name):
+    # wherever the closed form from the band edge is used (both counts pass)
+    # its tops are within a few eps of bisection's; only columns with k < p
+    # and a vanishing edge may fail the counts, and the Sturm search
+    # certifies those (the diagonal certifies the lower end where S = 0)
+    spec, eps = STRESS_SPECS[name], np.finfo(float).eps
+    p = spec.p
+    d, e = sweep._scaled_tridiagonals(spec, phi_grid(48))[:2]
+    for k in sorted({1, 2, p - 1, p, p + 1, 2 * p, 2 * p + 1, 61, 400} - {0}):
+        fails = closed_form_fails(d, e, k)
+        assert not (fails & ~((k < p) & (e <= 1e-15).any(axis=0))).any()
+        top = sweep._top_pairs(d, e, k, sweep._band_edges(d, e), None, None)[0]
+        plain = bisection_tops(d, e, k)
+        assert np.all(np.abs(top - plain) <= 3 * eps * (np.abs(plain) + 1))
+        w = 2 * sweep._bracket_width(top, top)
+        assert not sweep._count_above(d, e * e, top, k).any()
+        assert np.all((sweep._count_above(d, e * e, top - w, k) >= 1) | (d[: min(k, p)].max(axis=0) >= top - w))
 
 
 def jacobi_cases():
