@@ -12,8 +12,7 @@ import numpy as np
 from numrange import (
     PeriodSpec,
     SweepConfig,
-    boundary_points,
-    conjecture_matrices,
+    conjecture_specs,
     convex_hull,
     symbol_ellipse,
     hausdorff,
@@ -36,10 +35,8 @@ for phi in (0.0, np.pi / 2, 2 * np.pi / 3, np.pi):
 
 hull = symbol_union_hull(spec, cfg)
 stadium = stadium_region(720)
-plus, minus = conjecture_matrices(1)
-pair = convex_hull(
-    np.concatenate([boundary_points(plus, cfg), boundary_points(minus, cfg)])
-)
+plus, minus = (truncation_range(pair_spec, 2, cfg) for pair_spec in conjecture_specs(1))
+pair = convex_hull(np.concatenate([plus.vertices, minus.vertices]))
 
 print(f"\nsymbol-union hull vs analytic stadium:   {hausdorff(hull, stadium):.2e}")
 print(f"stadium vs hull of the two 2x2 ranges:   {hausdorff(stadium, pair):.2e}")

@@ -1,4 +1,4 @@
-"""Render the word-0^n-1 pictures as SVG files.
+"""Render the word-0^n-1 pictures as SVG files, through ``numrange figure``.
 
 Blue dots: boundary points of a deep truncation range (their hull
 approximates the range closure).  Red and green curves: the numerical
@@ -6,29 +6,10 @@ ranges of the two conjecture matrices.  For n = 1 the curves are circles,
 for n = 2 ellipses, for n = 3 general convex ovals.
 """
 
-from numrange import (
-    PeriodSpec,
-    SweepConfig,
-    conjecture_matrices,
-    range_boundary,
-    truncation_range,
-)
-from numrange.cli import write_svg
+from numrange.cli import main
 
-cfg = SweepConfig(num_theta=360, num_phi=360)
 for n in (1, 2, 3):
-    word = "0" * n + "1"
-    spec = PeriodSpec.from_word(word)
-    k = 120 + (-120) % (n + 1)
-    blue = truncation_range(spec, k, cfg).vertices
-    plus, minus = conjecture_matrices(n)
     out = f"figure_n{n}.svg"
-    write_svg(
-        out,
-        [
-            (f"truncation-range-k{k}", "points", blue, "blue"),
-            ("range-plus", "polygon", range_boundary(plus, cfg).vertices, "red"),
-            ("range-minus", "polygon", range_boundary(minus, cfg).vertices, "green"),
-        ],
-    )
-    print(f"n={n}: wrote {out} ({len(blue)} sample points, word {word})")
+    if main(["figure", "--n", str(n), "--out", out]) != 0:
+        raise SystemExit(f"figure --n {n} failed")
+    print(f"n={n}: wrote {out} (word {'0' * n + '1'})")

@@ -16,7 +16,7 @@ from .operators import (
     build_circulant,
     build_symbol,
     build_truncation,
-    conjecture_matrices,
+    conjecture_specs,
     fourier_vector,
     lift_eigenvector,
     phi_grid,

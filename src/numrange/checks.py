@@ -25,13 +25,12 @@ from .operators import (
     build_block_unitary,
     build_circulant,
     build_symbol,
-    conjecture_matrices,
+    conjecture_specs,
     lift_eigenvector,
     phi_grid,
 )
 from .sweep import (
     SweepConfig,
-    range_boundary,
     selfadjoint_interval,
     symbol_union_hull,
     truncation_range,
@@ -242,9 +241,10 @@ def check_selfadjoint_convergence(spec: PeriodSpec, k_max: int = 400) -> CheckRe
 
 
 def _pair_ranges(n: int, cfg: SweepConfig) -> tuple[RangePolygon, RangePolygon]:
-    """Range polygons of the two matrices of :func:`conjecture_matrices`."""
-    plus, minus = conjecture_matrices(n)
-    return range_boundary(plus, cfg), range_boundary(minus, cfg)
+    """Range polygons of the matrices B + J and B - J: the (n+1)-square
+    truncations of the two :func:`~numrange.operators.conjecture_specs`."""
+    plus, minus = conjecture_specs(n)
+    return truncation_range(plus, n + 1, cfg), truncation_range(minus, n + 1, cfg)
 
 
 def _hull_of_pair_ranges(plus: RangePolygon, minus: RangePolygon) -> RangePolygon:

@@ -14,14 +14,8 @@ import numpy as np
 from .checks import reports_to_lines, run_all
 from .geometry import polygon_csv
 from .linalg import NoConvergenceError
-from .operators import PeriodSpec, SpecParseError, conjecture_matrices
-from .sweep import (
-    NotSelfAdjointError,
-    SweepConfig,
-    range_boundary,
-    symbol_union_hull,
-    truncation_range,
-)
+from .operators import PeriodSpec, SpecParseError, conjecture_specs
+from .sweep import NotSelfAdjointError, SweepConfig, symbol_union_hull, truncation_range
 
 __all__ = ["main", "write_svg"]
 
@@ -179,11 +173,9 @@ def _cmd_figure(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    plus, minus = conjecture_matrices(n)
     k = max(args.k, 2 * spec.p)
     blue = truncation_range(spec, k, cfg).vertices
-    red = range_boundary(plus, cfg).vertices
-    green = range_boundary(minus, cfg).vertices
+    red, green = (truncation_range(pair, n + 1, cfg).vertices for pair in conjecture_specs(n))
     write_svg(
         args.out,
         [

@@ -6,8 +6,9 @@ carries ``a[i mod p]`` on the subdiagonal, ``b[i mod p]`` on the diagonal and
 ``c[i mod p]`` on the superdiagonal, so the subdiagonal starts at ``a[1]``
 and the superdiagonal at ``c[0]``.  From that data we build the leading
 truncations, the wrapped-around circulants, the phase-twisted symbol
-matrices, the Fourier-type block unitary, and the two matrices of the
-superdiagonal-plus-corners family used for the small-period hulls.
+matrices, the Fourier-type block unitary, and the two period specs whose
+truncations are the superdiagonal-plus-corners matrices of the small-period
+hulls.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ __all__ = [
     "build_symbol",
     "fourier_vector",
     "build_block_unitary",
-    "conjecture_matrices",
+    "conjecture_specs",
     "lift_eigenvector",
 ]
 
@@ -223,21 +224,19 @@ def build_block_unitary(spec: PeriodSpec, s: int) -> np.ndarray:
     return u
 
 
-def conjecture_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The superdiagonal-ones matrix plus and minus the corner-pair matrix.
+def conjecture_specs(n: int) -> tuple[PeriodSpec, PeriodSpec]:
+    """The period-(n+1) specs whose (n+1)-square truncations are B + J and B - J.
 
-    Both are (n+1)-square: the first summand has ones on the first
-    superdiagonal only, the second is zero except for ones at (0, 0) and
-    (n, n).  The hull of their two numerical ranges conjecturally equals
-    the range closure of the period-word-0^n-1 operator.
+    B has ones on the first superdiagonal only and J is zero except for ones
+    at (0, 0) and (n, n), so the specs are ``a = 0, b = +-(1, 0, ..., 0, 1),
+    c = 1``.  The hull of the two matrices' numerical ranges conjecturally
+    equals the range closure of the period-word-0^n-1 operator.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    bn = np.diag(np.ones(n, dtype=complex), 1)
-    jn = np.zeros((n + 1, n + 1), dtype=complex)
-    jn[0, 0] = 1.0
-    jn[n, n] = 1.0
-    return bn + jn, bn - jn
+    corners = np.zeros(n + 1)
+    corners[[0, n]] = 1.0
+    return PeriodSpec(a=0.0, b=corners, c=1.0), PeriodSpec(a=0.0, b=-corners, c=1.0)
 
 
 def lift_eigenvector(v, phi_k: float, s: int) -> np.ndarray:

@@ -811,7 +811,7 @@ def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray
         raise ValueError("truncation size must be >= 1")
     thetas = phi_grid(cfg.num_theta)
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
-    scaled_top, points = _top_pairs(d, e, k, _band_edges(d, e), None, lambda t, x: _touch_points(spec, beta[t], x))
+    scaled_top, points = _top_pairs(d, e, k, None, None, lambda t, x: _touch_points(spec, beta[t], x))
     top = np.ldexp(scaled_top, exponent)
     below = np.ldexp(top - _gap_tol(top), -exponent)
     flat = np.nonzero(_count_above(d, e * e, below, k) >= 2)[0]

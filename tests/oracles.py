@@ -1,10 +1,12 @@
-"""Per-point reference geometry and reference eigenvalues for the tests."""
+"""Per-point reference geometry, reference eigenvalues and the dense
+conjecture matrices for the tests."""
 
 import numpy as np
 
 from numrange import sweep
 from numrange.geometry import RangePolygon
 from numrange.linalg import as_matrix
+from numrange.operators import build_truncation, conjecture_specs
 
 
 def distance_to_region(points, polygon: RangePolygon) -> np.ndarray:
@@ -26,6 +28,11 @@ def distance_to_region(points, polygon: RangePolygon) -> np.ndarray:
             d[((ab.conj() * az).imag >= 0).all(axis=1)] = 0.0
         out[start : start + 512] = d
     return out
+
+
+def conjecture_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """B + J and B - J: the (n+1)-square truncations of the conjecture specs."""
+    return tuple(build_truncation(spec, n + 1) for spec in conjecture_specs(n))
 
 
 def rayleigh_samples(a, trials: int, seed: int) -> np.ndarray:

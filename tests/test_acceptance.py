@@ -22,7 +22,6 @@ from numrange.operators import (
     build_circulant,
     build_symbol,
     build_truncation,
-    conjecture_matrices,
     lift_eigenvector,
     phi_grid,
 )
@@ -34,7 +33,7 @@ from numrange.sweep import (
     symbol_union_hull,
     truncation_range,
 )
-from oracles import distance_to_region, rayleigh_samples
+from oracles import conjecture_pair, distance_to_region, rayleigh_samples
 
 SEED = 20260808
 FULL = SweepConfig(num_theta=720, num_phi=720)
@@ -47,7 +46,7 @@ def _finish(num: int, label: str, detail: str, start: float, limit: float):
 
 
 def _pair_hull(n: int, cfg: SweepConfig) -> RangePolygon:
-    plus, minus = conjecture_matrices(n)
+    plus, minus = conjecture_pair(n)
     return convex_hull(
         np.concatenate([boundary_points(plus, cfg), boundary_points(minus, cfg)])
     )
@@ -114,7 +113,7 @@ def test_criterion_3_stadium_identity():
 
 def test_criterion_4_pair_ellipse_axes():
     start = time.perf_counter()
-    plus, _ = conjecture_matrices(2)
+    plus, _ = conjecture_pair(2)
     poly = range_boundary(plus, FULL)
     s_right = support_width(poly, 0.0)
     s_up = support_width(poly, np.pi / 2)
@@ -261,7 +260,7 @@ def test_criterion_9_symmetries():
     assert worst_trunc <= 1e-8
     worst_pair = 0.0
     for n in range(1, 5):
-        plus, minus = conjecture_matrices(n)
+        plus, minus = conjecture_pair(n)
         worst_pair = max(
             worst_pair,
             hausdorff(

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import numrange.checks as checks
+import numrange.cli as cli
+from numrange import sweep
 from numrange.checks import (
     CheckReport,
     _hull_of_pair_ranges,
@@ -253,26 +255,21 @@ def test_run_all_filter_and_n(quick_reports):
 
 def test_run_all_builds_each_polygon_once(monkeypatch):
     """Within one call every union hull, truncation range and pair-matrix
-    range is built once and shared; nothing is cached across calls."""
+    range is built once and shared; nothing is cached across calls.  The
+    pair matrices are the truncations with k = n + 1 = p of their specs."""
     hull_words, truncations, pair_sizes = [], [], []
     build_hull, build_truncation = checks.symbol_union_hull, checks.truncation_range
-    build_range = checks.range_boundary
 
     def counting_hull(spec, cfg):
         hull_words.append("".join(str(int(x)) for x in spec.a.real))
         return build_hull(spec, cfg)
 
     def counting_truncation(spec, k, cfg):
-        truncations.append(k)
+        (pair_sizes if k == spec.p else truncations).append(k)
         return build_truncation(spec, k, cfg)
-
-    def counting_range(a, cfg):
-        pair_sizes.append(a.shape[0])
-        return build_range(a, cfg)
 
     monkeypatch.setattr(checks, "symbol_union_hull", counting_hull)
     monkeypatch.setattr(checks, "truncation_range", counting_truncation)
-    monkeypatch.setattr(checks, "range_boundary", counting_range)
 
     run_all("quick")
     assert sorted(hull_words) == ["001", "01", "11"] and truncations == [120]
@@ -286,6 +283,19 @@ def test_run_all_builds_each_polygon_once(monkeypatch):
     pair_sizes.clear()
     run_all("quick", only="conjecture", conjecture_n=2)
     assert sorted(hull_words) == ["001", "11"] and truncations == [] and pair_sizes == [3, 3]
+
+
+def test_pair_checks_and_figure_run_without_dense_eigh(monkeypatch, tmp_path):
+    """The pair ranges go through the truncation core: no dense ``eigh``
+    behind the conjecture and stadium checks or the figure."""
+
+    def no_eigh(h):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(sweep, "eigh", no_eigh)
+    assert all(r.passed for r in run_all("quick", only="conjecture"))
+    assert all(r.passed for r in run_all("quick", only="stadium"))
+    assert cli.main(["figure", "--n", "2", "--out", str(tmp_path / "n2.svg")]) == 0
 
 
 def test_run_all_measures_the_truncation_excess_once(monkeypatch):

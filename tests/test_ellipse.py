@@ -13,9 +13,9 @@ from numrange.ellipse import (
     tangent_line_support,
 )
 from numrange.geometry import convex_hull, hausdorff, support_width
-from numrange.operators import PeriodSpec, build_symbol, conjecture_matrices
+from numrange.operators import PeriodSpec, build_symbol
 from numrange.sweep import SweepConfig, boundary_points, range_boundary
-from oracles import distance_to_region
+from oracles import conjecture_pair, distance_to_region
 
 WORD01 = PeriodSpec.from_word("01")
 
@@ -190,7 +190,7 @@ def test_stadium_boundary_lies_on_some_ellipse():
 
 
 def test_stadium_matches_pair_matrix_ranges():
-    plus, minus = conjecture_matrices(1)
+    plus, minus = conjecture_pair(1)
     cfg = SweepConfig(720, 1)
     pair_hull = convex_hull(
         np.concatenate([boundary_points(plus, cfg), boundary_points(minus, cfg)])

@@ -11,11 +11,12 @@ from numrange.operators import (
     build_circulant,
     build_symbol,
     build_truncation,
-    conjecture_matrices,
+    conjecture_specs,
     fourier_vector,
     lift_eigenvector,
     phi_grid,
 )
+from oracles import conjecture_pair
 
 WORD01 = PeriodSpec.from_word("01")
 
@@ -288,20 +289,20 @@ def test_spectrum_union_multiset_general():
 
 
 def test_conjecture_matrices_n1():
-    plus, minus = conjecture_matrices(1)
+    plus, minus = conjecture_pair(1)
     np.testing.assert_array_equal(plus, [[1, 1], [0, 1]])
     np.testing.assert_array_equal(minus, [[-1, 1], [0, -1]])
 
 
 def test_conjecture_matrices_n2_and_trace():
-    plus, _ = conjecture_matrices(2)
+    plus, _ = conjecture_pair(2)
     np.testing.assert_array_equal(plus, [[1, 1, 0], [0, 0, 1], [0, 0, 1]])
     for n in range(1, 7):
-        plus, minus = conjecture_matrices(n)
+        plus, minus = conjecture_pair(n)
         assert plus.trace() == 2.0
         assert minus.trace() == -2.0
     with pytest.raises(ValueError):
-        conjecture_matrices(0)
+        conjecture_specs(0)
 
 
 def test_lift_four_cycle_eigenvector():

@@ -13,7 +13,7 @@ from numrange.geometry import (
     hausdorff,
     support_width,
 )
-from numrange.operators import PeriodSpec, build_symbol, build_truncation, phi_grid
+from numrange.operators import PeriodSpec, build_symbol, build_truncation, conjecture_specs, phi_grid
 from numrange.sweep import (
     NotSelfAdjointError,
     SweepConfig,
@@ -28,7 +28,7 @@ from numrange.sweep import (
     truncation_range,
     truncation_support,
 )
-from oracles import bisection_tops, distance_to_region, rayleigh_samples
+from oracles import bisection_tops, conjecture_pair, distance_to_region, rayleigh_samples
 
 RNG = np.random.default_rng(42)
 WORD01 = PeriodSpec.from_word("01")
@@ -340,6 +340,16 @@ def test_truncation_hull_matches_dense_at_flat_edges(word):
         slow = range_boundary(build_truncation(spec, k), cfg).vertices
         assert fast.shape == slow.shape
         assert np.abs(fast - slow).max() <= 1e-12
+
+
+@pytest.mark.parametrize("num_theta", [16, 90, 360, 720])
+def test_conjecture_pairs_match_dense_sweep(num_theta):
+    # B + J and B - J are one-copy truncations (k = p = n + 1)
+    cfg = SweepConfig(num_theta, 1)
+    for n in range(1, 13):
+        for spec, matrix in zip(conjecture_specs(n), conjecture_pair(n)):
+            dense = range_boundary(matrix, cfg)
+            assert hausdorff(truncation_range(spec, n + 1, cfg), dense) <= 1e-14
 
 
 def test_truncation_support_free_jacobi_closed_form():
