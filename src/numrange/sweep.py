@@ -13,8 +13,10 @@ truncations and symbol unions need none.  A truncation's Hermitian part is
 similar to a real tridiagonal of copies of one period, whose characteristic
 polynomial has a closed form in the period's Floquet discriminant (Teschl,
 *Jacobi Operators and Completely Integrable Nonlinear Lattices*, ch. 7):
-Newton steps on it give the top in O(p) per step, two Sturm counts certify
-it, and their O(k) factorization gives the eigenvector.  The symbols' union
+Newton steps on it give the top in O(p) per step and two Sturm counts
+certify it; the touch point comes from closed-form Chebyshev sums over the
+copies in O(p), or where those round badly, from inverse iteration on the
+counts' O(k) factorization.  The symbols' union
 takes one O(p) solve per direction, at a twist known in closed form: the
 band edge and the Perron vector of a real cycle.  Both take flat edges from
 one block core: where edges vanish the period splits into blocks, and the
@@ -25,6 +27,7 @@ copies for truncations) gives the two ends.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +98,14 @@ _NEWTON_PASSES = 24
 _CONTINUANT_ROWS = 32
 _CONTINUANT_RANGE = 2.0**400
 _DERIVATIVE_WEIGHTS = np.array([[1.0], [2.0]])
+# Series of (x - sin x) / x^3 in x^2, highest term first, for |x| < 2.
+_SINE_SERIES = [(-1) ** j / math.factorial(2 * j + 3) for j in range(10, -1, -1)]
+# Largest move of a quotient of the :func:`_copy_sums` over one bracket width
+# at which :func:`_top_pairs` takes them.
+_SUMS_ROUNDING = 4e-15
+# Rows of a path below which :func:`_top_pairs` takes inverse iteration for
+# every column: its O(k) loops then cost no more than the sums' fixed cost.
+_SUMS_ROWS = 192
 
 
 def _bracket_width(lo, hi):
@@ -278,6 +289,15 @@ def _gershgorin(d, e) -> np.ndarray:
     return d + e + np.roll(e, 1, axis=0)
 
 
+def _edge_product(e):
+    """Product of the rows of ``e`` as a mantissa and a power of two."""
+    product, scale = np.ones(e.shape[1]), 0
+    for row in e:
+        product, s = np.frexp(product * row)
+        scale = scale + s
+    return product, scale
+
+
 def _band_edges(d, e, upper=True) -> np.ndarray:
     """Top of the spectrum of the periodic Jacobi operator with one period
     ``d, e`` (shape (p, columns), edge ``e_j`` between rows j and j + 1).
@@ -293,16 +313,13 @@ def _band_edges(d, e, upper=True) -> np.ndarray:
     # the recurrence runs along rows: keep each one contiguous
     d, e = np.ascontiguousarray(d), np.ascontiguousarray(e)
     p, e2 = d.shape[0], e * e
-    product, product_scale = np.ones(d.shape[1]), 1
-    for row in e:
-        product, s = np.frexp(product * row)
-        product_scale = product_scale + s
+    product, product_scale = _edge_product(e)
 
     def steps(lam):
         k, scale = _continuant(d, e2, lam, range(p))
         m, m_scale = _continuant(d, e2, lam, range(1, p - 1))
         f = k - (p > 1) * e2[p - 1] * np.ldexp(m, m_scale - scale)
-        f[0] -= np.ldexp(product, product_scale - scale)
+        f[0] -= np.ldexp(product, product_scale + 1 - scale)
         return _laguerre(f, p)
 
     lam = _descend(steps, _gershgorin(d, e).max(axis=0))
@@ -335,19 +352,18 @@ def _closed_form_tops(d, e, k: int, start, lo: int, m: int, n: int) -> np.ndarra
     their number), in O(m + rows besides the copies) per step; uncertified.
 
     Rows ``lo .. lo + n m - 1`` are n copies of the period ``lo .. lo + m -
-    1``, and the edge before row lo, if any, is the period's last.  The
-    period's transfer matrix M has determinant D (its squared edges'
-    product) and trace ``Delta = K_period - e_last^2 K_inner``; by
-    Cayley-Hamilton ``det(lam - S) = D^((n-1)/2) (U_{n-1}(tau) C_1 - sqrt(D)
-    U_{n-2}(tau) C_0)`` at ``tau = Delta / (2 sqrt D)``, C_j the continuant
-    of S with j copies kept, U Chebyshev polynomials of the second kind.
-    For n >= 2 the top lies in the top band (|tau| <= 1) unless the other
-    rows lift it (a count then fails): Newton steps on the form over
-    ``U_{n-1}`` run from the band edge, ``start`` less its margin, except
-    where the band is narrower than ``n^2 / 64`` bracket widths (D = 0 where
-    an edge vanishes) and so holds the top within a fraction of a width of
-    that edge.  For n <= 1, Laguerre steps on the continuant of S from
-    ``start``, an upper bound.
+    1``, and the edge before row lo, if any, is the period's last.  Its
+    transfer matrix M has determinant D (its squared edges' product) and
+    trace ``Delta = K_period - e_last^2 K_inner``; by Cayley-Hamilton
+    ``det(lam - S) = D^((n-1)/2) (U_{n-1}(tau) C_1 - sqrt(D) U_{n-2}(tau)
+    C_0)`` at ``tau = Delta / (2 sqrt D)``, C_j the continuant of S with j
+    copies kept.  For n >= 2, Newton steps on the form over ``U_{n-1}`` run
+    from ``start`` less its margin (the band edge, above the top unless the
+    other rows lift it), but where the band is narrower than ``(n+1)^2 /
+    16`` widths (D = 0 where an edge vanishes): the top, about ``5 / ((n +
+    1)^2 tau')`` below the edge, is then the edge to within a sixth of a
+    width, and tau cancels too much to place it better.  For n <= 1,
+    Laguerre steps on the continuant of S from ``start``, an upper bound.
     """
     p, e2 = d.shape[0], e * e
     rows = lambda r: [j % p for j in r]
@@ -360,10 +376,7 @@ def _closed_form_tops(d, e, k: int, start, lo: int, m: int, n: int) -> np.ndarra
             step = (lambda y: y[0] / y[1])(f(lam))
         return lam - np.where(np.abs(step) <= 1e-8 * (np.abs(lam) + 1), step, 0.0)
     head, period, tail = rows(range(lo)), rows(range(lo, lo + m)), rows(range(lo + n * m, k))
-    product, product_scale = np.ones(d.shape[1]), 0
-    for j in period:
-        product, s = np.frexp(product * e[j])
-        product_scale = product_scale + s
+    product, product_scale = _edge_product(e[period])
 
     def steps(lam):
         """The Newton steps, and tau'."""
@@ -386,7 +399,7 @@ def _closed_form_tops(d, e, k: int, start, lo: int, m: int, n: int) -> np.ndarra
 
     lam = start - _bracket_width(start, start)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        at = np.flatnonzero(steps(lam)[1] * (n * n * _bracket_width(lam, lam)) < 128)
+        at = np.flatnonzero(steps(lam)[1] * ((n + 1) ** 2 * _bracket_width(lam, lam)) < 32)
     # the steps from here on see only the columns of wide bands
     d, e2, product, product_scale = d.take(at, axis=1), e2.take(at, axis=1), product[at], product_scale[at]
     lam[at] = _descend(lambda x: steps(x)[0], lam[at])
@@ -553,6 +566,71 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
         step[at] = np.where(inside, h, steps)
 
 
+def _sine_cubed(x) -> np.ndarray:
+    """``(x - sin x) / x^3``, by its series where the difference would cancel."""
+    x2, s = x * x, np.zeros_like(x)
+    for c in _SINE_SERIES:
+        s = s * x2 + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(x) < 2, s, (x - np.sin(x)) / (x * x2))
+
+
+def _fold(y, lo: int, m: int, n: int) -> np.ndarray:
+    """Rows of ``y`` with the n copies of rows ``lo .. lo + m - 1`` summed
+    into one (for n >= 2): the rows of :func:`_copy_sums`."""
+    return y if n < 2 else np.concatenate([y[:lo], y[lo : lo + n * m].reshape(n, m, -1).sum(axis=0), y[lo + n * m :]])
+
+
+def _copy_sums(d, e, mu, lo: int, m: int, n: int):
+    """:func:`_fold` of ``x_j^2`` and ``x_j x_{j+1}`` (0 for the last row)
+    for the continuant vector x of each path S (as in
+    :func:`_closed_form_tops`, n >= 2 copies): ``x_0 = 1``, ``(S x)_j = mu
+    x_j`` but in the last row.  ``d, e`` hold only the rows up to two
+    copies in and those after the copies, so this is O(lo + m + rows after
+    the copies).  NaN where an x_j is not positive or ``tau > 1``.  Ratios
+    ``x_{j+1} / x_j`` run two copies in (products carrying powers of two),
+    and on after the copies.  The period's transfer matrix M is unimodular,
+    trace ``2 tau``, so ``M^c = T_c(tau) + U_{c-1}(tau) (M - tau)``: copy c
+    of row i is ``y_i T_c + z_i U_{c-1}``, ``y_i = x_{lo+i}``, ``z_i =
+    x_{lo+m+i} - tau y_i``, ``tau = (x_{lo+2m} + x_lo) / (2 x_{lo+m})``.
+    Over c < n, at ``tau = cos phi``, N = 2n - 1: ``sum T_c^2 = (N + 2 +
+    U_{N-1}) / 4``, ``sum T_c U_{c-1} = U_{n-1} U_{n-2} / 2``, ``sum
+    U_{c-1}^2 = (N - U_{N-1}) / (4 sin^2 phi) = N (phi / sin phi)^3 (N^2
+    s(N phi) - s(phi)) / 4`` by :func:`_sine_cubed` s, so nothing cancels
+    near phi = 0.
+    """
+    ratio = lambda j, r: (mu - d[j] - (0.0 if r is None else e[j - 1] / r)) / e[j]
+    r, xs = None, [np.frexp(np.ones_like(mu))]
+    for j in range(lo + 2 * m):
+        r, (mant, s) = ratio(j, r), xs[-1]
+        mant, scale = np.frexp(mant * r)
+        xs.append((mant, s + scale))
+    mant, expo = (np.array(y) for y in zip(*xs))
+    x = np.ldexp(mant, expo - expo.max(axis=0))
+    y, tau = x[lo : lo + m + 1], (x[lo + 2 * m] + x[lo]) / (2 * x[lo + m])
+    z = x[lo + m : lo + 2 * m + 1] - tau * y
+    phi = np.arccos(np.clip(tau, -1.0, 1.0))
+    sin, zero, big = np.sin(phi), phi == 0, 2 * n - 1
+    u = lambda j: np.where(zero, j + 1.0, np.sin((j + 1) * phi) / np.where(zero, 1.0, sin))
+    cube, previous, (many, one) = np.where(zero, 1.0, phi / np.where(zero, 1.0, sin)) ** 3, u(n - 2), _sine_cubed(np.outer([big, 1], phi))
+    tt, tu, uu = (big + 2 + u(big - 1)) / 4, u(n - 1) * previous / 2, big * cube * (big * big * many - one) / 4
+    pair = lambda a, b: y[a] * y[b] * tt + (y[a] * z[b] + z[a] * y[b]) * tu + z[a] * z[b] * uu
+    squares, links = pair(slice(0, m), slice(0, m)), pair(slice(0, m), slice(1, m + 1))
+    # the last copy's last row and the row after it
+    last, after = (y[i] * np.cos((n - 1) * phi) + z[i] * previous for i in (m - 1, m))
+    tail, r, rows = [after], after / last, len(d) - lo - 2 * m
+    for j in range(lo + 2 * m, len(d) - 1):
+        r = ratio(j, r)
+        tail.append(tail[-1] * r)
+    tail = np.array(tail[:rows]).reshape(rows, mu.size)
+    if rows == 0:
+        links[-1] -= last * after
+    good = (x[: lo + 2 * m + (n > 2 or rows > 0)] > 0).all(axis=0) & (tail > 0).all(axis=0) & (tau <= 1)
+    squares = np.concatenate([x[:lo] * x[:lo], squares, tail * tail])
+    links = np.concatenate([x[:lo] * x[1 : lo + 1], links, tail[:-1] * tail[1:], np.zeros((min(len(tail), 1), mu.size))])
+    return np.where(good, squares, np.nan), np.where(good, links, np.nan)
+
+
 def _top_eigenvectors(e, q) -> np.ndarray:
     """Top eigenvectors of each S, the columns of a (k, columns) array: two
     solves from all ones with the pivots ``q`` of ``S - sigma``, sigma a few
@@ -568,45 +646,104 @@ def _top_eigenvectors(e, q) -> np.ndarray:
     return x
 
 
-def _top_pairs(d, e, k: int, start=None, repeat=None, use=lambda t, x: x):
-    """Top eigenvalue of each path S (rows 0..k-1 of ``d, e``, taken mod
-    their number p), and an iterator of ``use(columns, top eigenvectors as a
-    (k, columns) array)`` over chunks of columns (none if ``use`` is None).
+def _checked_sums(d, e, lam, top, at, k: int, lo: int, m: int, n: int, folded, weights):
+    """Which columns ``at`` of :func:`_top_pairs` keep :func:`_copy_sums` at
+    lam, and their normalised sums: those whose quotient with ``weights``
+    moves by at most ``_SUMS_ROUNDING`` times the largest weight from lam
+    to top, and whose sums by at most 16 times that in all."""
+    p = d.shape[0]
+    # only the rows up to two copies in and after the copies, of both sides
+    rows = np.r_[0 : lo + 2 * m, lo + n * m : k] % p
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        sq, ln = _copy_sums(*(y[rows].take(np.tile(at, 2), axis=1) for y in (d, e)), np.append(lam, top), lo, m, n)
+        sq, ln = sq / sq.sum(axis=0), ln / sq.sum(axis=0)
+        moved = [y[:, : at.size] - y[:, at.size :] for y in (sq, ln)]
+        f, g = (np.broadcast_to(w, (folded.size, d.shape[1])).take(at, axis=1) for w in weights(folded % p))
+        change = np.abs((f * moved[0] + g * moved[1]).sum(axis=0)) / np.maximum(np.abs(f).max(axis=0), np.abs(g).max(axis=0))
+        total = sum(np.abs(y).sum(axis=0) for y in moved)
+    good = (change <= _SUMS_ROUNDING) & (total <= 16 * _SUMS_ROUNDING)
+    return good, sq[:, : at.size][:, good], ln[:, : at.size][:, good]
 
-    lam comes from :func:`_closed_form_tops` for ``repeat = (lo, m, n)``
-    (default ``(0, p, k // p)``: a truncation) and ``start`` (default the
-    period's band edge, or if n <= 1 the Gershgorin bound).  With w the
-    :func:`_bracket_width` at lam, the pivots of ``S - (lam + w)`` (a chunk
-    of ``_VECTOR_BATCH_BYTES`` at a time; they also drive
-    :func:`_top_eigenvectors`) must all be negative, and a second count or
-    a diagonal entry (a Rayleigh quotient) must put an eigenvalue at or
-    above ``lam - w``; lam + w is returned.  Other columns, and those with
-    lam not finite, go to :func:`_top_eigenvalues`.
+
+def _top_pairs(d, e, k: int, start=None, repeat=None, weights=None):
+    """Top eigenvalue of each path S (rows 0..k-1 of ``d, e``, taken mod
+    their number p) and, given ``weights``, the :func:`_fold` of ``x_j^2``
+    and ``x_j x_{j+1}`` for a top eigenvector x of each, and the row each
+    folded row starts at.
+
+    lam is :func:`_closed_form_tops` for ``repeat = (lo, m, n)`` (default
+    ``(0, p, k // p)``) from ``start`` (default the copies' band edge, or
+    the blocks' around them where higher; for n <= 1 the Gershgorin bound).
+    With w its :func:`_bracket_width`, a count must find no eigenvalue at or
+    above ``lam + w`` and one, or a diagonal entry, at or above ``lam - w``;
+    lam + w is returned, else :func:`_top_eigenvalues`.  For n >= 2 and k >=
+    ``_SUMS_ROWS`` the sums are :func:`_copy_sums` at lam where
+    :func:`_checked_sums` keeps them: x(lam) strays from the eigenvector in
+    proportion to lam's distance from the eigenvalue (a touch point by about
+    1.5e-16 / e_min per width at word 01, e_min its least scaled edge, at
+    any k), and the recurrence amplifies that and its rounding alike where x
+    decays across part of a long period (1e11-fold at the tests' p=24
+    spec), which a bound on each row's rounding misses; so the quotient
+    ``sum f_j x_j^2 + g_j x_j x_{j+1}`` over ``sum x_j^2`` (``weights(rows)``
+    gives f and g at the folded rows) must move little over one width.
+    Other columns take :func:`_top_eigenvectors`, ``_VECTOR_BATCH_BYTES`` of
+    (k, columns) at a time.
     """
     p, n = d.shape
     lo, m, copies = (0, p, k // p) if repeat is None else repeat
+    start = _gershgorin(d, e)[:k].max(axis=0) if start is None and copies < 2 else start
     if start is None:
-        start = _band_edges(d[lo : lo + m], e[lo : lo + m]) if copies >= 2 else _gershgorin(d, e)[:k].max(axis=0)
+        start = _band_edges(d[lo : lo + m], e[lo : lo + m])
+        if repeat is not None:
+            # the blocks around the copies of a compressed path, each its own top, may lift it
+            ends = d[np.r_[0:lo, lo + copies * m : k]].max(axis=0)
+            start = np.maximum(start, ends + 2 * np.finfo(float).eps * np.abs(ends) + PIVMIN)
     lam = _closed_form_tops(d, e, k, start, lo, m, copies)
     finite, lam = np.isfinite(lam), np.where(np.isfinite(lam), lam, start)
     width, e2 = _bracket_width(lam, lam), e * e
-    top, ok = lam + width, d[:k].max(axis=0) >= lam - width
-    at = np.flatnonzero(~ok)
-    ok[at] = _count_above(d.take(at, axis=1), e2.take(at, axis=1), lam[at] - width[at], k) >= 1
-    ok &= finite
-    vectors = []
-    for c in np.array_split(np.arange(n), -(-n // max(2, _VECTOR_BATCH_BYTES // (8 * k)))):
-        t = slice(c[0], c[-1] + 1)
-        q = next(_ldl_pivots(d[:, t], e2[:, t], top[t], k, k))
-        f = c[~(ok[t] & (q < 0).all(axis=0))]
+    top, low = lam + width, d[:k].max(axis=0) >= lam - width
+    lo, m, copies = (lo, m, copies) if copies >= 2 else (0, k, 1)
+    closed, folded = finite & (weights is None), np.r_[0 : lo + m, lo + copies * m : k]
+    squares, links = np.empty((2, folded.size, n))
+    if weights is not None and copies >= 2 and k >= _SUMS_ROWS:
+        at = np.flatnonzero(finite)
+        good, sq, ln = _checked_sums(d, e, lam[at], top[at], at, k, lo, m, copies, folded, weights)
+        closed[at[good]], squares[:, at[good]], links[:, at[good]] = True, sq, ln
+    # counts at lam - w where no diagonal entry certifies, and at lam + w where
+    # no pivots are wanted, through blocks of rows: in one pass where the
+    # period is shorter than the path (its copies are small)
+    below, above = np.flatnonzero(~low), np.flatnonzero(closed)
+    count = lambda at, sigma: _count_above(d.take(at, axis=1), e2.take(at, axis=1), sigma, k) if at.size else at
+    if p < k:
+        both = count(np.append(below, above), np.append(lam[below] - width[below], top[above]))
+        lower, upper = both[: below.size], both[below.size :]
+    else:
+        lower, upper = count(below, lam[below] - width[below]), count(above, top[above])
+    low[below], closed[above] = lower >= 1, upper == 0
+    ok = finite & low
+    closed &= ok
+    if weights is None:
+        at = np.flatnonzero(~closed)
+        if at.size:
+            top[at] = _top_eigenvalues(d.take(at, axis=1), e.take(at, axis=1), k, start[at])
+        return top, None
+    rest = np.flatnonzero(~closed)
+    for c in np.array_split(rest, -(-rest.size // max(2, _VECTOR_BATCH_BYTES // (8 * k)))) if rest.size else []:
+        # a run of columns as a view: compressed paths hold k rows
+        t = slice(c[0], c[-1] + 1) if c[-1] - c[0] + 1 == c.size else c
+        dc, ec, e2c = d[:, t], e[:, t], e2[:, t]
+        q = next(_ldl_pivots(dc, e2c, top[c], k, k))
+        f = np.flatnonzero(~(ok[c] & (q < 0).all(axis=0)))
         if f.size:
-            top[f] = _top_eigenvalues(d[:, f], e[:, f], k, start[f])
-            q[:, f - c[0]] = next(_ldl_pivots(d[:, f], e2[:, f], top[f], k, k))
-        if use is not None:
-            # the vectors replace the pivots, so ``use`` and the next chunk see one (k, columns) array
-            q = _top_eigenvectors(e[:, t], q)
-            vectors.append(use(t, q))
-    return top, iter(vectors)
+            top[c[f]] = _top_eigenvalues(dc[:, f], ec[:, f], k, start[c[f]])
+            q[:, f] = next(_ldl_pivots(dc[:, f], e2c[:, f], top[c[f]], k, k))
+        x = _top_eigenvectors(ec, q)
+        # the pivots' array takes the links, then the squares
+        np.multiply(x[:-1], x[1:], out=q[:-1])
+        q[-1] = 0.0
+        links[:, c] = _fold(q, lo, m, copies)
+        squares[:, c] = _fold(np.multiply(x, x, out=q), lo, m, copies)
+    return top, (squares, links, folded)
 
 
 def _ldl_solve(q, mult, x):
@@ -650,26 +787,20 @@ def _perron_vectors(d, e, sigma) -> np.ndarray:
     return x / x.max(axis=0)
 
 
-def _touch_points(spec: PeriodSpec, beta, x, cycle=False) -> np.ndarray:
-    """Rayleigh quotients of T_k at the eigenvectors ``D x`` of its Hermitian parts.
-
-    With ``u_j = D_{j+1} / D_j`` the phase of ``conj(beta_j)`` (1 where 0),
-    ``(D x)^* T_k (D x) = sum b_j x_j^2 + sum (c_j u_j + a_{j+1} conj(u_j))
-    x_j x_{j+1}``.  With ``cycle`` (x has p rows) the sum also takes the wrap
-    edge: the quotient of the symbol ``S(phi)``, ``e^{i phi} = u_{p-1}
-    D_{p-1}``.  Real sums by residue mod p keep BLAS, whose rounding depends
-    on its thread count, out of it.
-    """
-    p = spec.p
+def _couplings(spec: PeriodSpec, beta) -> np.ndarray:
+    """T's links ``c_j u_j + a_{j+1} conj(u_j)`` (p, directions) in the gauge
+    ``u_j = D_{j+1} / D_j``, the phase of ``conj(beta_j)`` (1 where 0)."""
     u = np.exp(-1j * np.angle(beta))
-    coupling = spec.c * u + np.roll(spec.a, -1) * np.conj(u)
-    xx = x * x
-    by_residue = lambda y: np.array([y[r::p].sum(axis=0) for r in range(p)])
-    squares, links = by_residue(xx), by_residue(x[:-1] * x[1:])
-    if cycle:
-        links[-1] += x[-1] * x[0]
-    quotient = (spec.b[:, None] * squares + coupling.T * links).sum(axis=0)
-    return quotient / xx.sum(axis=0)
+    return (spec.c * u + np.roll(spec.a, -1) * np.conj(u)).T
+
+
+def _touch_points(spec: PeriodSpec, coupling, squares, links) -> np.ndarray:
+    """T_k's Rayleigh quotients at the eigenvectors ``D x`` of its Hermitian
+    parts from the sums by residue mod p of ``x_j^2`` and ``x_j x_{j+1}``,
+    ``sum b_j x_j^2 + coupling_j x_j x_{j+1}`` (for a cycle, ``x_p = x_0``,
+    the symbol's, ``e^{i phi} = u_{p-1} D_{p-1}``), without BLAS, whose
+    rounding depends on its thread count."""
+    return (spec.b[:, None] * squares + coupling * links).sum(axis=0) / squares.sum(axis=0)
 
 
 def _cut_blocks(spec: PeriodSpec, thetas, d, e, beta, exponent, cut):
@@ -681,7 +812,7 @@ def _cut_blocks(spec: PeriodSpec, thetas, d, e, beta, exponent, cut):
     block's top eigenvector.  Rows start after the first cut edge, so the
     wrap edge is cut (else tied blocks leave a Woodbury determinant that
     rounds to 0 or below).  Per block: the Hermitian quotient (-inf in
-    unused slots); in the gauge of :func:`_touch_points` with the phase of
+    unused slots); in the gauge of :func:`_couplings` with the phase of
     ``conj(gamma_j)`` across each cut edge j, the skew quotient and T's; the
     first entry; the last times ``|gamma_j|`` and T's link ``c_j u_j +
     a_{j+1} conj(u_j)``.
@@ -704,7 +835,7 @@ def _cut_blocks(spec: PeriodSpec, thetas, d, e, beta, exponent, cut):
     w = np.exp(-1j * thetas)
     gamma = (w * spec.c[:, None] - np.conj(w * np.roll(spec.a, -1)[:, None])) / 2j
     u = np.exp(-1j * np.angle(np.where(cut, gamma, beta)))
-    coupling = rows(spec.c[:, None] * u + np.roll(spec.a, -1)[:, None] * np.conj(u))
+    coupling = rows(_couplings(spec, np.where(cut, gamma, beta).T))
     inner = rows(np.where(cut, 0.0, (gamma * u).real))
     used = np.arange(p)[:, None] < m
     h = np.where(used, np.ldexp(per_block(d * v * v + 2 * e * pairs), exponent), -np.inf)
@@ -718,22 +849,33 @@ def _cut_blocks(spec: PeriodSpec, thetas, d, e, beta, exponent, cut):
 
 def _flat_ends(s, span, across, after, index, q, out_link, solve) -> np.ndarray:
     """Both ends of each flat edge (columns), bottom ends first, from its
-    blocks (rows): the top vectors r, by ``solve``, of the skew part
-    compressed to the spanning blocks (diagonal ``s``, edges ``across``) and
-    of its negation give T's quotients at the phases ``conj(+-gamma_j)``,
-    ``(sum r_b^2 q_b +- sum r_b r_{b+1} after_b out_link_b) / sum r_b^2``,
-    block b being entry ``index[b]`` of ``q`` and ``out_link`` (of
-    :func:`_cut_blocks`), ``after`` the next block's first entry.
+    blocks (rows): the top vectors r of the skew part compressed to the
+    spanning blocks (diagonal ``s``, edges ``across``) and of its negation
+    give T's quotients at the phases ``conj(+-gamma_j)``, ``(sum r_b^2 q_b
+    +- sum r_b r_{b+1} after_b out_link_b) / sum r_b^2``, block b being
+    entry ``index[b]`` of ``q`` and ``out_link`` (of :func:`_cut_blocks`),
+    ``after`` the next block's first entry.  ``solve(diagonal, edges,
+    weights, span)`` gives the sums of ``r_b^2`` and ``r_b r_{b+1}`` over
+    rows that share their entries, and the first block of each (indices or
+    a slice);
+    ``weights(rows)`` are those rows' terms of the quotients.
     """
     scale = np.frexp(np.maximum(np.abs(s * span), across).max(axis=0, initial=0.0))[1]
     sign, on, shape = np.array([[-1.0], [1.0]]), span[:, None], (len(s), 2, s.shape[1])
     # the negated and the plain matrix of each column, side by side
     bd = np.where(on, sign * np.ldexp(s, -scale)[:, None], -2.0)
-    r = solve(bd.reshape(len(s), -1), np.broadcast_to(np.ldexp(across, -scale)[:, None], shape).reshape(len(s), -1))
-    r = r.reshape(shape) * on
-    by_entry = lambda w: np.stack([np.bincount(index.ravel(), w[:, i].ravel(), q.size) for i in (0, 1)])
-    squares = by_entry(r * r).reshape(2, *q.shape)
-    links = by_entry(r * np.roll(r, -1, axis=0) * after[:, None]).reshape(2, *q.shape)
+
+    def weights(rows):
+        """The rows' terms of the quotients of both signs, side by side."""
+        link = after[rows] * out_link.ravel()[index[rows]]
+        return np.hstack([q.ravel()[index[rows]]] * 2), np.hstack([-link, link])
+
+    squares, links, rows = solve(bd.reshape(len(s), -1), np.broadcast_to(np.ldexp(across, -scale)[:, None], shape).reshape(len(s), -1), weights, span)
+    joined = on & np.roll(on, -1, axis=0)
+    squares, links = (y.reshape(-1, *shape[1:]) for y in (squares, links))
+    by_entry = lambda w: np.stack([np.bincount(index[rows].ravel(), w[:, i].ravel(), q.size) for i in (0, 1)])
+    squares = by_entry(squares * on[rows]).reshape(2, *q.shape)
+    links = by_entry(links * joined[rows] * after[rows][:, None]).reshape(2, *q.shape)
     return ((squares * q).sum(axis=1) + sign * (links * out_link).sum(axis=1)) / squares.sum(axis=1)
 
 
@@ -747,7 +889,19 @@ def truncation_support(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
     if thetas.size == 0:
         return np.zeros(thetas.shape)
     d, e, _, exponent = _scaled_tridiagonals(spec, thetas.ravel())
-    return np.ldexp(_top_pairs(d, e, k, _band_edges(d, e), None, None)[0], exponent).reshape(thetas.shape)
+    return np.ldexp(_top_pairs(d, e, k, _band_edges(d, e))[0], exponent).reshape(thetas.shape)
+
+
+def _spanning_pairs(d, e, k: int, repeat, weights, span):
+    """:func:`_top_pairs`' sums of the paths ``d, e`` with ``repeat``, less
+    the blocks of no ``span`` before and after the rest (at -2 and cut off
+    by zero edges, so the top vectors vanish there) where that leaves the
+    copies whole: the copies' sums then start at a spanning block."""
+    lo, m, n = repeat
+    first, end = span.argmax(axis=0).min(), k - span[::-1].argmax(axis=0).min()
+    first, end = (first, end) if first <= lo and end >= lo + n * m else (0, k)
+    squares, links, rows = _top_pairs(d[first:end], e[first:end], end - first, None, (lo - first, m, n), lambda rows: weights(rows + first))[1]
+    return squares, links, rows + first
 
 
 def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
@@ -794,31 +948,32 @@ def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
         rows = count[g].max()
         # blocks 1..count-2 repeat every ``size``; block 0 and one period head the copies
         repeat = 1 + size, size, max((count[g].min() - 3) // size - 1, 0)
-        solve = lambda bd, be: np.hstack(list(_top_pairs(bd, be, rows, None, repeat)[1]))
+        solve = lambda bd, be, weights, span: _spanning_pairs(bd, be, rows, repeat, weights, span)
         at = index[:rows, g] // n * g.size + np.arange(g.size)
         ends[:, g] = _flat_ends(*(y[:rows, g] for y in (s, span, across, after)), at, q[:, g], out_link[:, g], solve)
     return ends.T.ravel()
 
 
 def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray:
-    """:func:`boundary_points` of the k-by-k truncation, from its three
-    diagonals: :func:`_top_pairs` on the real symmetric tridiagonal S(theta)
-    similar to each Hermitian part, in O(num_theta * k) time and memory, and
-    where the top is degenerate, by the test of :func:`boundary_points`, both
-    ends of the flat edge from :func:`_truncation_flat_ends`; no dense k-by-k
-    matrix is ever built."""
+    """:func:`boundary_points` of the k-by-k truncation without a dense
+    matrix: :func:`_top_pairs` on the real tridiagonal S(theta) similar to
+    each Hermitian part, and where the top is degenerate (by the test of
+    :func:`boundary_points`) both ends from :func:`_truncation_flat_ends`."""
     if k < 1:
         raise ValueError("truncation size must be >= 1")
     thetas = phi_grid(cfg.num_theta)
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
-    scaled_top, points = _top_pairs(d, e, k, None, None, lambda t, x: _touch_points(spec, beta[t], x))
+    coupling = _couplings(spec, beta)
+    scaled_top, (squares, links, _) = _top_pairs(d, e, k, None, None, lambda rows: (spec.b[rows, None], coupling[rows]))
+    by_residue = lambda y: np.array([y[r :: spec.p].sum(axis=0) for r in range(spec.p)])
+    points = _touch_points(spec, coupling, by_residue(squares), by_residue(links))
     top = np.ldexp(scaled_top, exponent)
     below = np.ldexp(top - _gap_tol(top), -exponent)
     flat = np.nonzero(_count_above(d, e * e, below, k) >= 2)[0]
     # specs flat at every angle would otherwise hold many (blocks, num_theta) arrays
     chunk = max(1, _DENSE_BATCH_BYTES // (8 * k))
     ends = [_truncation_flat_ends(spec, k, thetas[flat[lo : lo + chunk]]) for lo in range(0, flat.size, chunk)]
-    return _require_finite(np.concatenate([*points, *ends]), "touch point")
+    return _require_finite(np.concatenate([points, *ends]), "touch point")
 
 
 def truncation_range(
@@ -873,7 +1028,7 @@ def _cycle_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
     cut = (np.abs(beta) <= _edge_rounding(spec)).T
     x, (h, s, q, head, out_gamma, out_link) = _cut_blocks(spec, thetas, d, e, beta, exponent, cut)
     # the split directions' points are replaced by their ends below
-    points = _touch_points(spec, beta, x, cycle=True)
+    points = _touch_points(spec, _couplings(spec, beta), x * x, x * np.roll(x, -1, axis=0))
     split = np.flatnonzero(cut.any(axis=0))
     m, col = cut[:, split].sum(axis=0), np.arange(split.size)
     best = h.max(axis=0, initial=-np.inf)
@@ -882,7 +1037,11 @@ def _cycle_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
     after = head[nxt, col]
     across = out_gamma * after * span * span[nxt, col]
     ends = np.empty((2, split.size), dtype=complex)
-    solve = lambda bd, be: _perron_vectors(bd, be, _band_edges(bd, be))
+
+    def solve(bd, be, weights, span):
+        r = _perron_vectors(bd, be, _band_edges(bd, be))
+        return r * r, r * np.roll(r, -1, axis=0), slice(None)
+
     for size in set(m.tolist()):
         g = np.flatnonzero(m == size)
         blocks = (y[:size, g] for y in (s, span, across, after))

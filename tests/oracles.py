@@ -71,3 +71,37 @@ def bisection_tops(d, e, k: int) -> np.ndarray:
         above = sweep._count_above(d[:, at], e2[:, at], mid, k) >= 1
         lo[at] = np.where(above, mid, lo[at])
         hi[at] = np.where(above, hi[at], mid)
+
+
+def mp_touch_point(spec, k: int, theta: float, top: float, dps: int = 40) -> complex:
+    """Touch point of W(T_k) in the direction theta to ``dps`` digits: five
+    steps of inverse iteration in mpmath on the Hermitian part of ``e^{-i
+    theta} T_k`` (tridiagonal, solved by the Thomas algorithm) from the
+    all-ones vector, at a shift just above ``top``, a double-precision top
+    eigenvalue, and the quotient of T_k at the vector.  Each step shrinks
+    the other eigenvectors by (1e-16 / gap), so the gap must be well above
+    1e-8."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        turn, p = mp.expj(-mp.mpf(float(theta))), spec.p
+        a, b, c = ([mp.mpc(complex(v[j % p])) for j in range(k + 1)] for v in (spec.a, spec.b, spec.c))
+        diag = [mp.re(turn * b[j]) for j in range(k)]
+        up = [(turn * c[j] + mp.conj(turn * a[j + 1])) / 2 for j in range(k - 1)]
+        down = [mp.conj(v) for v in up]
+        # just above the top, by an irrational amount so no pivot vanishes
+        sigma, x = mp.mpf(float(top)) + mp.pi * mp.mpf(10) ** -20, [mp.mpf(1)] * k
+        for _ in range(5):
+            # (H - sigma) y = x, forward elimination and back substitution
+            ratio, rhs, piv = [mp.mpf(0)] * k, [mp.mpf(0)] * k, diag[0] - sigma
+            for j in range(k):
+                if j:
+                    piv = diag[j] - sigma - down[j - 1] * ratio[j - 1]
+                ratio[j] = up[j] / piv if j < k - 1 else 0
+                rhs[j] = (x[j] - (down[j - 1] * rhs[j - 1] if j else 0)) / piv
+            for j in range(k - 2, -1, -1):
+                rhs[j] -= ratio[j] * rhs[j + 1]
+            norm = mp.sqrt(mp.fsum(abs(v) ** 2 for v in rhs))
+            x = [v / norm for v in rhs]
+        tx = [b[j] * x[j] + (c[j] * x[j + 1] if j < k - 1 else 0) + (a[j] * x[j - 1] if j else 0) for j in range(k)]
+        return complex(mp.fsum(mp.conj(u) * v for u, v in zip(x, tx)))

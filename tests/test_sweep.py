@@ -28,7 +28,7 @@ from numrange.sweep import (
     truncation_range,
     truncation_support,
 )
-from oracles import bisection_tops, conjecture_pair, distance_to_region, rayleigh_samples
+from oracles import bisection_tops, conjecture_pair, distance_to_region, mp_touch_point, rayleigh_samples
 
 RNG = np.random.default_rng(42)
 WORD01 = PeriodSpec.from_word("01")
@@ -1297,12 +1297,14 @@ def searched_columns(monkeypatch):
 
 def fallback_columns(monkeypatch, d, e, k):
     """Columns of :func:`sweep._top_pairs` from the band edge that go to
-    :func:`sweep._top_eigenvalues`, and its tops and vectors."""
-    columns = searched_columns(monkeypatch)
-    top, vectors = sweep._top_pairs(d, e, k, sweep._band_edges(d, e))
-    x = next(vectors)
+    :func:`sweep._top_eigenvalues`, and its tops and the vectors of
+    :func:`sweep._top_eigenvectors` (every column for paths of one copy,
+    None if no column takes them)."""
+    columns, vectors, solve = searched_columns(monkeypatch), [], sweep._top_eigenvectors
+    monkeypatch.setattr(sweep, "_top_eigenvectors", lambda e, q: vectors.append(solve(e, q)) or vectors[-1])
+    top = sweep._top_pairs(d, e, k, sweep._band_edges(d, e), None, lambda rows: (d[rows], e[rows]))[0]
     monkeypatch.undo()
-    return sum(columns), top, x
+    return sum(columns), top, np.hstack(vectors) if vectors else None
 
 
 def closed_form_fails(d, e, k):
@@ -1384,12 +1386,143 @@ def test_closed_form_tops_match_bisection(name):
     for k in sorted({1, 2, p - 1, p, p + 1, 2 * p, 2 * p + 1, 61, 400} - {0}):
         fails = closed_form_fails(d, e, k)
         assert not (fails & ~((k < p) & (e <= 1e-15).any(axis=0))).any()
-        top = sweep._top_pairs(d, e, k, sweep._band_edges(d, e), None, None)[0]
+        top = sweep._top_pairs(d, e, k, sweep._band_edges(d, e))[0]
         plain = bisection_tops(d, e, k)
         assert np.all(np.abs(top - plain) <= 3 * eps * (np.abs(plain) + 1))
         w = 2 * sweep._bracket_width(top, top)
         assert not sweep._count_above(d, e * e, top, k).any()
         assert np.all((sweep._count_above(d, e * e, top - w, k) >= 1) | (d[: min(k, p)].max(axis=0) >= top - w))
+
+
+def seeded_spec(seed: int, p: int, decimals=None) -> PeriodSpec:
+    """a, b and c drawn in that order from ``default_rng(seed)`` as complex
+    Gaussians over sqrt 2 (rounded, as the truncation benchmark's period-3
+    spec is)."""
+    rng = np.random.default_rng(seed)
+    draw = lambda: (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / np.sqrt(2)
+    a, b, c = (x if decimals is None else np.round(x, decimals) for x in (draw(), draw(), draw()))
+    return PeriodSpec(a=a, b=b, c=c)
+
+
+SUMS_SPECS = {
+    "01": WORD01,
+    "001": PeriodSpec.from_word("001"),
+    "p3": seeded_spec(1, 3, 3),
+    "p24": seeded_spec(124, 24),
+}
+
+
+def inverse_iteration_columns(monkeypatch, d, e, k, weights, repeat=None):
+    """Columns of :func:`sweep._top_pairs` whose sums come from
+    :func:`sweep._top_eigenvectors` (made to return NaN)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "_top_eigenvectors", lambda e, q: np.full(q.shape, np.nan))
+        squares = sweep._top_pairs(d, e, k, None, repeat, lambda rows: [w[rows] for w in weights])[1][0]
+    return np.isnan(squares).any(axis=0)
+
+
+def sums_refused(d, e, k, weights):
+    """Columns of a truncation that :func:`sweep._top_pairs` does not take
+    through :func:`sweep._copy_sums`: fewer than two copies or
+    ``_SUMS_ROWS`` rows, a failing count (:func:`closed_form_fails`), or sums
+    that move from lam to lam + w by more than ``_SUMS_ROUNDING`` (their
+    quotient with ``weights``, relative to the largest) or 16 times it (in
+    all)."""
+    p, n = d.shape[0], k // d.shape[0]
+    if n < 2 or k < sweep._SUMS_ROWS:
+        return np.ones(d.shape[1], dtype=bool)
+    lam = sweep._closed_form_tops(d, e, k, sweep._band_edges(d, e), 0, p, n)
+    with np.errstate(all="ignore"):
+        rows = np.r_[0 : 2 * p, n * p : k] % p
+        low, high = (sweep._copy_sums(d[rows], e[rows], mu, 0, p, n) for mu in (lam, lam + sweep._bracket_width(lam, lam)))
+        moved = [y / high[0].sum(axis=0) - x / low[0].sum(axis=0) for x, y in zip(low, high)]
+        total = np.abs(moved[0]).sum(axis=0) + np.abs(moved[1]).sum(axis=0)
+        f, g = (np.broadcast_to(w, d.shape)[np.r_[0:p, n * p : k] % p] for w in weights)
+        change = np.abs((f * moved[0] + g * moved[1]).sum(axis=0)) / np.maximum(np.abs(f).max(axis=0), np.abs(g).max(axis=0))
+    return closed_form_fails(d, e, k) | ~((change <= sweep._SUMS_ROUNDING) & (total <= 16 * sweep._SUMS_ROUNDING))
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [("01", 120), ("01", 800), ("001", 61), ("p3", 150), ("p24", 150), ("p24", 800), ("split", 800), ("two-edges", 801)],
+)
+def test_inverse_iteration_takes_exactly_the_refused_columns(monkeypatch, name, k):
+    # with the touch points' weights, and with the diagonal and edges as
+    # weights, and with sums at any number of rows; word 01 and the seeded
+    # p=3 spec take the sums at most angles where they have the rows
+    spec = {**SUMS_SPECS, "split": FLAT_SPECS["split"], "two-edges": TWO_EDGES}[name]
+    d, e, beta, _ = sweep._scaled_tridiagonals(spec, phi_grid(720))
+    for rows in (sweep._SUMS_ROWS, 0):
+        monkeypatch.setattr(sweep, "_SUMS_ROWS", rows)
+        for weights in ((spec.b[:, None], sweep._couplings(spec, beta)), (d, e)):
+            refused = sums_refused(d, e, k, weights)
+            np.testing.assert_array_equal(inverse_iteration_columns(monkeypatch, d, e, k, weights), refused)
+            if name in ("01", "p3") and k >= rows:
+                assert refused.sum() <= 80
+
+
+def truncation_top_points(spec, k, thetas):
+    """Unscaled tops and the touch points of :func:`sweep._truncation_points` at ``thetas``."""
+    d, e, beta, exponent = sweep._scaled_tridiagonals(spec, thetas)
+    coupling = sweep._couplings(spec, beta)
+    top, (squares, links, _) = sweep._top_pairs(d, e, k, None, None, lambda rows: (spec.b[rows, None], coupling[rows]))
+    by_residue = lambda y: np.array([y[r :: spec.p].sum(axis=0) for r in range(spec.p)])
+    return np.ldexp(top, exponent), sweep._touch_points(spec, coupling, by_residue(squares), by_residue(links))
+
+
+@pytest.mark.parametrize("name", list(SUMS_SPECS))
+def test_copy_sums_touch_points_match_mpmath(monkeypatch, name):
+    # each touch point from the copies' sums lies no farther from a 40-digit
+    # reference than inverse iteration's, plus 2e-15: at spread angles, the
+    # four within 1e-2 of word 01's split directions, and the sums' columns
+    # with the smallest edges (the largest rounding)
+    pytest.importorskip("mpmath")
+    spec, thetas = SUMS_SPECS[name], phi_grid(720)
+    checked = 0
+    for k in (2 * spec.p, 2 * spec.p + 1, 61, 400):
+        monkeypatch.setattr(sweep, "_SUMS_ROWS", 0)
+        top, points = truncation_top_points(spec, k, thetas)
+        monkeypatch.setattr(sweep, "_SUMS_ROUNDING", -1.0)
+        plain = truncation_top_points(spec, k, thetas)[1]
+        monkeypatch.undo()
+        d, e, _, exponent = sweep._scaled_tridiagonals(spec, thetas)
+        below = np.ldexp(top - sweep._gap_tol(top), -exponent)
+        simple = sweep._count_above(d, e * e, below, k) == 1
+        sums = np.flatnonzero(simple & (points != plain))
+        at = {*range(0, 720, 90), 179, 181, 539, 541, *sums[np.argsort(e.min(axis=0)[sums])[:4]]}
+        for j in sorted(j for j in at if simple[j]):
+            ref = mp_touch_point(spec, k, thetas[j], top[j])
+            assert abs(points[j] - ref) <= abs(plain[j] - ref) + 2e-15, (k, j)
+            checked += j in sums
+    assert checked >= (0 if name == "p24" else 12)
+
+
+def test_lifted_path_top_takes_inverse_iteration(monkeypatch):
+    # compressed paths of a period of two rows, six copies and the end blocks
+    # (three rows before, three after); the last block's entry lifts the top
+    # of some above the band edge (tau > 1 there): those take inverse
+    # iteration, the others the copies' sums, and both match eigh to 1e-13
+    lo, m, n, k = 3, 2, 6, 18
+    rng = np.random.default_rng(1)
+    d, e = (np.tile(rng.uniform(*bounds, (m, 6)), (k // m, 1)) for bounds in ((-0.5, 0.2), (0.2, 0.5)))
+    d[0], d[-1] = 0.0, np.linspace(-0.4, 0.9, 6)
+    weights = rng.standard_normal((2, k, 6))
+    edge = sweep._band_edges(d[lo : lo + m], e[lo : lo + m])
+    monkeypatch.setattr(sweep, "_SUMS_ROWS", 0)
+    taken = inverse_iteration_columns(monkeypatch, d, e, k, weights, (lo, m, n))
+    top, (squares, links, rows) = sweep._top_pairs(d, e, k, None, (lo, m, n), lambda rows: weights[:, rows])
+    lifted = top > edge
+    assert lifted.any() and not taken[~lifted].all()
+    assert np.all(taken[lifted])
+    np.testing.assert_array_equal(rows, np.r_[0 : lo + m, lo + n * m : k])
+    for j in range(d.shape[1]):
+        s = np.diag(d[:, j]) + np.diag(e[:-1, j], 1) + np.diag(e[:-1, j], -1)
+        values, vectors = np.linalg.eigh(s)
+        x = vectors[:, -1]
+        assert abs(top[j] - values[-1]) <= 1e-13
+        want = [sweep._fold(y[:, None], lo, m, n)[:, 0] for y in (x * x, np.append(x[:-1] * x[1:], 0.0))]
+        np.testing.assert_allclose(squares[:, j] / squares[:, j].sum(), want[0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(links[:, j] / squares[:, j].sum(), want[1], rtol=0, atol=1e-13)
 
 
 def jacobi_cases():
