@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 at least one check failed, 2 usage or parse error
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -83,7 +84,9 @@ def write_svg(path: str, layers, width: int = 800, height: int = 600) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="numrange",
         description="Numerical ranges of periodic tridiagonal operators",

@@ -13,7 +13,7 @@ truncations and symbol unions need none.  A truncation's Hermitian part is
 similar to a real tridiagonal of copies of one period, whose characteristic
 polynomial has a closed form in the period's Floquet discriminant (Teschl,
 *Jacobi Operators and Completely Integrable Nonlinear Lattices*, ch. 7):
-Newton steps on it give the top in O(p) per step and two Sturm counts
+real Newton steps on it give the top in O(p) per step and two Sturm counts
 certify it; the touch point comes from closed-form Chebyshev sums over the
 copies in O(p), or where those round badly, from inverse iteration on the
 counts' O(k) factorization.  The symbols' union
@@ -263,15 +263,15 @@ def _continuant(d, e2, lam, rows):
     at every row; a column out of that range, or not finite, is redone row
     by row.
     """
-    top = np.outer([1.0, 0.0, 0.0], np.ones_like(lam))
-    prev, scale = np.zeros_like(top), np.zeros(lam.shape, dtype=int)
+    top, prev, scale = np.zeros((3, *lam.shape)), np.zeros((3, *lam.shape)), np.zeros(lam.shape, dtype=np.int32)
+    top[0] = 1.0
     for lo in range(0, len(rows), _CONTINUANT_ROWS):
         block = rows[lo : lo + _CONTINUANT_ROWS]
         before = top, prev, scale
         top, prev = _continuant_rows(d, e2, lam, block, top, prev)
         size = np.abs(top).sum(axis=0)
-        s = np.frexp(size)[1]
-        top, prev, scale = np.ldexp(top, -s, out=top), np.ldexp(prev, -s, out=prev), scale + s
+        s = -np.frexp(size)[1]
+        top, prev, scale = np.ldexp(top, s, out=top), np.ldexp(prev, s, out=prev), scale - s
         redo = np.flatnonzero(~((size >= 1 / _CONTINUANT_RANGE) & (size <= _CONTINUANT_RANGE)))
         if redo.size:
             t, pv, sc = (x[..., redo] for x in before)
@@ -326,11 +326,13 @@ def _band_edges(d, e, upper=True) -> np.ndarray:
     return lam + 2 * np.finfo(float).eps * np.abs(lam) + PIVMIN if upper else lam
 
 
-def _descend(steps, lam) -> np.ndarray:
-    """``lam`` less the finite positive ``steps(lam)`` until each is at most ``4 eps |lam|``."""
+def _descend(steps, lam, first=None) -> np.ndarray:
+    """``lam`` less the finite positive ``steps(lam)`` until each is at most
+    ``4 eps |lam|``; ``first``, if given, is ``steps(lam)`` at the start."""
     for _ in range(_BAND_EDGE_STEPS):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            step = np.where(np.isfinite(s := steps(lam)) & (s > 0), s, 0.0)
+            s, first = steps(lam) if first is None else first, None
+            step = np.where(np.isfinite(s) & (s > 0), s, 0.0)
         lam = lam - step
         if not (step > 4 * np.finfo(float).eps * np.abs(lam)).any():
             break
@@ -347,6 +349,34 @@ def _laguerre(f, degree: int) -> np.ndarray:
     return np.where(g > 0, step, np.nan)
 
 
+def _floquet_step(c1, c0, tau, root, n: int) -> np.ndarray:
+    """Newton step on ``U_{n-1}(tau) c1 - root U_{n-2}(tau) c0`` over
+    ``U_{n-1}``, n >= 2, from the values and derivatives (rows) of ``c1, c0,
+    tau``, in real arithmetic.  As ``U_m(-tau) = (-1)^m U_m(tau)`` and
+    ``U_m(cos x) = sin((m+1) x) / sin x``, at ``|tau| = cos x`` (``cosh x``
+    above 1, with sinh, cosh, tanh) ``U_{n-2} / U_{n-1} = cos x - sin x /
+    tan(n x)`` and ``U_{j-1}' / U_{j-1} = tau' (x / sin x) (j^2 h(j x) -
+    h(x))``, ``h(y) = (1 - y cot y) / y^2`` (``(y coth y - 1) / y^2``), a
+    series below 1e-3; limits at x = 0."""
+
+    def terms(x, hyperbolic: bool):
+        sin, cos, tan = (np.sinh, np.cosh, np.tanh) if hyperbolic else (np.sin, np.cos, np.tan)
+        y = np.array([[1.0], [n], [n - 1]]) * x
+        t, y2 = tan(y), -(y * y) if hyperbolic else y * y
+        h = np.where(y < 1e-3, 1 / 3 + y2 / 45, (1 - y / t) / y2)
+        zero, s = x == 0, sin(x)
+        ratio = np.where(zero, (n - 1) / n, cos(x) - s / t[1])
+        return ratio, np.where(zero, 1.0, x / s), np.array([[n * n], [(n - 1) ** 2]]) * h[1:] - h[0]
+
+    sign, a = np.where(tau[0] < 0, -1.0, 1.0), np.abs(tau[0])
+    ratio, sinc, bracket = terms(np.arccos(np.minimum(a, 1.0)), False)
+    if (above := np.flatnonzero(a > 1)).size:
+        for y, z in zip((ratio, sinc, bracket), terms(np.arccosh(a[above]), True)):
+            y[..., above] = z
+    slope, g = sign * tau[1] * sinc * bracket, root * sign * ratio
+    return (c1[0] - g * c0[0]) / (slope[0] * c1[0] + c1[1] - g * (slope[1] * c0[0] + c0[1]))
+
+
 def _closed_form_tops(d, e, k: int, start, lo: int, m: int, n: int) -> np.ndarray:
     """Largest eigenvalue of each path S, rows 0..k-1 of ``d, e`` (taken mod
     their number), in O(m + rows besides the copies) per step; uncertified.
@@ -357,18 +387,19 @@ def _closed_form_tops(d, e, k: int, start, lo: int, m: int, n: int) -> np.ndarra
     trace ``Delta = K_period - e_last^2 K_inner``; by Cayley-Hamilton
     ``det(lam - S) = D^((n-1)/2) (U_{n-1}(tau) C_1 - sqrt(D) U_{n-2}(tau)
     C_0)`` at ``tau = Delta / (2 sqrt D)``, C_j the continuant of S with j
-    copies kept.  For n >= 2, Newton steps on the form over ``U_{n-1}`` run
-    from ``start`` less its margin (the band edge, above the top unless the
-    other rows lift it), but where the band is narrower than ``(n+1)^2 /
-    16`` widths (D = 0 where an edge vanishes): the top, about ``5 / ((n +
-    1)^2 tau')`` below the edge, is then the edge to within a sixth of a
-    width, and tau cancels too much to place it better.  For n <= 1,
-    Laguerre steps on the continuant of S from ``start``, an upper bound.
-    """
+    copies kept (K_period and 1 without other rows).  For n >= 2,
+    :func:`_floquet_step` runs from ``start`` less its margin (the band
+    edge, above the top unless the other rows lift it); its first step also
+    finds the bands narrower than ``(n+1)^2 / 16`` widths (D = 0 where an
+    edge vanishes), whose top, about ``5 / ((n + 1)^2 tau')`` below the
+    edge, is the edge to within a sixth of a width (tau cancels too much to
+    place it better).  For n <= 1, Laguerre steps on the continuant of S
+    from ``start``, an upper bound."""
     p, e2 = d.shape[0], e * e
     rows = lambda r: [j % p for j in r]
     if n <= 1:
-        f = lambda lam: _continuant(d, e2, lam, rows(range(k)))[0]
+        path = rows(range(k))
+        f = lambda lam: _continuant(d, e2, lam, path)[0]
         lam = _descend(lambda lam: _laguerre(f(lam), k), start)
         # a last step from far above may overshoot by rounding (8 widths at
         # k = 2 from 58 times the top): one short Newton step either way
@@ -377,32 +408,26 @@ def _closed_form_tops(d, e, k: int, start, lo: int, m: int, n: int) -> np.ndarra
         return lam - np.where(np.abs(step) <= 1e-8 * (np.abs(lam) + 1), step, 0.0)
     head, period, tail = rows(range(lo)), rows(range(lo, lo + m)), rows(range(lo + n * m, k))
     product, product_scale = _edge_product(e[period])
+    ends = head + tail
 
     def steps(lam):
         """The Newton steps, and tau'."""
-        c1, s1 = _continuant(d, e2, lam, head + period + tail)
-        c0, s0 = _continuant(d, e2, lam, head + tail)
         ck, sk = _continuant(d, e2, lam, period)
-        cm, sm = _continuant(d, e2, lam, period[1:-1])
-        tau = np.ldexp(ck[:2] - (m > 1) * e2[period[-1]] * np.ldexp(cm[:2], sm - sk), sk - product_scale) / (2 * product)
-        # U_m(cos phi) = sin((m+1) phi) / sin phi, phi = arccos |tau| (imaginary
-        # above 1), U_m(-tau) = (-1)^m U_m(tau): U_{n-2} / U_{n-1}, and U_m' / U_m
-        # = (phi / sin phi) ((m+1)^2 h((m+1) phi) - h(phi)), h(x) = (1 - x cot x) / x^2
-        # a series near 0, so nothing cancels where sin phi is small; limits at 0
-        sign, phi = np.where(tau[0] < 0, -1.0, 1.0), np.arccos(np.abs(tau[0]) + 0j)
-        h = lambda x: np.where(np.abs(x) < 1e-3, 1 / 3 + x * x / 45, (1 - x / np.tan(x)) / (x * x))
-        sinc = sign * tau[1] * np.where(phi == 0, 1.0, phi / np.sin(phi))
-        slope = lambda j: (sinc * ((j + 1) ** 2 * h((j + 1) * phi) - h(phi))).real
-        ratio = np.where(phi == 0, (n - 1) / n, np.cos(phi) - np.sin(phi) / np.tan(n * phi)).real
-        g = np.ldexp(product, product_scale + s0 - s1) * sign * ratio
-        return (c1[0] - g * c0[0]) / (slope(n - 1) * c1[0] + c1[1] - g * (slope(n - 2) * c0[0] + c0[1])), tau[1]
+        c1, s1 = _continuant(d, e2, lam, head + period + tail) if ends else (ck, sk)
+        c0, s0 = _continuant(d, e2, lam, ends) if ends else ((1.0, 0.0), 0)
+        # K_inner, 1 for a period of two rows (none for one)
+        cm, sm = _continuant(d, e2, lam, period[1:-1]) if m > 2 else (np.array([[1.0], [0.0]]), 0)
+        tau = ck[:2] - e2[period[-1]] * np.ldexp(cm[:2], sm - sk) if m > 1 else ck[:2]
+        tau = np.ldexp(tau, sk - product_scale) / (2 * product)
+        return _floquet_step(c1, c0, tau, np.ldexp(product, product_scale + s0 - s1), n), tau[1]
 
     lam = start - _bracket_width(start, start)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        at = np.flatnonzero(steps(lam)[1] * ((n + 1) ** 2 * _bracket_width(lam, lam)) < 32)
+        step, slope = steps(lam)
+        at = np.flatnonzero(slope * ((n + 1) ** 2 * _bracket_width(lam, lam)) < 32)
     # the steps from here on see only the columns of wide bands
     d, e2, product, product_scale = d.take(at, axis=1), e2.take(at, axis=1), product[at], product_scale[at]
-    lam[at] = _descend(lambda x: steps(x)[0], lam[at])
+    lam[at] = _descend(lambda x: steps(x)[0], lam[at], step[at])
     return lam
 
 

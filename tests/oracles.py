@@ -105,3 +105,16 @@ def mp_touch_point(spec, k: int, theta: float, top: float, dps: int = 40) -> com
             x = [v / norm for v in rhs]
         tx = [b[j] * x[j] + (c[j] * x[j + 1] if j < k - 1 else 0) + (a[j] * x[j - 1] if j else 0) for j in range(k)]
         return complex(mp.fsum(mp.conj(u) * v for u, v in zip(x, tx)))
+
+
+def complex_floquet_step(c1, c0, tau, root, n: int) -> np.ndarray:
+    """The Newton step of :func:`sweep._floquet_step` in complex arithmetic:
+    ``phi = arccos |tau|``, imaginary above 1, and the same formulas at
+    that phi, the real parts taken at the end."""
+    sign, phi = np.where(tau[0] < 0, -1.0, 1.0), np.arccos(np.abs(tau[0]) + 0j)
+    h = lambda x: np.where(np.abs(x) < 1e-3, 1 / 3 + x * x / 45, (1 - x / np.tan(x)) / (x * x))
+    sinc = sign * tau[1] * np.where(phi == 0, 1.0, phi / np.sin(phi))
+    slope = lambda j: (sinc * ((j + 1) ** 2 * h((j + 1) * phi) - h(phi))).real
+    ratio = np.where(phi == 0, (n - 1) / n, np.cos(phi) - np.sin(phi) / np.tan(n * phi)).real
+    g = root * sign * ratio
+    return (c1[0] - g * c0[0]) / (slope(n - 1) * c1[0] + c1[1] - g * (slope(n - 2) * c0[0] + c0[1]))

@@ -85,6 +85,37 @@ def test_range_requires_spec_or_word():
     assert exc.value.code == 2
 
 
+def test_back_to_back_calls_share_one_parser(capsys):
+    # the parser is built once per process: a call after others prints what
+    # it prints on a parser of its own, so no option leaks from one call to
+    # the next (--k falls back to 128; an argparse error exits 2 in between)
+    calls = [
+        ["range", "--word", "01", "--mode", "truncation", "--k", "5", "--num-theta", "16"],
+        ["range", "--word", "01", "--mode", "truncation", "--num-theta", "16"],
+        ["range", "--word", "01", "--mode", "sideways"],
+        ["verify", "--filter", "selfadjoint", "--seed", "3"],
+        ["range", "--word", "01", "--mode", "truncation", "--k", "0"],
+        ["range", "--spec", "p=2;a=0,1;b=0;c=1,0", "--num-theta", "16", "--num-phi", "4"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    together = [run(argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(run(argv))
+    assert together == alone
+    assert [code for code, *_ in together] == [0, 0, 2, 0, 2, 0]
+    assert together[1] == run(calls[1] + ["--k", "128"]) and together[0][1] != together[1][1]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_verify_filtered_conjecture(capsys):
     code = cli.main(
         ["verify", "--profile", "quick", "--filter", "conjecture", "--n", "1"]

@@ -28,7 +28,14 @@ from numrange.sweep import (
     truncation_range,
     truncation_support,
 )
-from oracles import bisection_tops, conjecture_pair, distance_to_region, mp_touch_point, rayleigh_samples
+from oracles import (
+    bisection_tops,
+    complex_floquet_step,
+    conjecture_pair,
+    distance_to_region,
+    mp_touch_point,
+    rayleigh_samples,
+)
 
 RNG = np.random.default_rng(42)
 WORD01 = PeriodSpec.from_word("01")
@@ -1497,15 +1504,22 @@ def test_copy_sums_touch_points_match_mpmath(monkeypatch, name):
     assert checked >= (0 if name == "p24" else 12)
 
 
-def test_lifted_path_top_takes_inverse_iteration(monkeypatch):
-    # compressed paths of a period of two rows, six copies and the end blocks
-    # (three rows before, three after); the last block's entry lifts the top
-    # of some above the band edge (tau > 1 there): those take inverse
-    # iteration, the others the copies' sums, and both match eigh to 1e-13
+def lifted_paths():
+    """Compressed paths of a period of two rows, six copies and the end
+    blocks (three rows before, three after), whose last block's entry lifts
+    the top of some above the band edge (tau > 1 there): ``d, e, k, (lo, m,
+    n)`` and a seeded generator."""
     lo, m, n, k = 3, 2, 6, 18
     rng = np.random.default_rng(1)
     d, e = (np.tile(rng.uniform(*bounds, (m, 6)), (k // m, 1)) for bounds in ((-0.5, 0.2), (0.2, 0.5)))
     d[0], d[-1] = 0.0, np.linspace(-0.4, 0.9, 6)
+    return d, e, k, (lo, m, n), rng
+
+
+def test_lifted_path_top_takes_inverse_iteration(monkeypatch):
+    # the lifted paths' columns above the band edge take inverse iteration,
+    # the others the copies' sums, and both match eigh to 1e-13
+    d, e, k, (lo, m, n), rng = lifted_paths()
     weights = rng.standard_normal((2, k, 6))
     edge = sweep._band_edges(d[lo : lo + m], e[lo : lo + m])
     monkeypatch.setattr(sweep, "_SUMS_ROWS", 0)
@@ -1523,6 +1537,112 @@ def test_lifted_path_top_takes_inverse_iteration(monkeypatch):
         want = [sweep._fold(y[:, None], lo, m, n)[:, 0] for y in (x * x, np.append(x[:-1] * x[1:], 0.0))]
         np.testing.assert_allclose(squares[:, j] / squares[:, j].sum(), want[0], rtol=0, atol=1e-13)
         np.testing.assert_allclose(links[:, j] / squares[:, j].sum(), want[1], rtol=0, atol=1e-13)
+
+
+LIFTED = PeriodSpec.parse("p=4;a=1j,0,0,0.5;b=1j,0.5,1j,0;c=0,0,0.5,1j")
+
+
+def test_lifted_flat_edge_paths_match_dense(monkeypatch):
+    # a spec flat at every angle whose compressed flat-edge paths at k=61
+    # have end blocks that lift some tops above the copies' band edge, so the
+    # Newton steps run above the band (tau > 1): its polygon is the dense one
+    cfg, k, lifted, tops = SweepConfig(720, 1), 61, [], sweep._closed_form_tops
+
+    def record(d, e, k, start, lo, m, n):
+        if lo > 0:
+            lifted.append(np.count_nonzero(start > sweep._band_edges(d[lo : lo + m], e[lo : lo + m])))
+        return tops(d, e, k, start, lo, m, n)
+
+    monkeypatch.setattr(sweep, "_closed_form_tops", record)
+    points = _truncation_points(LIFTED, k, cfg)
+    assert points.size == 3 * cfg.num_theta and sum(lifted) >= 100
+    dense = boundary_points(build_truncation(LIFTED, k), cfg)
+    assert hausdorff(convex_hull(points), convex_hull(dense)) <= 1e-13
+
+
+def lifted_taus(monkeypatch):
+    """The |tau| > 1 at which :func:`sweep._closed_form_tops` steps on the
+    lifted paths, with ``psi = arccosh |tau|`` of at least 0.25."""
+    taus, step = [], sweep._floquet_step
+    d, e, k, repeat = lifted_paths()[:4]
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "_floquet_step", lambda c1, c0, tau, *rest: taus.append(tau[0]) or step(c1, c0, tau, *rest))
+        sweep._top_pairs(d, e, k, None, repeat)
+    a = np.abs(np.concatenate(taus))
+    return a[(a > 1) & (np.arccosh(np.maximum(a, 1.0)) >= 0.25)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 61, 6400])
+def test_real_floquet_step_matches_the_complex_one(monkeypatch, n):
+    # the real-valued step against the complex one (oracles.py) at tau of
+    # both signs: inside the band, at its edge (phi = 0), where every
+    # argument of h is in its series, and above the band (the lifted paths'
+    # steps); three probes isolate U_{n-1}' / U_{n-1}, U_{n-2}' / U_{n-2}
+    # (1 / slope: infinite for both at n = 2, where U_0 = 1) and the ratio
+    # U_{n-2} / U_{n-1} (-root sign ratio, the slope's term below 1e-16).
+    # Interior phases keep every argument y of h = (1 - y cot y) / y^2 off
+    # 1e-3 .. 0.1, where both lose bits to the difference (the lifted
+    # steps' psi >= 0.25 likewise); at most 9.4 ulps apart, the ratio above
+    # the band, where cosh psi - sinh psi / tanh(n psi) cancels by e^(2 psi)
+    eps = np.finfo(float).eps
+    taus = {
+        "interior": np.cos(np.array([0.5, 0.75, 1.25]) * np.pi / n),
+        "edge": np.ones(1),
+        "series": np.cos(np.array([1e-4, 1e-6, 1e-7]) / n),
+        "above": lifted_taus(monkeypatch),
+    }
+    assert taus["above"].size >= 12
+    for name, t in taus.items():
+        tau = np.array([np.concatenate([t, -t]), np.full(2 * t.size, 1.5)])
+        for c1, c0, root in [((1.0, 0.0), (0.0, 0.0), 0.0), ((0.0, 0.0), (1.0, 0.0), 1.0), ((0.0, 1.0), (1.0, 0.0), 2.0**-60)]:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                real, reference = sweep._floquet_step(c1, c0, tau, root, n), complex_floquet_step(c1, c0, tau, root, n)
+            infinite = np.isinf(reference)
+            assert np.array_equal(np.isinf(real), infinite) and np.all(np.isfinite(reference) | (n == 2)), name
+            np.testing.assert_allclose(real[~infinite], reference[~infinite], rtol=16 * eps, atol=0, err_msg=name)
+
+
+def spied_steps(monkeypatch):
+    """Per step of :func:`sweep._closed_form_tops` (a call of
+    :func:`sweep._floquet_step`), the rows of its :func:`sweep._continuant`
+    calls; and per :func:`sweep._descend`, its iterations: the steps it
+    asks for, and the one it is handed."""
+    steps, rows, iterations = [], [], []
+    continuant, step, descend = sweep._continuant, sweep._floquet_step, sweep._descend
+
+    def record(f, lam, first=None):
+        iterations.append(first is not None)
+        return descend(lambda x: iterations.__setitem__(-1, iterations[-1] + 1) or f(x), lam, first)
+
+    monkeypatch.setattr(sweep, "_continuant", lambda d, e2, lam, r: rows.append(tuple(r)) or continuant(d, e2, lam, r))
+    monkeypatch.setattr(sweep, "_floquet_step", lambda *args: steps.append(rows[:]) or rows.clear() or step(*args))
+    monkeypatch.setattr(sweep, "_descend", record)
+    return steps, iterations
+
+
+@pytest.mark.parametrize("name", ["01", "001", "lifted"])
+def test_closed_form_tops_use_every_step(monkeypatch, name):
+    # word 01 at k=800 (720 angles), 001 at k=61 (a row after the copies, a
+    # period with inner rows), the lifted compressed paths (rows before and
+    # after the copies): each step is one step of the descent, the first
+    # one's included, and no continuant in a step repeats another's rows or
+    # has none
+    if name == "lifted":
+        d, e, k, repeat = lifted_paths()[:4]
+        lo, m, n = repeat
+        start = sweep._band_edges(d[lo : lo + m], e[lo : lo + m])
+        start = np.maximum(start, np.r_[d[:lo], d[lo + n * m :]].max(axis=0) + 1e-12)
+    else:
+        spec, k = (WORD01, 800) if name == "01" else (PeriodSpec.from_word("001"), 61)
+        d, e = sweep._scaled_tridiagonals(spec, phi_grid(720))[:2]
+        lo, m, n, start = 0, spec.p, k // spec.p, sweep._band_edges(d, e)
+    steps, iterations = spied_steps(monkeypatch)
+    top = sweep._closed_form_tops(d, e, k, start, lo, m, n)
+    monkeypatch.undo()
+    assert np.isfinite(top).all() and len(iterations) == 1
+    assert len(steps) == iterations[0] >= 2
+    for rows in steps:
+        assert all(rows) and len(set(rows)) == len(rows)
 
 
 def jacobi_cases():
