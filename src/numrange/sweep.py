@@ -14,14 +14,15 @@ similar to a real tridiagonal of copies of one period, whose characteristic
 polynomial has a closed form in the period's Floquet discriminant (Teschl,
 *Jacobi Operators and Completely Integrable Nonlinear Lattices*, ch. 7):
 real Newton steps on it give the top in O(p) per step and two Sturm counts
-certify it; the touch point comes from closed-form Chebyshev sums over the
-copies in O(p), or where those round badly, from inverse iteration on the
-counts' O(k) factorization.  The symbols' union
-takes one O(p) solve per direction, at a twist known in closed form: the
-band edge and the Perron vector of a real cycle.  Both take flat edges from
-one block core: where edges vanish the period splits into blocks, and the
-skew part compressed to the top blocks (a cycle for unions, a path of
-copies for truncations) gives the two ends.
+certify it (where they fail, Laguerre steps on the whole path and bisection
+on the counts give it in O(k) per step); the touch point comes from
+closed-form Chebyshev sums over the copies in O(p), or where those round
+badly, from inverse iteration on the counts' O(k) factorization.  The
+symbols' union takes one O(p) solve per direction, at a twist known in
+closed form: the band edge and the Perron vector of a real cycle.  Both take
+flat edges from one block core: where edges vanish the period splits into
+blocks, and the skew part compressed to the top blocks (a cycle for unions,
+a path of copies for truncations) gives the two ends.
 """
 
 from __future__ import annotations
@@ -89,10 +90,8 @@ _VECTOR_BATCH_BYTES = 1 << 23
 # Pivot rows :func:`_count_above` keeps at a time, which are also the rows
 # :func:`_ldl_pivots` checks for its guard at a time.
 _PIVOT_ROWS = 256
-# Caps on the steps of :func:`_descend`, and on the passes of
-# :func:`_top_eigenvalues` that take Newton steps (then it bisects).
+# Cap on the steps of :func:`_descend`.
 _BAND_EDGE_STEPS = 60
-_NEWTON_PASSES = 24
 # Rows :func:`_continuant` runs between two rescalings, the range its sums
 # may end a block in, and the weights of the derivatives' extra terms.
 _CONTINUANT_ROWS = 32
@@ -394,7 +393,8 @@ def _closed_form_tops(d, e, k: int, start, lo: int, m: int, n: int) -> np.ndarra
     edge vanishes), whose top, about ``5 / ((n + 1)^2 tau')`` below the
     edge, is the edge to within a sixth of a width (tau cancels too much to
     place it better).  For n <= 1, Laguerre steps on the continuant of S
-    from ``start``, an upper bound."""
+    from ``start``, an upper bound, and one short Newton step: the first
+    step of :func:`_top_eigenvalues` too."""
     p, e2 = d.shape[0], e * e
     rows = lambda r: [j % p for j in r]
     if n <= 1:
@@ -431,164 +431,102 @@ def _closed_form_tops(d, e, k: int, start, lo: int, m: int, n: int) -> np.ndarra
     return lam
 
 
-def _pivot_rows(shifted, e2, first, q, ratio=None, guard=True):
+def _pivot_rows(shifted, e2, first, q, guard=True):
     """Rows ``first, first + 1, ...`` of the pivot recurrence of
-    :func:`_ldl_pivots` into ``q[1:]`` (and the slope terms into
-    ``ratio[1:]``), after row ``first - 1`` in ``q[0]`` (and ``ratio[0]``).
+    :func:`_ldl_pivots` into ``q[1:]``, after row ``first - 1`` in ``q[0]``.
     ``shifted`` and ``e2`` are lists of one period's rows.  With ``guard``,
     pivots of modulus below ``PIVMIN`` become ``-PIVMIN``; without, a row
-    costs two ufuncs (five with ``ratio``)."""
+    costs two ufuncs."""
     p = len(shifted)
-    terms = itertools.repeat((None, None)) if ratio is None else zip(ratio, ratio[1:])
-    for i, prev, row, (prev_term, term) in zip(itertools.count(first), q, q[1:], terms):
+    for i, prev, row in zip(itertools.count(first), q, q[1:]):
         if i == 0:
             row[:] = shifted[0]
-            if term is not None:
-                term[:] = -1.0
         else:
             np.divide(e2[(i - 1) % p], prev, out=row)
-            if term is not None:
-                np.multiply(row, prev_term, out=term)
-                term -= 1.0
             np.subtract(shifted[i % p], row, out=row)
         if guard:
             np.putmask(row, np.abs(row) < PIVMIN, -PIVMIN)
-        if term is not None:
-            term /= row
 
 
-def _pivot_window(period, arrays, first, q, ratio, guard: bool) -> bool:
-    """Rows ``first, ...`` of :func:`_pivot_rows` into ``q[1:]`` and
-    ``ratio[1:]``, with the guard only where it acts: a pass without it,
-    then the columns with a pivot below ``PIVMIN`` (or not finite) again
-    with it, from the window's first such row; where that is most columns,
-    all, and later windows are guarded from the start (the returned ``guard``).
-    ``period`` holds the rows of ``arrays``."""
-    if guard:
-        _pivot_rows(*period, first, q, ratio)
-        return True
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _pivot_rows(*period, first, q, ratio, guard=False)
-    # the minima are NaN where a pivot is
-    size = np.abs(q[1:])
-    bad = np.flatnonzero(~(size.min(axis=0) >= PIVMIN))
-    if bad.size == 0:
-        return False
-    # up to the row before the first that failed, nothing changes
-    r = int(np.argmax(~(size.min(axis=1) >= PIVMIN)))
-    if 2 * bad.size > q.shape[1]:
-        _pivot_rows(*period, first + r, q[r:], None if ratio is None else ratio[r:])
-        return True
-    redo = [None if x is None else x[r:, bad] for x in (q, ratio)]
-    # the rows of the window (and the one before), as a period of their own
-    base = max(first + r - 1, 0)
-    at = np.arange(base, first + q.shape[0] - 1) % arrays[0].shape[0]
-    _pivot_rows(*(list(x[np.ix_(at, bad)]) for x in arrays), first + r - base, *redo)
-    q[r:, bad] = redo[0]
-    if ratio is not None:
-        ratio[r:, bad] = redo[1]
-    return False
+def _pivot_window(period, first, q, guard: bool) -> bool:
+    """Rows ``first, ...`` of :func:`_pivot_rows` into ``q[1:]``, with the
+    guard only where it acts: a pass without it, then, if a pivot is below
+    ``PIVMIN`` (or not finite), every column again with it from the
+    window's first such row, and later windows are guarded from the start
+    (the returned ``guard``)."""
+    if not guard:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _pivot_rows(*period, first, q, guard=False)
+        # the minima are NaN where a pivot is
+        bad = ~(np.abs(q[1:]).min(axis=1) >= PIVMIN)
+        if not bad.any():
+            return False
+        # up to the row before the first that failed, nothing changes
+        r = int(np.argmax(bad))
+        first, q = first + r, q[r:]
+    _pivot_rows(*period, first, q)
+    return True
 
 
-def _ldl_pivots(d, e2, sigma, k: int, block: int, slope=None):
+def _ldl_pivots(d, e2, sigma, k: int, block: int):
     """Pivots of ``S - sigma = L D L^T`` for the k-by-k S of every column,
     ``d, e2`` one period (p, columns) of its diagonal and squared
     off-diagonal, in consecutive blocks of at most ``block`` rows, each
     written over the one before.  A pivot of modulus below ``PIVMIN``
     becomes ``-PIVMIN``.  By Sylvester's law of inertia the negative pivots
-    count the eigenvalues below ``sigma`` (the Sturm count).  With ``slope``
-    (per column) the sweep adds ``G(sigma) = sum q_i' / q_i = sum_j 1 /
-    (sigma - lambda_j)`` into it, from ``q_i' = -1 + e_{i-1}^2 q_{i-1}' /
-    q_{i-1}^2``.  As in LAPACK's ``dlaneg`` (Marques, Riedy & Voemel, *SIAM
-    J. Sci. Comput.* 28 (2006) 1613-1633), each window of ``_PIVOT_ROWS``
-    rows runs without the guard, at two ufuncs a row, and only the columns
-    it would act on are redone with it (:func:`_pivot_window`), so pivots,
-    counts and slopes are those of the guarded recurrence bit for bit.
+    count the eigenvalues below ``sigma`` (the Sturm count).  As in LAPACK's
+    ``dlaneg`` (Marques, Riedy & Voemel, *SIAM J. Sci. Comput.* 28 (2006)
+    1613-1633), each window of ``_PIVOT_ROWS`` rows runs without the guard,
+    at two ufuncs a row, and is redone with it only where it would act
+    (:func:`_pivot_window`), so pivots and counts are those of the guarded
+    recurrence bit for bit.
     """
     # rows contiguous (d[:, mask] is not), as the recurrence runs along them
-    arrays = np.subtract(d, sigma, order="C"), np.ascontiguousarray(e2)
-    period = [list(x) for x in arrays]
+    period = [list(x) for x in (np.subtract(d, sigma, order="C"), np.ascontiguousarray(e2))]
     # row 0 holds the last row of the block before
     q = np.empty((min(k, block) + 1, d.shape[1]))
-    ratio = None if slope is None else np.empty_like(q)
     guard = False
     for start in range(0, k, block):
         rows = min(block, k - start)
         for lo in range(0, rows, _PIVOT_ROWS):
-            window = slice(lo, min(lo + _PIVOT_ROWS, rows) + 1)
-            rw = None if ratio is None else ratio[window]
-            guard = _pivot_window(period, arrays, start + lo, q[window], rw, guard)
-        if ratio is not None:
-            slope += ratio[1 : rows + 1].sum(axis=0)
+            guard = _pivot_window(period, start + lo, q[lo : min(lo + _PIVOT_ROWS, rows) + 1], guard)
         yield q[1 : rows + 1]
         q[0] = q[rows]
-        if ratio is not None:
-            ratio[0] = ratio[rows]
 
 
-def _count_above(d, e2, sigma, k: int, slope=None) -> np.ndarray:
+def _count_above(d, e2, sigma, k: int) -> np.ndarray:
     """Number of eigenvalues of each S at or above ``sigma``, counted through
-    a fixed block of pivot rows, so memory does not grow with k; ``slope``
-    as in :func:`_ldl_pivots`."""
-    pivots = _ldl_pivots(d, e2, sigma, k, _PIVOT_ROWS, slope)
+    a fixed block of pivot rows, so memory does not grow with k."""
+    pivots = _ldl_pivots(d, e2, sigma, k, _PIVOT_ROWS)
     return k - sum(np.count_nonzero(q < 0, axis=0) for q in pivots)
 
 
 def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
-    """Largest eigenvalue of each k-by-k S, by Sturm counts: the certified
+    """Largest eigenvalue of each k-by-k S, certified by Sturm counts: the
     search for the columns of :func:`_top_pairs` that fail its counts.
 
-    The bracket runs from the largest diagonal entry (a Rayleigh quotient)
-    to the Gershgorin bound, and each pass tests one shift per open column.
-    With ``start``, an upper bound, the first pass counts there (a column
-    with an eigenvalue at or above it bisects) and returns ``G = sum_j 1 /
-    (sigma - lambda_j)``; the next shift is the Newton point ``hi - max(1/G,
-    tol)``, ``tol`` half the final width, which from above never overshoots
-    the top but by rounding (one at or below ``lo`` becomes ``lo + tol``).
-    Without ``start``, and after ``_NEWTON_PASSES`` passes, shifts bisect.
-    The bracket keeps the side with the top; its upper end is returned.
+    lam is :func:`_closed_form_tops` with one copy (Laguerre steps on the
+    whole path) from ``start``, an upper bound (default the Gershgorin
+    bound).  Where lam passes the counts of :func:`_top_pairs` the bracket is
+    ``[lam - w, lam + w]``, w its :func:`_bracket_width`, else from the
+    largest diagonal entry (a Rayleigh quotient) to the Gershgorin bound.
+    Midpoint bisection on the counts closes each to its
+    :func:`_bracket_width`; the upper end is returned.
     """
     rows = min(k, d.shape[0])
     lo, hi, e2 = d[:rows].max(axis=0), _gershgorin(d, e)[:rows].max(axis=0), e * e
-    # the Newton step 1/G from each upper end, infinite where unknown, and
-    # the columns that take no Newton steps
-    step = np.full(lo.shape, np.inf)
-    plain = np.full(lo.shape, start is None)
-
-    def count(at, sigma):
-        """Which columns ``at`` have an eigenvalue at or above ``sigma``, and
-        the Newton steps from it: infinite where not wanted or not finite
-        and positive (a pass with slopes costs five ufuncs a row, not two)."""
-        slope = None if plain[at].all() else np.zeros(at.size)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # take, unlike d[:, at], keeps the rows the recurrence runs along contiguous
-            above = _count_above(d.take(at, axis=1), e2.take(at, axis=1), sigma, k, slope)
-            steps = np.inf if slope is None else 1.0 / slope
-        return above >= 1, np.where(~plain[at] & np.isfinite(steps) & (steps > 0), steps, np.inf)
-
-    if not plain.all():
-        at = np.flatnonzero(hi - lo > _bracket_width(lo, hi))
-        sigma = np.minimum(start[at], hi[at])
-        inside, steps = count(at, sigma)
-        plain[at] = inside
-        lo[at] = np.where(inside, np.maximum(lo[at], sigma), lo[at])
-        hi[at] = np.where(inside, hi[at], sigma)
-        step[at] = np.where(inside, np.inf, steps)
-    for passes in itertools.count():
-        at = np.flatnonzero(hi - lo > _bracket_width(lo, hi))
-        if at.size == 0:
-            return hi
-        if passes == _NEWTON_PASSES:
-            plain[:], step[:] = True, np.inf
-        a, b, h = lo[at], hi[at], step[at]
-        tol = 0.5 * _bracket_width(b, b)
-        newton = b - np.maximum(h, tol)
-        # a Newton point at or below lo means the top sits at lo, to rounding
-        newton = np.where(newton > a, newton, np.minimum(a + tol, 0.5 * (a + b)))
-        sigma = np.where(np.isinf(h), np.minimum(a + (b - a) / 2, b), newton)
-        inside, steps = count(at, sigma)
-        lo[at], hi[at] = np.where(inside, sigma, a), np.where(inside, b, sigma)
-        step[at] = np.where(inside, h, steps)
+    lam = _closed_form_tops(d, e, k, hi if start is None else start, 0, k, 1)
+    width = _bracket_width(lam, lam)
+    # both counts in one pass, each column twice
+    below, above = np.split(_count_above(np.tile(d, 2), np.tile(e2, 2), np.append(lam - width, lam + width), k), 2)
+    ok = ((lo >= lam - width) | (below >= 1)) & (above == 0)
+    lo, hi = np.where(ok, lam - width, lo), np.where(ok, lam + width, hi)
+    while (at := np.flatnonzero(hi - lo > _bracket_width(lo, hi))).size:
+        sigma = np.minimum(lo[at] + (hi[at] - lo[at]) / 2, hi[at])
+        # take, unlike d[:, at], keeps the rows the recurrence runs along contiguous
+        inside = _count_above(d.take(at, axis=1), e2.take(at, axis=1), sigma, k) >= 1
+        lo[at], hi[at] = np.where(inside, sigma, lo[at]), np.where(inside, hi[at], sigma)
+    return hi
 
 
 def _sine_cubed(x) -> np.ndarray:
@@ -701,8 +639,9 @@ def _top_pairs(d, e, k: int, start=None, repeat=None, weights=None):
     the blocks' around them where higher; for n <= 1 the Gershgorin bound).
     With w its :func:`_bracket_width`, a count must find no eigenvalue at or
     above ``lam + w`` and one, or a diagonal entry, at or above ``lam - w``;
-    lam + w is returned, else :func:`_top_eigenvalues`.  For n >= 2 and k >=
-    ``_SUMS_ROWS`` the sums are :func:`_copy_sums` at lam where
+    lam + w is returned, else :func:`_top_eigenvalues` (Laguerre steps on
+    the whole path, the same counts, then bisection on them).  For n >= 2
+    and k >= ``_SUMS_ROWS`` the sums are :func:`_copy_sums` at lam where
     :func:`_checked_sums` keeps them: x(lam) strays from the eigenvector in
     proportion to lam's distance from the eigenvalue (a touch point by about
     1.5e-16 / e_min per width at word 01, e_min its least scaled edge, at

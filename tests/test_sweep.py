@@ -877,11 +877,11 @@ def test_truncation_support_input_shapes():
 
 
 def test_multisection_matches_bisection():
-    # without a start the Sturm core tests one shift per open column and
-    # pass, and it and the bisection oracle stop at a bracket of a few ulps
-    # around the top; a period of three rows with its wrap edge cut makes
-    # S a path of k // 3 tied blocks (3 at k = 9, 133 at k = 400), whose
-    # top is multiple
+    # without a start the Sturm search takes Laguerre steps from the
+    # Gershgorin bound, and it and the bisection oracle stop at a bracket of
+    # a few ulps around the top; a period of three rows with its wrap edge
+    # cut makes S a path of k // 3 tied blocks (3 at k = 9, 133 at k = 400),
+    # whose top is multiple
     rng = np.random.default_rng(8)
     eps = np.finfo(float).eps
     cases = []
@@ -915,7 +915,7 @@ def assert_certified_tops(top, plain, d, e, k):
 
 @pytest.mark.parametrize("p", range(2, 9))
 def test_newton_tops_are_certified(p):
-    # Newton steps down from the band edge, over every grid size the sweeps use
+    # the Sturm search from the band edge, over every grid size the sweeps use
     rng = np.random.default_rng(900 + p)
     spec = random_spec(rng, p)
     for num_theta in (720, 192, 2):
@@ -930,16 +930,18 @@ def test_newton_tops_are_certified(p):
 
 def test_continuant_carries_its_scale():
     # 2000 rows at lam = 1, each |lam - d_j| >= 1.5: the plain recurrence
-    # overflows near row 1750; the LDL pivots of S - lam give log|det| and
-    # the log-derivative sum 1/(lam - lambda_j) independently
+    # overflows near row 1750; the LDL pivots of S - lam give log|det|, and
+    # the dense eigenvalues the log-derivative sum 1/(lam - lambda_j),
+    # independently
     rng = np.random.default_rng(5)
     p = 2000
     d, e = rng.uniform(-1.0, -0.5, (p, 1)), rng.uniform(0.0, 0.5, (p, 1))
-    lam, slope = np.ones(1), np.zeros(1)
+    lam = np.ones(1)
     (det, ddet, _), scale = sweep._continuant(d, e * e, lam, range(p))
-    pivots = next(sweep._ldl_pivots(d, e * e, lam, p, p, slope))
+    pivots = next(sweep._ldl_pivots(d, e * e, lam, p, p))
     np.testing.assert_allclose(np.log2(np.abs(det)) + scale, np.log2(-pivots).sum(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(ddet / det, slope, rtol=1e-12)
+    s = np.diag(d[:, 0]) + np.diag(e[:-1, 0], 1) + np.diag(e[:-1, 0], -1)
+    np.testing.assert_allclose(ddet / det, (1 / (lam - np.linalg.eigvalsh(s))).sum(), rtol=1e-12)
 
 
 def rescaled_continuant(d, e2, lam, rows):
@@ -1013,33 +1015,22 @@ def test_newton_start_below_the_top_still_certifies():
             assert_certified_tops(top, plain, d, e, k)
 
 
-def guarded_pivots(d, e2, sigma, k, block, slope=None):
+def guarded_pivots(d, e2, sigma, k, block):
     """The pivot oracle: :func:`sweep._ldl_pivots` with the ``PIVMIN`` guard
     applied at every row."""
     p = d.shape[0]
     shifted = d - sigma
     q = np.empty((min(k, block), shifted.shape[1]))
-    ratio = None if slope is None else np.empty_like(q)
-    prev = prev_ratio = None
+    prev = None
     for start in range(0, k, block):
         for r in range(min(block, k - start)):
             i = start + r
             if i == 0:
                 q[0] = shifted[0]
-                if ratio is not None:
-                    ratio[0] = -1.0
             else:
                 np.divide(e2[(i - 1) % p], q[r - 1] if r else prev, out=q[r])
-                if ratio is not None:
-                    np.multiply(q[r], ratio[r - 1] if r else prev_ratio, out=ratio[r])
-                    ratio[r] -= 1.0
                 np.subtract(shifted[i % p], q[r], out=q[r])
             np.putmask(q[r], np.abs(q[r]) < sweep.PIVMIN, -sweep.PIVMIN)
-            if ratio is not None:
-                ratio[r] /= q[r]
-        if ratio is not None:
-            slope += ratio[: r + 1].sum(axis=0)
-            prev_ratio = ratio[r].copy()
         yield q[: r + 1]
         prev = q[r].copy()
 
@@ -1068,24 +1059,20 @@ def pivot_cases():
     e2[:, 13:15] = np.ldexp(1.0, 1000)
     yield d, e2, sigma
     # a zero pivot in every period of most columns (the split spec at its
-    # top), which are redone in place, and the blocks after them guarded
+    # top): the window is redone with the guard, and later windows guarded
     d, e2 = np.zeros((2, 24)), np.repeat([[0.25], [0.0]], 24, axis=1)
     yield d, e2, np.where(np.arange(24) < 20, 0.5, rng.uniform(0.0, 1.0, 24))
 
 
-@pytest.mark.parametrize("slope", [False, True])
-def test_blocked_pivots_match_the_guard_at_every_row(slope):
+def test_blocked_pivots_match_the_guard_at_every_row():
     # the guard acts only where a block without it has a pivot below PIVMIN,
-    # and those columns are redone, so pivots, counts and slopes keep their bits
+    # and those rows are redone, so pivots and counts keep their bits
     for d, e2, sigma in pivot_cases():
         for k, block in [(1, 256), (5, 5), (23, 256), (23, 7), (64, 1), (400, 256), (400, 400)]:
-            ours, oracle = (np.zeros(d.shape[1]) if slope else None for _ in range(2))
             with np.errstate(all="ignore"):
-                want = [q.copy() for q in guarded_pivots(d, e2, sigma, k, block, oracle)]
-            got = [q.copy() for q in sweep._ldl_pivots(d, e2, sigma, k, block, ours)]
+                want = [q.copy() for q in guarded_pivots(d, e2, sigma, k, block)]
+            got = [q.copy() for q in sweep._ldl_pivots(d, e2, sigma, k, block)]
             assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
-            if slope:
-                assert ours.tobytes() == oracle.tobytes()
             counts = sweep._count_above(d, e2, sigma, k)
             np.testing.assert_array_equal(counts, k - sum((q < 0).sum(axis=0) for q in want))
 
@@ -1109,9 +1096,9 @@ def sturm_passes(monkeypatch):
     """(rows, columns, block) of every pivot sweep, in the order they run."""
     passes, pivots = [], sweep._ldl_pivots
 
-    def record(d, e2, sigma, k, block, *rest):
+    def record(d, e2, sigma, k, block):
         passes.append((k, d.shape[1], block))
-        return pivots(d, e2, sigma, k, block, *rest)
+        return pivots(d, e2, sigma, k, block)
 
     monkeypatch.setattr(sweep, "_ldl_pivots", record)
     return passes
@@ -1352,6 +1339,34 @@ def test_rayleigh_core_and_its_fallback_match_dense(monkeypatch, text, k, fallba
     flat = np.abs(points[: cfg.num_theta] - dense[: cfg.num_theta]) > 1e-13
     # only flat-edge angles, whose top points may lie anywhere on the edge
     assert 2 * flat.sum() <= points.size - cfg.num_theta
+
+
+@pytest.mark.parametrize("k, fallback", [(800, 3), (12800, 4)])
+def test_sturm_fallback_takes_few_counts(monkeypatch, k, fallback):
+    # the seeded p=24 spec's columns that the closed form leaves (one at
+    # k=12800, and three of the compressed flat-edge paths) take Laguerre
+    # steps on the whole path, the same two counts (in one pass) and at
+    # most two bisection passes; bisection from the Gershgorin bracket took
+    # about 52
+    spec, eps = seeded_spec(124, 24), np.finfo(float).eps
+    calls, tops, count = [], sweep._top_eigenvalues, sweep._count_above
+
+    def record(d, e, k, start=None):
+        passes = []
+        monkeypatch.setattr(sweep, "_count_above", lambda *args: passes.append(args) or count(*args))
+        top = tops(d, e, k, start)
+        monkeypatch.setattr(sweep, "_count_above", count)
+        calls.append((d, e, top, len(passes)))
+        return top
+
+    monkeypatch.setattr(sweep, "_top_eigenvalues", record)
+    _truncation_points(spec, k, SweepConfig(720, 1))
+    monkeypatch.undo()
+    assert sum(d.shape[1] for d, *_ in calls) == fallback
+    for d, e, top, passes in calls:
+        assert passes <= 4
+        plain = bisection_tops(d, e, k)
+        assert np.all(np.abs(top - plain) <= 2 * eps * (np.abs(plain) + 1))
 
 
 def test_closed_form_failures_take_the_sturm_search(monkeypatch):
