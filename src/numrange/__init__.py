@@ -25,7 +25,6 @@ from .geometry import (
     RangePolygon,
     convex_hull,
     hausdorff,
-    polygon_from_csv,
     polygon_to_csv,
     support_width,
 )

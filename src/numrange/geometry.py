@@ -21,7 +21,6 @@ __all__ = [
     "support_width",
     "polygon_csv",
     "polygon_to_csv",
-    "polygon_from_csv",
 ]
 
 CROSS_TOL = 1e-12
@@ -59,9 +58,13 @@ def convex_hull(points) -> RangePolygon:
     469-483): each round splits every edge with points outside it at its
     farthest one (the lexicographic least on ties); a point goes on with
     the new edge it lies farther outside, while its turn there exceeds
-    ``eps``.  Then vertices whose turn ``_cross(prev, v, next)`` is at most
-    ``eps`` go, by the pop rule of the monotone chain: the first of each run
-    of them per round, never the lexicographic extremes.  Collinear input
+    ``eps``.  From the second round on, once a round keeps more than half
+    of its points (sweep output, in convex position), those points are
+    mostly vertices: they join the hull in one ring, by angle about the
+    mean of its vertices (the farthest first on ties), from the minimum.
+    Then vertices whose turn ``_cross(prev, v, next)`` is at most ``eps``
+    go, by the pop rule of the monotone chain: every other member of each
+    run of them per round, never the lexicographic extremes.  Collinear input
     collapses to its two extreme points and coincident input to a single
     point.  A turn that overflows, in the rounds or in the pop rule, raises
     ``FloatingPointError`` instead of dropping its point or vertex.
@@ -88,6 +91,14 @@ def convex_hull(points) -> RangePolygon:
         turns = [wx * s.imag[edge] - wy * s.real[edge] for s in (step, np.append(step[1:], step[0]))]
         turn = np.maximum(*turns)
         keep = np.flatnonzero(turn > eps)
+        if 2 * keep.size > turn.size and hull.size > 2:
+            # the points left are mostly vertices: ring them with the hull by
+            # angle about its mean, the farthest first on ties, from the minimum
+            centre = hull.mean()
+            hull = np.append(hull, np.column_stack((x[keep], y[keep])).view(complex)[:, 0])
+            order = np.lexsort((-np.abs(hull - centre), np.angle(hull - centre)))
+            hull = np.roll(hull[order], -np.flatnonzero(order == 0)[0])
+            break
         x, y, edge, turn = (a[keep] for a in (x, y, edge + (turns[1] > turns[0]), turn))
         best = np.zeros(hull.size)
         np.maximum.at(best, edge, turn)
@@ -97,12 +108,15 @@ def convex_hull(points) -> RangePolygon:
         split = best > 0
         at = at[np.searchsorted(edge[at], np.flatnonzero(split))]
         far = np.column_stack((x[at], y[at])).view(complex)[:, 0]
+    fixed = (hull == ends[0]) | (hull == ends[1])
     pop = True
     while np.any(pop):
         ring = np.concatenate((hull[-1:], hull, hull[:1]))
-        pop = (_cross(ring[:-2], hull, ring[2:]) <= eps) & ~np.isin(hull, ends)
-        pop &= ~np.roll(pop, 1)
-        hull = hull[~pop]
+        pop = (_cross(ring[:-2], hull, ring[2:]) <= eps) & ~fixed
+        # every other member of each run, from its first; hull[0] is fixed, so no run wraps
+        at = np.arange(hull.size)
+        pop &= (at - np.maximum.accumulate(np.where(pop, 0, at + 1))) % 2 == 0
+        hull, fixed = hull[~pop], fixed[~pop]
     return RangePolygon(hull[:1] if np.abs(hull - hull[0]).max() <= eps else hull)
 
 
@@ -159,32 +173,3 @@ def polygon_to_csv(polygon: RangePolygon, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(polygon_csv(polygon))
 
-
-def polygon_from_csv(path) -> RangePolygon:
-    """Read a polygon written by :func:`polygon_to_csv`.
-
-    Raises ``ValueError`` unless the vertices are distinct and, from three
-    on, counterclockwise convex: every turn positive, winding once.  That is
-    the contract of :class:`RangePolygon`, which :func:`excess` relies on.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "re,im":
-            raise ValueError(f"unexpected CSV header {header!r}")
-        vertices = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            re_s, im_s = line.split(",")
-            vertices.append(complex(float(re_s), float(im_s)))
-    polygon = RangePolygon(np.array(vertices, dtype=complex))
-    v = polygon.vertices
-    if (np.diff(np.sort(v)) == 0).any():
-        raise ValueError("polygon vertices must be distinct")
-    if v.size > 2:
-        edges = np.roll(v, -1) - v
-        turns = _cross(np.roll(v, 1), v, np.roll(v, -1))
-        if not (turns > 0).all() or np.angle(np.roll(edges, -1) / edges).sum() > 3 * np.pi:
-            raise ValueError("polygon vertices must be counterclockwise convex")
-    return polygon

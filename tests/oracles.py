@@ -1,10 +1,10 @@
-"""Per-point reference geometry, reference eigenvalues and the dense
-conjecture matrices for the tests."""
+"""Per-point reference geometry, reference eigenvalues, the dense
+conjecture matrices and the polygon CSV reader for the tests."""
 
 import numpy as np
 
 from numrange import sweep
-from numrange.geometry import RangePolygon
+from numrange.geometry import RangePolygon, _cross
 from numrange.linalg import as_matrix
 from numrange.operators import build_truncation, conjecture_specs
 
@@ -118,3 +118,34 @@ def complex_floquet_step(c1, c0, tau, root, n: int) -> np.ndarray:
     ratio = np.where(phi == 0, (n - 1) / n, np.cos(phi) - np.sin(phi) / np.tan(n * phi)).real
     g = root * sign * ratio
     return (c1[0] - g * c0[0]) / (slope(n - 1) * c1[0] + c1[1] - g * (slope(n - 2) * c0[0] + c0[1]))
+
+
+def polygon_from_csv(path) -> RangePolygon:
+    """Read a polygon written by :func:`numrange.geometry.polygon_to_csv`.
+
+    Raises ``ValueError`` unless the vertices are distinct and, from three
+    on, counterclockwise convex: every turn positive, winding once.  That is
+    the contract of :class:`RangePolygon`, which
+    :func:`numrange.geometry.excess` relies on.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "re,im":
+            raise ValueError(f"unexpected CSV header {header!r}")
+        vertices = []
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            re_s, im_s = line.split(",")
+            vertices.append(complex(float(re_s), float(im_s)))
+    polygon = RangePolygon(np.array(vertices, dtype=complex))
+    v = polygon.vertices
+    if (np.diff(np.sort(v)) == 0).any():
+        raise ValueError("polygon vertices must be distinct")
+    if v.size > 2:
+        edges = np.roll(v, -1) - v
+        turns = _cross(np.roll(v, 1), v, np.roll(v, -1))
+        if not (turns > 0).all() or np.angle(np.roll(edges, -1) / edges).sum() > 3 * np.pi:
+            raise ValueError("polygon vertices must be counterclockwise convex")
+    return polygon

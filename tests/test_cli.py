@@ -7,8 +7,8 @@ import pytest
 
 import numrange.cli as cli
 from numrange.checks import CheckReport
-from numrange.geometry import polygon_from_csv
 from numrange.sweep import NotSelfAdjointError
+from oracles import polygon_from_csv
 
 
 def test_range_word01_symbol_hull_is_stadium(tmp_path):

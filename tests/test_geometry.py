@@ -1,6 +1,8 @@
 """Convex hulls, Hausdorff distances, containment, support widths."""
 
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,13 +14,13 @@ from numrange.geometry import (
     excess,
     hausdorff,
     polygon_csv,
-    polygon_from_csv,
     polygon_to_csv,
     support_width,
 )
+from numrange import ellipse
 from numrange.operators import PeriodSpec, build_symbol
-from numrange.sweep import SweepConfig, _symbol_points, boundary_points, phi_grid
-from oracles import distance_to_region
+from numrange.sweep import SweepConfig, _symbol_points, _truncation_points, boundary_points, phi_grid
+from oracles import distance_to_region, polygon_from_csv
 
 RNG = np.random.default_rng(31)
 
@@ -156,6 +158,33 @@ def _annulus() -> np.ndarray:
     return radii * np.exp(1j * RNG.uniform(0, 2 * np.pi, 100_000))
 
 
+def _truncation_input() -> np.ndarray:
+    # the touch points of truncation_range for word 01 at k=120, 720 angles
+    return _truncation_points(PeriodSpec.from_word("01"), 120, SweepConfig(num_theta=720))
+
+
+def _stadium_input() -> np.ndarray:
+    # the arc samples that stadium_region(192) hulls
+    with mock.patch.object(ellipse, "convex_hull", wraps=convex_hull) as hull:
+        ellipse.stadium_region(192)
+    return hull.call_args.args[0]
+
+
+def _dense_sweep() -> np.ndarray:
+    # boundary_points of a seeded dense 3x3 matrix at 720 angles
+    rng = np.random.default_rng(7)
+    a = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(2)
+    return boundary_points(a, SweepConfig(num_theta=720))
+
+
+# sweep output, in convex position, in the order the sweeps emit it
+SWEEP_INPUTS = {
+    "truncation-01": _truncation_input,
+    "union-001-192": lambda: _symbol_points(PeriodSpec.from_word("001"), SweepConfig(192, 192)),
+    "stadium": _stadium_input,
+}
+
+
 def _sliver() -> np.ndarray:
     # the extremes along all 16 first-pass directions are the two ends, but
     # the middle point sits 1e-6 off their line: the hull is a triangle
@@ -176,6 +205,7 @@ def _sliver() -> np.ndarray:
         _annulus,
         lambda: _union_cloud("11", 192),
         _sliver,
+        *SWEEP_INPUTS.values(),
     ],
     ids=[
         "gaussian",
@@ -187,6 +217,7 @@ def _sliver() -> np.ndarray:
         "annulus",
         "union-11",
         "sliver",
+        *SWEEP_INPUTS,
     ],
 )
 def test_hull_prune_path_matches_direct(make):
@@ -195,6 +226,34 @@ def test_hull_prune_path_matches_direct(make):
     # are the monotone chain's, bit for bit
     pts = make()
     assert convex_hull(pts).vertices.tobytes() == monotone_chain(pts).tobytes()
+
+
+def _c_calls(f, *args) -> int:
+    """The ``c_call`` events of :func:`sys.setprofile`, at any depth, while ``f(*args)`` runs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "c_call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: np.exp(2j * np.pi * np.arange(4096) / 4096), *SWEEP_INPUTS.values()],
+    ids=["circle", *SWEEP_INPUTS],
+)
+def test_hull_of_sweep_output_takes_few_calls(make):
+    # points in convex position end in one ring and the pop rule, not in
+    # log2(n) Quickhull rounds of about 50 numpy calls each (551 to 821 calls)
+    assert _c_calls(convex_hull, make()) <= 350
 
 
 def support_deficit(pts: np.ndarray, vertices: np.ndarray, thetas: np.ndarray) -> float:
@@ -222,6 +281,22 @@ def test_hull_of_union_cloud(word):
     thetas = rng.uniform(0, 2 * np.pi, 20_000)
     chain = support_deficit(pts, monotone_chain(pts), thetas)
     assert support_deficit(pts, hull, thetas) <= chain
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _symbol_points(PeriodSpec.from_word("01"), SweepConfig(720, 720)), _truncation_input, _dense_sweep],
+    ids=["union-01", "truncation-01", "dense-3x3"],
+)
+def test_hull_turns_with_its_input(make):
+    # the ring must be ordered by angle about a point inside the hull: points
+    # ordered along the edge they lie outside of miss vertices on the dense
+    # 3x3 sweep (by 7.7e-4), depending on how the input is turned
+    pts = make()
+    hull = convex_hull(pts).vertices
+    for alpha in 2 * np.pi * np.arange(16) / 16 + 0.1:
+        turn = np.exp(1j * alpha)
+        assert hausdorff(convex_hull(turn * pts), RangePolygon(turn * hull)) <= 1e-12
 
 
 def test_hull_prune_matches_gift_wrapping_oracle():
