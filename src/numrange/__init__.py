@@ -17,7 +17,6 @@ from .operators import (
     build_symbol,
     build_truncation,
     conjecture_specs,
-    fourier_vector,
     lift_eigenvector,
     phi_grid,
 )
@@ -38,16 +37,7 @@ from .sweep import (
     truncation_range,
     truncation_support,
 )
-from .ellipse import (
-    EllipseParams,
-    check_semiplane_containment,
-    symbol_ellipse,
-    symbol_ellipse_point,
-    special_vector_value,
-    stadium_region,
-    tangency_parameter,
-    tangent_line_support,
-)
+from .ellipse import EllipseParams, stadium_region, symbol_ellipse
 from .checks import (
     CheckReport,
     check_block_diagonalization,

@@ -24,7 +24,6 @@ __all__ = [
     "build_truncation",
     "build_circulant",
     "build_symbol",
-    "fourier_vector",
     "build_block_unitary",
     "conjecture_specs",
     "lift_eigenvector",
@@ -191,27 +190,13 @@ def build_symbol(spec: PeriodSpec, phi) -> np.ndarray:
     return t
 
 
-def fourier_vector(p: int, s: int, j: int, k: int) -> np.ndarray:
-    """Unit vector with ``rho_k^t / sqrt(s)`` at slot j of block t.
-
-    ``rho_k = exp(2 pi i k / s)``; blocks have length p and t runs over the
-    s periods.  These vectors form an orthonormal basis of C^(s*p).
-    """
-    if p < 2 or s < 2:
-        raise ValueError("need p >= 2 and s >= 2")
-    if not (0 <= j < p and 0 <= k < s):
-        raise ValueError(f"indices out of range: j={j} (p={p}), k={k} (s={s})")
-    v = np.zeros(s * p, dtype=complex)
-    v[j::p] = np.exp(2j * np.pi * k / s) ** np.arange(s)
-    return v / np.sqrt(s)
-
-
 def build_block_unitary(spec: PeriodSpec, s: int) -> np.ndarray:
     """Unitary whose columns are the Fourier vectors, k-major.
 
-    Column ``k*p + j`` is ``fourier_vector(p, s, j, k)``, so conjugating a
-    circulant by this matrix produces the block-diagonal stack of symbols
-    at the angles ``phi_k = 2*pi*k/s``.
+    Column ``k*p + j`` holds ``rho_k^t / sqrt(s)`` at slot j of block t,
+    with ``rho_k = exp(2 pi i k / s)``, blocks of length p and t over the s
+    periods.  Conjugating a circulant by this matrix produces the
+    block-diagonal stack of symbols at the angles ``phi_k = 2*pi*k/s``.
     """
     if s < 2:
         raise ValueError("number of periods s must be >= 2")

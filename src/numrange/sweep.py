@@ -674,16 +674,11 @@ def _top_pairs(d, e, k: int, start=None, repeat=None, weights=None):
         good, sq, ln = _checked_sums(d, e, lam[at], top[at], at, k, lo, m, copies, folded, weights)
         closed[at[good]], squares[:, at[good]], links[:, at[good]] = True, sq, ln
     # counts at lam - w where no diagonal entry certifies, and at lam + w where
-    # no pivots are wanted, through blocks of rows: in one pass where the
-    # period is shorter than the path (its copies are small)
+    # no pivots are wanted, in one pass through blocks of rows
     below, above = np.flatnonzero(~low), np.flatnonzero(closed)
-    count = lambda at, sigma: _count_above(d.take(at, axis=1), e2.take(at, axis=1), sigma, k) if at.size else at
-    if p < k:
-        both = count(np.append(below, above), np.append(lam[below] - width[below], top[above]))
-        lower, upper = both[: below.size], both[below.size :]
-    else:
-        lower, upper = count(below, lam[below] - width[below]), count(above, top[above])
-    low[below], closed[above] = lower >= 1, upper == 0
+    at, sigma = np.append(below, above), np.append(lam[below] - width[below], top[above])
+    counts = _count_above(d.take(at, axis=1), e2.take(at, axis=1), sigma, k) if at.size else at
+    low[below], closed[above] = counts[: below.size] >= 1, counts[below.size :] == 0
     ok = finite & low
     closed &= ok
     if weights is None:

@@ -1,12 +1,18 @@
 """Per-point reference geometry, reference eigenvalues, the dense
-conjecture matrices and the polygon CSV reader for the tests."""
+conjecture matrices, the polygon CSV reader, the Fourier vectors, and the
+period-01 proof ingredients (the symbol ellipses' boundary points and
+tangency parameters, the stadium's tangent lines, the special vector) for
+the tests."""
 
 import numpy as np
 
 from numrange import sweep
+from numrange.ellipse import symbol_ellipse
 from numrange.geometry import RangePolygon, _cross
 from numrange.linalg import as_matrix
-from numrange.operators import build_truncation, conjecture_specs
+from numrange.operators import PeriodSpec, build_truncation, conjecture_specs
+
+_ANGLE_TOL = 1e-12
 
 
 def distance_to_region(points, polygon: RangePolygon) -> np.ndarray:
@@ -149,3 +155,92 @@ def polygon_from_csv(path) -> RangePolygon:
         if not (turns > 0).all() or np.angle(np.roll(edges, -1) / edges).sum() > 3 * np.pi:
             raise ValueError("polygon vertices must be counterclockwise convex")
     return polygon
+
+
+def fourier_vector(p: int, s: int, j: int, k: int) -> np.ndarray:
+    """Unit vector with ``rho_k^t / sqrt(s)`` at slot j of block t.
+
+    ``rho_k = exp(2 pi i k / s)``; blocks have length p and t runs over the
+    s periods.  These vectors form an orthonormal basis of C^(s*p).
+    """
+    v = np.zeros(s * p, dtype=complex)
+    v[j::p] = np.exp(2j * np.pi * k / s) ** np.arange(s)
+    return v / np.sqrt(s)
+
+
+def symbol_ellipse_point(phi: float, t) -> complex | np.ndarray:
+    """Boundary point(s) ``e^{i rot} (|w|/2 e^{-i t} + 1/2 e^{i t})`` of
+    :func:`numrange.ellipse.symbol_ellipse` at ``phi``.
+
+    ``t`` may be a scalar or an array of parameter angles.
+    """
+    params = symbol_ellipse(phi)
+    t = np.asarray(t, dtype=float)
+    z = np.exp(1j * params.rotation) * (
+        0.5 * abs(params.w) * np.exp(-1j * t) + 0.5 * np.exp(1j * t)
+    )
+    return complex(z) if z.ndim == 0 else z
+
+
+def tangency_parameter(phi: float, psi) -> float | np.ndarray:
+    """Parameter angle maximizing ``Re(symbol_ellipse_point(phi, t) e^{-i psi})``.
+
+    Writing the support profile as ``A cos(t - B)``, this returns B: a float
+    for a scalar ``psi``, an array for an array of them.
+    """
+    params = symbol_ellipse(phi)
+    delta = params.rotation - np.asarray(psi, dtype=float)
+    b = np.arctan2((abs(params.w) - 1.0) * np.sin(delta), (abs(params.w) + 1.0) * np.cos(delta))
+    return float(b) if b.ndim == 0 else b
+
+
+def tangent_line_support(psi: float) -> float:
+    """Support value ``1/2 + cos(psi)`` of the line tangent to the circle
+    ``|z - 1| = 1/2`` at ``1 + e^{i psi}/2``, for psi in [0, pi/2] or
+    [3pi/2, 2pi)."""
+    return 0.5 + float(np.cos(psi))
+
+
+def check_semiplane_containment(
+    phi: float, psi: float, num_t: int = 4096
+) -> tuple[bool, complex | None]:
+    """Check the twist-angle ellipse against the closed half-plane of ``tangent_line_support``.
+
+    Returns ``(contained, tangent_point)``.  Containment is tested on a
+    ``num_t`` grid of parameter angles with a 1e-9 slack.  The tangent point
+    is the closed-form contact point in the equality cases: ``1 + e^{i psi}/2``
+    when ``phi == psi`` away from the vertical-tangent angles, and
+    ``+-(sin(phi) + i/2)`` when ``psi`` is ``pi/2`` or ``3 pi/2``.
+    """
+    t = 2.0 * np.pi * np.arange(num_t) / num_t
+    support = float((symbol_ellipse_point(phi, t) * np.exp(-1j * psi)).real.max())
+    contained = support <= tangent_line_support(psi) + 1e-9
+
+    tangent: complex | None
+    if abs(psi - np.pi / 2) <= _ANGLE_TOL:
+        tangent = complex(np.sin(phi), 0.5)
+    elif abs(psi - 3 * np.pi / 2) <= _ANGLE_TOL:
+        tangent = complex(-np.sin(phi), -0.5)
+    elif abs((phi - psi + np.pi) % (2 * np.pi) - np.pi) <= _ANGLE_TOL:
+        tangent = 1.0 + 0.5 * complex(np.exp(1j * psi))
+    else:
+        tangent = None
+    return contained, tangent
+
+
+def special_vector_value(lam: complex) -> complex:
+    """Rayleigh quotient of the period-01 operator at the vector
+    ``(1, 1, lam, lam, lam^2, lam^2, ...)``, truncated once the tail is
+    below 1e-13.  Equals ``1 + lam/2`` for ``|lam| < 1``."""
+    lam = complex(lam)
+    mod = abs(lam)
+    if mod >= 1.0:
+        raise ValueError(f"need |lam| < 1, got {mod}")
+    if mod == 0.0:
+        periods = 1
+    else:
+        periods = max(1, int(np.ceil(np.log(1e-13 * (1.0 - mod * mod)) / np.log(mod * mod))))
+    x = np.repeat(lam ** np.arange(periods), 2)
+    u = x / np.linalg.norm(x)
+    t = build_truncation(PeriodSpec.from_word("01"), 2 * periods)
+    return complex(np.vdot(u, t @ u))

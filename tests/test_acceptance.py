@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from numrange.checks import random_period_specs
-from numrange.ellipse import symbol_ellipse_point, stadium_region, tangency_parameter
+from numrange.ellipse import stadium_region
 from numrange.geometry import (
     RangePolygon,
     convex_hull,
@@ -33,7 +33,13 @@ from numrange.sweep import (
     symbol_union_hull,
     truncation_range,
 )
-from oracles import conjecture_pair, distance_to_region, rayleigh_samples
+from oracles import (
+    conjecture_pair,
+    distance_to_region,
+    rayleigh_samples,
+    symbol_ellipse_point,
+    tangency_parameter,
+)
 
 SEED = 20260808
 FULL = SweepConfig(num_theta=720, num_phi=720)

@@ -1,6 +1,10 @@
 """Command-line surface: CSV output, verify reports, SVG figures, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,23 @@ def test_back_to_back_calls_share_one_parser(capsys):
     assert [code for code, *_ in together] == [0, 0, 2, 0, 2, 0]
     assert together[1] == run(calls[1] + ["--k", "128"]) and together[0][1] != together[1][1]
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_import_loads_every_layer_and_its_public_names():
+    # the benchmark's tracer (perfbench/tracing.py) imports numrange.cli
+    # alone, then looks up every name in each of these layers' __all__:
+    # checked in a fresh process, where no other test has imported a layer
+    layers = ("linalg", "operators", "geometry", "sweep", "ellipse", "checks", "cli")
+    code = (
+        "import sys, numrange.cli\n"
+        f"for layer in {layers!r}:\n"
+        "    module = sys.modules['numrange.' + layer]\n"
+        "    for name in module.__all__:\n"
+        "        getattr(module, name)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_verify_filtered_conjecture(capsys):
