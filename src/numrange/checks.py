@@ -26,7 +26,6 @@ from .operators import (
     build_circulant,
     build_symbol,
     conjecture_specs,
-    lift_eigenvector,
     phi_grid,
 )
 from .sweep import (
@@ -98,41 +97,34 @@ def _spec_params(spec: PeriodSpec) -> dict:
     return {"p": spec.p, "a": fmt(spec.a), "b": fmt(spec.b), "c": fmt(spec.c)}
 
 
-def _symbol_blocks(spec: PeriodSpec, s: int) -> np.ndarray:
+def check_block_diagonalization(spec: PeriodSpec, s: int, circulant: np.ndarray, symbols: np.ndarray) -> CheckReport:
+    """Frobenius defect of U* C U against the block-diagonal stack of the
+    symbols, given the circulant C of s periods and the (s, p, p) symbol stack."""
     blocks = np.zeros((s, spec.p, s, spec.p), dtype=complex)
-    blocks[np.arange(s), :, np.arange(s), :] = build_symbol(spec, phi_grid(s))
-    return blocks.reshape(s * spec.p, s * spec.p)
-
-
-def check_block_diagonalization(spec: PeriodSpec, s: int) -> CheckReport:
-    """Frobenius defect of U* C U against the stacked symbol blocks."""
-    c = build_circulant(spec, s)
+    blocks[np.arange(s), :, np.arange(s), :] = symbols
     u = build_block_unitary(spec, s)
-    defect = float(np.linalg.norm(u.conj().T @ c @ u - _symbol_blocks(spec, s)))
+    defect = float(np.linalg.norm(u.conj().T @ circulant @ u - blocks.reshape(circulant.shape)))
     return CheckReport(
         name="block_diagonalization",
         parameters={**_spec_params(spec), "s": s},
         metric=defect,
-        tolerance=1e-10 * (1.0 + float(np.linalg.norm(c))),
+        tolerance=1e-10 * (1.0 + float(np.linalg.norm(circulant))),
     )
 
 
-def check_eigenvector_lifting(spec: PeriodSpec, s: int) -> CheckReport:
-    """Worst scaled circulant residual of lifted symbol eigenvectors."""
-    c = build_circulant(spec, s)
-    worst = 0.0
-    for phi in phi_grid(s):
-        values, vectors = np.linalg.eig(build_symbol(spec, phi))
-        for lam, v in zip(values, vectors.T):
-            lifted = lift_eigenvector(v, phi, s)
-            residual = float(np.linalg.norm(c @ lifted - lam * lifted))
-            worst = max(
-                worst, residual / ((1.0 + abs(lam)) * float(np.linalg.norm(lifted)))
-            )
+def check_eigenvector_lifting(spec: PeriodSpec, s: int, circulant: np.ndarray, symbol_eig) -> CheckReport:
+    """Worst scaled circulant residual of lifted symbol eigenvectors, given
+    ``symbol_eig``, the ``np.linalg.eig`` of the (s, p, p) symbol stack."""
+    values, vectors = symbol_eig
+    phases = np.exp(1j * phi_grid(s)[:, None] * np.arange(s))
+    # lifted[k, j] is eigenvector j of symbol k times e^{i t phi_k} on period t
+    lifted = (phases[:, None, :, None] * vectors.transpose(0, 2, 1)[:, :, None, :]).reshape(s, spec.p, -1)
+    residuals = np.linalg.norm((circulant @ lifted[..., None])[..., 0] - values[..., None] * lifted, axis=-1)
+    scale = (1.0 + np.hypot(values.real, values.imag)) * np.linalg.norm(lifted, axis=-1)
     return CheckReport(
         name="eigenvector_lifting",
         parameters={**_spec_params(spec), "s": s},
-        metric=worst,
+        metric=float((residuals / scale).max()),
         tolerance=1e-10,
     )
 
@@ -141,35 +133,34 @@ def _greedy_pairing_distance(left: np.ndarray, right: np.ndarray) -> float:
     """Max nearest-neighbour distance pairing two equal-size multisets."""
     if left.size != right.size:
         raise ValueError("multisets must have equal size")
-    order = np.lexsort((left.imag, left.real))
-    remaining = list(right)
+    diff = left[np.lexsort((left.imag, left.real)), None] - right
+    dists = np.hypot(diff.real, diff.imag)
     worst = 0.0
-    for lam in left[order]:
-        dists = [abs(lam - mu) for mu in remaining]
-        j = int(np.argmin(dists))
-        worst = max(worst, dists[j])
-        remaining.pop(j)
+    for row in dists:
+        j = int(np.argmin(row))
+        worst = max(worst, row[j])
+        dists[:, j] = np.inf
     return worst
 
 
-def check_spectrum_union(spec: PeriodSpec, s: int) -> CheckReport:
+def check_spectrum_union(spec: PeriodSpec, s: int, circulant: np.ndarray, symbols: np.ndarray, symbol_values) -> CheckReport:
     """Circulant spectrum against the union of symbol spectra (as multisets).
 
     Self-adjoint specs go through the Hermitian solver, where eigenvalues
-    are perfectly conditioned and 1e-8 agreement holds.  General specs can
-    have defective symbol eigenvalues whose double-precision sensitivity is
-    eps^(1/q) for a size-q Jordan block (measured up to ~1e-5 over random
-    sign specs), so the non-normal route uses a 1e-4 tolerance.
+    are perfectly conditioned and 1e-8 agreement holds.  General specs take
+    the symbol stack's ``np.linalg.eig`` eigenvalues, ``symbol_values``, and
+    can have defective ones whose double-precision sensitivity is eps^(1/q)
+    for a size-q Jordan block (measured up to ~1e-5 over random sign specs),
+    so the non-normal route uses a 1e-4 tolerance.
     """
     selfadjoint = spec.is_selfadjoint()
-    circulant, symbols = build_circulant(spec, s), build_symbol(spec, phi_grid(s))
     if selfadjoint:
         circ_eigs = np.linalg.eigvalsh(circulant).astype(complex)
         symbol_eigs = np.linalg.eigvalsh(symbols).ravel().astype(complex)
         tolerance = 1e-8
     else:
         circ_eigs = np.linalg.eigvals(circulant)
-        symbol_eigs = np.linalg.eigvals(symbols).ravel()
+        symbol_eigs = symbol_values.ravel()
         tolerance = 1e-4
     return CheckReport(
         name="spectrum_union",
@@ -440,11 +431,18 @@ def run_all(
     pair_hull = functools.cache(lambda n: _hull_of_pair_ranges(*pair_ranges(n)))
     stadium = functools.cache(lambda: stadium_region(cfg.num_theta))
 
+    # So are each random spec's circulant, symbol stack and symbol eigensolve.
+    randoms = random_period_specs(params["random_trials"], seed)
+    circulant = functools.cache(lambda i: build_circulant(*randoms[i]))
+    symbols = functools.cache(lambda i: build_symbol(randoms[i][0], phi_grid(randoms[i][1])))
+    symbol_eig = functools.cache(lambda i: np.linalg.eig(symbols(i)))
+    symbol_values = lambda i: None if randoms[i][0].is_selfadjoint() else symbol_eig(i)[0]
+
     jobs: list[tuple[str, object]] = []
-    for spec, s in random_period_specs(params["random_trials"], seed):
-        jobs.append(("block_diagonalization", lambda sp=spec, ss=s: check_block_diagonalization(sp, ss)))
-        jobs.append(("eigenvector_lifting", lambda sp=spec, ss=s: check_eigenvector_lifting(sp, ss)))
-        jobs.append(("spectrum_union", lambda sp=spec, ss=s: check_spectrum_union(sp, ss)))
+    for i in range(len(randoms)):
+        jobs.append(("block_diagonalization", lambda i=i: check_block_diagonalization(*randoms[i], circulant(i), symbols(i))))
+        jobs.append(("eigenvector_lifting", lambda i=i: check_eigenvector_lifting(*randoms[i], circulant(i), symbol_eig(i))))
+        jobs.append(("spectrum_union", lambda i=i: check_spectrum_union(*randoms[i], circulant(i), symbols(i), symbol_values(i))))
 
     for word in params["main_words"]:
         spec = PeriodSpec.from_word(word)

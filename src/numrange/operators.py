@@ -41,7 +41,7 @@ def _as_period_array(value, p: int, name: str) -> np.ndarray:
     if arr.size == 1:
         arr = np.full(p, arr[0], dtype=complex)
     if arr.shape != (p,):
-        raise ValueError(f"sequence {name!r} must have length {p}, got {arr.shape}")
+        raise ValueError(f"sequence {name!r} has length {len(arr)}, expected {p} (or 1 to broadcast)")
     if not np.isfinite(arr).all():
         raise ValueError(f"sequence {name!r} must be finite")
     return arr
@@ -118,13 +118,9 @@ class PeriodSpec:
             seqs = {k: [complex(tok) for tok in fields[k].split(",")] for k in "abc"}
         except ValueError as exc:
             raise SpecParseError(f"cannot parse {text!r}: {exc}") from exc
+        # the constructor reads p = 0 as "infer p", so parse rejects it here
         if p < 2:
             raise SpecParseError(f"period length must be >= 2, got p={p}")
-        for k, seq in seqs.items():
-            if len(seq) not in (1, p):
-                raise SpecParseError(
-                    f"sequence {k!r} has length {len(seq)}, expected {p} (or 1 to broadcast)"
-                )
         try:
             return cls(a=seqs["a"], b=seqs["b"], c=seqs["c"], p=p)
         except ValueError as exc:
@@ -200,13 +196,8 @@ def build_block_unitary(spec: PeriodSpec, s: int) -> np.ndarray:
     """
     if s < 2:
         raise ValueError("number of periods s must be >= 2")
-    p = spec.p
-    u = np.zeros((s * p, s * p), dtype=complex)
-    eye = np.eye(p)
-    for k in range(s):
-        powers = np.exp(2j * np.pi * k / s) ** np.arange(s)
-        u[:, k * p : (k + 1) * p] = np.kron(powers[:, None], eye) / np.sqrt(s)
-    return u
+    roots = np.exp(1j * phi_grid(s))
+    return np.kron(roots ** np.arange(s)[:, None], np.eye(spec.p)) / np.sqrt(s)
 
 
 def conjecture_specs(n: int) -> tuple[PeriodSpec, PeriodSpec]:

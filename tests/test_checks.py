@@ -1,13 +1,15 @@
 """Verification-suite reports: content, invariants, determinism."""
 
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import numrange.checks as checks
 import numrange.cli as cli
-from numrange import sweep
+from numrange import operators, sweep
 from numrange.checks import (
     CheckReport,
     _hull_of_pair_ranges,
@@ -33,6 +35,7 @@ from numrange.operators import (
     build_block_unitary,
     build_circulant,
     build_symbol,
+    lift_eigenvector,
     phi_grid,
 )
 from numrange.ellipse import stadium_region
@@ -50,6 +53,12 @@ def word_hull(word: str, cfg: SweepConfig = CFG):
 
 def pair_hull(n: int, cfg: SweepConfig = CFG):
     return _hull_of_pair_ranges(*_pair_ranges(n, cfg))
+
+
+def circulant_and_symbols(spec: PeriodSpec, s: int):
+    """The circulant, symbol stack and symbol eigensolve that run_all shares."""
+    symbols = build_symbol(spec, phi_grid(s))
+    return build_circulant(spec, s), symbols, np.linalg.eig(symbols)
 
 
 def test_report_invariant_and_serialization():
@@ -70,9 +79,9 @@ def test_report_invariant_and_serialization():
 
 
 def test_block_diagonalization_passes():
-    assert check_block_diagonalization(WORD01, 4).passed
+    assert check_block_diagonalization(WORD01, 4, *circulant_and_symbols(WORD01, 4)[:2]).passed
     spec = PeriodSpec(a=(-1, 1, 1), b=(1, -1, 1), c=(1, 1, -1))
-    report = check_block_diagonalization(spec, 6)
+    report = check_block_diagonalization(spec, 6, *circulant_and_symbols(spec, 6)[:2])
     assert report.passed
     assert report.parameters["s"] == 6
 
@@ -89,17 +98,37 @@ def test_block_diagonalization_negative_control():
         blocks[k * 3 : (k + 1) * 3, k * 3 : (k + 1) * 3] = build_symbol(spec, phi)
     defect = np.linalg.norm(u.conj().T @ cm @ u - blocks)
     assert defect > 1e-10 * (1 + np.linalg.norm(cm))
+    assert not check_block_diagonalization(spec, s, cm, build_symbol(spec, phi_grid(s))).passed
 
 
 def test_lifting_and_spectrum_sweep():
     for spec, s in random_period_specs(6, seed=1):
-        assert check_eigenvector_lifting(spec, s).passed
-        assert check_spectrum_union(spec, s).passed
+        circulant, symbols, symbol_eig = circulant_and_symbols(spec, s)
+        assert check_eigenvector_lifting(spec, s, circulant, symbol_eig).passed
+        assert check_spectrum_union(spec, s, circulant, symbols, symbol_eig[0]).passed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lifting_metric_is_the_worst_per_vector_residual(seed):
+    """The batched lifting metric equals the worst scaled residual of the
+    symbol eigenvectors lifted one at a time, each twist solved on its own."""
+    for spec, s in random_period_specs(50, seed):
+        circulant, _, symbol_eig = circulant_and_symbols(spec, s)
+        worst = 0.0
+        for phi in phi_grid(s):
+            values, vectors = np.linalg.eig(build_symbol(spec, phi))
+            for lam, v in zip(values, vectors.T):
+                lifted = lift_eigenvector(v, phi, s)
+                residual = np.linalg.norm(circulant @ lifted - lam * lifted)
+                worst = max(worst, residual / ((1.0 + abs(lam)) * np.linalg.norm(lifted)))
+        metric = check_eigenvector_lifting(spec, s, circulant, symbol_eig).metric
+        assert metric == pytest.approx(worst, rel=1e-15, abs=0)
 
 
 def test_spectrum_union_selfadjoint_uses_tight_tolerance():
     spec = PeriodSpec(a=(1.0, 1.0), b=0.0, c=(1.0, 1.0))
-    report = check_spectrum_union(spec, 5)
+    circulant, symbols, _ = circulant_and_symbols(spec, 5)
+    report = check_spectrum_union(spec, 5, circulant, symbols, None)
     assert report.passed
     assert report.tolerance == 1e-8
     assert report.parameters["selfadjoint"] is True
@@ -283,6 +312,40 @@ def test_run_all_builds_each_polygon_once(monkeypatch):
     pair_sizes.clear()
     run_all("quick", only="conjecture", conjecture_n=2)
     assert sorted(hull_words) == ["001", "11"] and truncations == [] and pair_sizes == [3, 3]
+
+
+def test_run_all_builds_each_circulant_once(monkeypatch):
+    """Within one call each random spec's circulant, symbol stack and symbol
+    eigensolve are built once and shared by the three circulant checks, which
+    lift the eigenvectors in one broadcast; a filtered run builds only what
+    its checks read (self-adjoint specs take no general eigensolve)."""
+    calls = Counter()
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        for module in [np.linalg, *(m for key, m in sys.modules.items() if key.split(".")[0] == "numrange")]:
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counting)
+
+    for owner, name in [(operators, "build_circulant"), (operators, "build_symbol"),
+                        (np.linalg, "eig"), (operators, "lift_eigenvector")]:
+        spy(owner, name)
+    counts = lambda: [calls[n] for n in ("build_circulant", "build_symbol", "eig", "lift_eigenvector")]
+
+    run_all("quick", 0)
+    assert counts() == [10, 10, 10, 0]
+    calls.clear()
+    run_all("quick", 1, only="block_diagonalization")
+    assert counts() == [10, 10, 0, 0]
+    calls.clear()
+    run_all("quick", 1, only="spectrum_union")
+    selfadjoint = sum(spec.is_selfadjoint() for spec, _ in random_period_specs(10, 1))
+    assert selfadjoint > 0 and counts() == [10, 10, 10 - selfadjoint, 0]
 
 
 def test_pair_checks_and_figure_run_without_dense_eigh(monkeypatch, tmp_path):
