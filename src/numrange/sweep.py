@@ -102,9 +102,6 @@ _SINE_SERIES = [(-1) ** j / math.factorial(2 * j + 3) for j in range(10, -1, -1)
 # Largest move of a quotient of the :func:`_copy_sums` over one bracket width
 # at which :func:`_top_pairs` takes them.
 _SUMS_ROUNDING = 4e-15
-# Rows of a path below which :func:`_top_pairs` takes inverse iteration for
-# every column: its O(k) loops then cost no more than the sums' fixed cost.
-_SUMS_ROWS = 192
 
 
 def _bracket_width(lo, hi):
@@ -628,26 +625,26 @@ def _checked_sums(d, e, lam, top, at, k: int, lo: int, m: int, n: int, folded, w
     return good, sq[:, : at.size][:, good], ln[:, : at.size][:, good]
 
 
-def _top_pairs(d, e, k: int, start=None, repeat=None, weights=None):
+def _top_pairs(d, e, k: int, repeat=None, weights=None):
     """Top eigenvalue of each path S (rows 0..k-1 of ``d, e``, taken mod
     their number p) and, given ``weights``, the :func:`_fold` of ``x_j^2``
     and ``x_j x_{j+1}`` for a top eigenvector x of each, and the row each
     folded row starts at.
 
     lam is :func:`_closed_form_tops` for ``repeat = (lo, m, n)`` (default
-    ``(0, p, k // p)``) from ``start`` (default the copies' band edge, or
-    the blocks' around them where higher; for n <= 1 the Gershgorin bound).
-    With w its :func:`_bracket_width`, a count must find no eigenvalue at or
-    above ``lam + w`` and one, or a diagonal entry, at or above ``lam - w``;
-    lam + w is returned, else :func:`_top_eigenvalues` (Laguerre steps on
-    the whole path, the same counts, then bisection on them).  For n >= 2
-    and k >= ``_SUMS_ROWS`` the sums are :func:`_copy_sums` at lam where
-    :func:`_checked_sums` keeps them: x(lam) strays from the eigenvector in
-    proportion to lam's distance from the eigenvalue (a touch point by about
-    1.5e-16 / e_min per width at word 01, e_min its least scaled edge, at
-    any k), and the recurrence amplifies that and its rounding alike where x
-    decays across part of a long period (1e11-fold at the tests' p=24
-    spec), which a bound on each row's rounding misses; so the quotient
+    ``(0, p, k // p)``) from the copies' band edge, or the blocks' around
+    them where higher (for n <= 1 the Gershgorin bound).  With w its
+    :func:`_bracket_width`, a count must find no eigenvalue at or above
+    ``lam + w`` and one, or a diagonal entry, at or above ``lam - w``; lam +
+    w is returned, else :func:`_top_eigenvalues` (Laguerre steps on the
+    whole path, the same counts, then bisection on them).  For n >= 2 the
+    sums are :func:`_copy_sums` at lam where :func:`_checked_sums` keeps
+    them: x(lam) strays from the eigenvector in proportion to lam's distance
+    from the eigenvalue (a touch point by about 1.5e-16 / e_min per width at
+    word 01, e_min its least scaled edge, at any k), and the recurrence
+    amplifies that and its rounding alike where x decays across part of a
+    long period (1e11-fold at the tests' p=24 spec), which a bound on each
+    row's rounding misses; so the quotient
     ``sum f_j x_j^2 + g_j x_j x_{j+1}`` over ``sum x_j^2`` (``weights(rows)``
     gives f and g at the folded rows) must move little over one width.
     Other columns take :func:`_top_eigenvectors`, ``_VECTOR_BATCH_BYTES`` of
@@ -655,13 +652,11 @@ def _top_pairs(d, e, k: int, start=None, repeat=None, weights=None):
     """
     p, n = d.shape
     lo, m, copies = (0, p, k // p) if repeat is None else repeat
-    start = _gershgorin(d, e)[:k].max(axis=0) if start is None and copies < 2 else start
-    if start is None:
-        start = _band_edges(d[lo : lo + m], e[lo : lo + m])
-        if repeat is not None:
-            # the blocks around the copies of a compressed path, each its own top, may lift it
-            ends = d[np.r_[0:lo, lo + copies * m : k]].max(axis=0)
-            start = np.maximum(start, ends + 2 * np.finfo(float).eps * np.abs(ends) + PIVMIN)
+    start = _gershgorin(d, e)[:k].max(axis=0) if copies < 2 else _band_edges(d[lo : lo + m], e[lo : lo + m])
+    if repeat is not None and copies >= 2:
+        # the blocks around the copies of a compressed path, each its own top, may lift it
+        ends = d[np.r_[0:lo, lo + copies * m : k]].max(axis=0)
+        start = np.maximum(start, ends + 2 * np.finfo(float).eps * np.abs(ends) + PIVMIN)
     lam = _closed_form_tops(d, e, k, start, lo, m, copies)
     finite, lam = np.isfinite(lam), np.where(np.isfinite(lam), lam, start)
     width, e2 = _bracket_width(lam, lam), e * e
@@ -669,7 +664,7 @@ def _top_pairs(d, e, k: int, start=None, repeat=None, weights=None):
     lo, m, copies = (lo, m, copies) if copies >= 2 else (0, k, 1)
     closed, folded = finite & (weights is None), np.r_[0 : lo + m, lo + copies * m : k]
     squares, links = np.empty((2, folded.size, n))
-    if weights is not None and copies >= 2 and k >= _SUMS_ROWS:
+    if weights is not None and copies >= 2:
         at = np.flatnonzero(finite)
         good, sq, ln = _checked_sums(d, e, lam[at], top[at], at, k, lo, m, copies, folded, weights)
         closed[at[good]], squares[:, at[good]], links[:, at[good]] = True, sq, ln
@@ -848,7 +843,7 @@ def truncation_support(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
     if thetas.size == 0:
         return np.zeros(thetas.shape)
     d, e, _, exponent = _scaled_tridiagonals(spec, thetas.ravel())
-    return np.ldexp(_top_pairs(d, e, k, _band_edges(d, e))[0], exponent).reshape(thetas.shape)
+    return np.ldexp(_top_pairs(d, e, k)[0], exponent).reshape(thetas.shape)
 
 
 def _spanning_pairs(d, e, k: int, repeat, weights, span):
@@ -859,7 +854,7 @@ def _spanning_pairs(d, e, k: int, repeat, weights, span):
     lo, m, n = repeat
     first, end = span.argmax(axis=0).min(), k - span[::-1].argmax(axis=0).min()
     first, end = (first, end) if first <= lo and end >= lo + n * m else (0, k)
-    squares, links, rows = _top_pairs(d[first:end], e[first:end], end - first, None, (lo - first, m, n), lambda rows: weights(rows + first))[1]
+    squares, links, rows = _top_pairs(d[first:end], e[first:end], end - first, (lo - first, m, n), lambda rows: weights(rows + first))[1]
     return squares, links, rows + first
 
 
@@ -923,7 +918,7 @@ def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray
     thetas = phi_grid(cfg.num_theta)
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
     coupling = _couplings(spec, beta)
-    scaled_top, (squares, links, _) = _top_pairs(d, e, k, None, None, lambda rows: (spec.b[rows, None], coupling[rows]))
+    scaled_top, (squares, links, _) = _top_pairs(d, e, k, None, lambda rows: (spec.b[rows, None], coupling[rows]))
     by_residue = lambda y: np.array([y[r :: spec.p].sum(axis=0) for r in range(spec.p)])
     points = _touch_points(spec, coupling, by_residue(squares), by_residue(links))
     top = np.ldexp(scaled_top, exponent)

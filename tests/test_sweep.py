@@ -1122,9 +1122,9 @@ def test_split_spec_sweeps_only_open_brackets(monkeypatch):
     passes, searched = sturm_passes(monkeypatch), searched_columns(monkeypatch)
     calls, pairs = [], sweep._top_pairs
 
-    def record(d, e, k, start=None, *rest):
-        top, vectors = pairs(d, e, k, start, *rest)
-        calls.append((d, e, k, start, top))
+    def record(d, e, k, *rest):
+        top, vectors = pairs(d, e, k, *rest)
+        calls.append((d, e, k, top))
         return top, vectors
 
     monkeypatch.setattr(sweep, "_top_pairs", record)
@@ -1141,8 +1141,8 @@ def test_split_spec_sweeps_only_open_brackets(monkeypatch):
         lo, hi = d.max(axis=0), sweep._gershgorin(d, e).max(axis=0)
         return np.all(hi - lo > sweep._bracket_width(lo, hi))
 
-    ((d, e, k, top),) = [(d, e, k, top) for d, e, k, start, top in calls if start is None and all_open(d, e)]
-    assert d.shape == (800, 4)
+    ((d, e, k, top),) = [(d, e, k, top) for d, e, k, top in calls if d.shape == (800, 4)]
+    assert all_open(d, e)
     assert not sweep._count_above(d, e * e, top, k).any()
     for j in range(4):
         s = np.diag(d[:, j]) + np.diag(e[:-1, j], 1) + np.diag(e[:-1, j], -1)
@@ -1296,7 +1296,7 @@ def fallback_columns(monkeypatch, d, e, k):
     None if no column takes them)."""
     columns, vectors, solve = searched_columns(monkeypatch), [], sweep._top_eigenvectors
     monkeypatch.setattr(sweep, "_top_eigenvectors", lambda e, q: vectors.append(solve(e, q)) or vectors[-1])
-    top = sweep._top_pairs(d, e, k, sweep._band_edges(d, e), None, lambda rows: (d[rows], e[rows]))[0]
+    top = sweep._top_pairs(d, e, k, None, lambda rows: (d[rows], e[rows]))[0]
     monkeypatch.undo()
     return sum(columns), top, np.hstack(vectors) if vectors else None
 
@@ -1408,7 +1408,7 @@ def test_closed_form_tops_match_bisection(name):
     for k in sorted({1, 2, p - 1, p, p + 1, 2 * p, 2 * p + 1, 61, 400} - {0}):
         fails = closed_form_fails(d, e, k)
         assert not (fails & ~((k < p) & (e <= 1e-15).any(axis=0))).any()
-        top = sweep._top_pairs(d, e, k, sweep._band_edges(d, e))[0]
+        top = sweep._top_pairs(d, e, k)[0]
         plain = bisection_tops(d, e, k)
         assert np.all(np.abs(top - plain) <= 3 * eps * (np.abs(plain) + 1))
         w = 2 * sweep._bracket_width(top, top)
@@ -1439,19 +1439,18 @@ def inverse_iteration_columns(monkeypatch, d, e, k, weights, repeat=None):
     :func:`sweep._top_eigenvectors` (made to return NaN)."""
     with monkeypatch.context() as patch:
         patch.setattr(sweep, "_top_eigenvectors", lambda e, q: np.full(q.shape, np.nan))
-        squares = sweep._top_pairs(d, e, k, None, repeat, lambda rows: [w[rows] for w in weights])[1][0]
+        squares = sweep._top_pairs(d, e, k, repeat, lambda rows: [w[rows] for w in weights])[1][0]
     return np.isnan(squares).any(axis=0)
 
 
 def sums_refused(d, e, k, weights):
     """Columns of a truncation that :func:`sweep._top_pairs` does not take
-    through :func:`sweep._copy_sums`: fewer than two copies or
-    ``_SUMS_ROWS`` rows, a failing count (:func:`closed_form_fails`), or sums
-    that move from lam to lam + w by more than ``_SUMS_ROUNDING`` (their
-    quotient with ``weights``, relative to the largest) or 16 times it (in
-    all)."""
+    through :func:`sweep._copy_sums`: fewer than two copies, a failing count
+    (:func:`closed_form_fails`), or sums that move from lam to lam + w by
+    more than ``_SUMS_ROUNDING`` (their quotient with ``weights``, relative
+    to the largest) or 16 times it (in all)."""
     p, n = d.shape[0], k // d.shape[0]
-    if n < 2 or k < sweep._SUMS_ROWS:
+    if n < 2:
         return np.ones(d.shape[1], dtype=bool)
     lam = sweep._closed_form_tops(d, e, k, sweep._band_edges(d, e), 0, p, n)
     with np.errstate(all="ignore"):
@@ -1470,24 +1469,21 @@ def sums_refused(d, e, k, weights):
 )
 def test_inverse_iteration_takes_exactly_the_refused_columns(monkeypatch, name, k):
     # with the touch points' weights, and with the diagonal and edges as
-    # weights, and with sums at any number of rows; word 01 and the seeded
-    # p=3 spec take the sums at most angles where they have the rows
+    # weights; word 01 and the seeded p=3 spec take the sums at most angles
     spec = {**SUMS_SPECS, "split": FLAT_SPECS["split"], "two-edges": TWO_EDGES}[name]
     d, e, beta, _ = sweep._scaled_tridiagonals(spec, phi_grid(720))
-    for rows in (sweep._SUMS_ROWS, 0):
-        monkeypatch.setattr(sweep, "_SUMS_ROWS", rows)
-        for weights in ((spec.b[:, None], sweep._couplings(spec, beta)), (d, e)):
-            refused = sums_refused(d, e, k, weights)
-            np.testing.assert_array_equal(inverse_iteration_columns(monkeypatch, d, e, k, weights), refused)
-            if name in ("01", "p3") and k >= rows:
-                assert refused.sum() <= 80
+    for weights in ((spec.b[:, None], sweep._couplings(spec, beta)), (d, e)):
+        refused = sums_refused(d, e, k, weights)
+        np.testing.assert_array_equal(inverse_iteration_columns(monkeypatch, d, e, k, weights), refused)
+        if name in ("01", "p3"):
+            assert refused.sum() <= 80
 
 
 def truncation_top_points(spec, k, thetas):
     """Unscaled tops and the touch points of :func:`sweep._truncation_points` at ``thetas``."""
     d, e, beta, exponent = sweep._scaled_tridiagonals(spec, thetas)
     coupling = sweep._couplings(spec, beta)
-    top, (squares, links, _) = sweep._top_pairs(d, e, k, None, None, lambda rows: (spec.b[rows, None], coupling[rows]))
+    top, (squares, links, _) = sweep._top_pairs(d, e, k, None, lambda rows: (spec.b[rows, None], coupling[rows]))
     by_residue = lambda y: np.array([y[r :: spec.p].sum(axis=0) for r in range(spec.p)])
     return np.ldexp(top, exponent), sweep._touch_points(spec, coupling, by_residue(squares), by_residue(links))
 
@@ -1502,7 +1498,6 @@ def test_copy_sums_touch_points_match_mpmath(monkeypatch, name):
     spec, thetas = SUMS_SPECS[name], phi_grid(720)
     checked = 0
     for k in (2 * spec.p, 2 * spec.p + 1, 61, 400):
-        monkeypatch.setattr(sweep, "_SUMS_ROWS", 0)
         top, points = truncation_top_points(spec, k, thetas)
         monkeypatch.setattr(sweep, "_SUMS_ROUNDING", -1.0)
         plain = truncation_top_points(spec, k, thetas)[1]
@@ -1537,9 +1532,8 @@ def test_lifted_path_top_takes_inverse_iteration(monkeypatch):
     d, e, k, (lo, m, n), rng = lifted_paths()
     weights = rng.standard_normal((2, k, 6))
     edge = sweep._band_edges(d[lo : lo + m], e[lo : lo + m])
-    monkeypatch.setattr(sweep, "_SUMS_ROWS", 0)
     taken = inverse_iteration_columns(monkeypatch, d, e, k, weights, (lo, m, n))
-    top, (squares, links, rows) = sweep._top_pairs(d, e, k, None, (lo, m, n), lambda rows: weights[:, rows])
+    top, (squares, links, rows) = sweep._top_pairs(d, e, k, (lo, m, n), lambda rows: weights[:, rows])
     lifted = top > edge
     assert lifted.any() and not taken[~lifted].all()
     assert np.all(taken[lifted])
@@ -1582,7 +1576,7 @@ def lifted_taus(monkeypatch):
     d, e, k, repeat = lifted_paths()[:4]
     with monkeypatch.context() as patch:
         patch.setattr(sweep, "_floquet_step", lambda c1, c0, tau, *rest: taus.append(tau[0]) or step(c1, c0, tau, *rest))
-        sweep._top_pairs(d, e, k, None, repeat)
+        sweep._top_pairs(d, e, k, repeat)
     a = np.abs(np.concatenate(taus))
     return a[(a > 1) & (np.arccosh(np.maximum(a, 1.0)) >= 0.25)]
 
