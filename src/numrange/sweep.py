@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,9 @@ class SweepConfig:
     num_phi: int = 720
 
     def __post_init__(self):
-        if self.num_theta < 3:
+        if operator.index(self.num_theta) < 3:
             raise ValueError("num_theta must be >= 3")
-        if self.num_phi < 1:
+        if operator.index(self.num_phi) < 1:
             raise ValueError("num_phi must be >= 1")
 
 
@@ -99,6 +100,11 @@ _CONTINUANT_RANGE = 2.0**400
 _DERIVATIVE_WEIGHTS = np.array([[1.0], [2.0]])
 # Series of (x - sin x) / x^3 in x^2, highest term first, for |x| < 2.
 _SINE_SERIES = [(-1) ** j / math.factorial(2 * j + 3) for j in range(10, -1, -1)]
+# Series of h(y) = (1 - y cot y) / y^2 in y^2 (2^m |B_m| / m!, m = 2j + 2), highest term first: that of
+# (sin y - y cos y) / y^3 over that of sin y / y, by long division of the two series' coefficients, lowest first
+_COT_SERIES = np.polydiv(
+    [(-1) ** j * (2 * j + 2) / math.factorial(2 * j + 3) for j in range(31)], [(-1) ** j / math.factorial(2 * j + 1) for j in range(16)]
+)[0][::-1]
 # Largest move of a quotient of the :func:`_copy_sums` over one bracket width
 # at which :func:`_top_pairs` takes them.
 _SUMS_ROUNDING = 4e-15
@@ -345,6 +351,17 @@ def _laguerre(f, degree: int) -> np.ndarray:
     return np.where(g > 0, step, np.nan)
 
 
+def _cot_ratio(y, t, hyperbolic: bool = False) -> np.ndarray:
+    """``h(y) = (1 - y cot y) / y^2`` from ``t = tan y``, y >= 0, or ``(y
+    coth y - 1) / y^2`` from tanh y; below 1, where that cancels, the series
+    in the signed ``u = y^2`` to its last term above 2^-55 of the first."""
+    u = -(y * y) if hyperbolic else y * y
+    h, small = (1 - y / t) / u, y < 1
+    ratio = np.abs(u[small]).max(initial=0.0) / math.pi**2
+    h[small] = np.polyval(_COT_SERIES[-sum(ratio**j > 2.0**-55 for j in range(len(_COT_SERIES))) :], u[small])
+    return h
+
+
 def _floquet_step(c1, c0, tau, root, n: int) -> np.ndarray:
     """Newton step on ``U_{n-1}(tau) c1 - root U_{n-2}(tau) c0`` over
     ``U_{n-1}``, n >= 2, from the values and derivatives (rows) of ``c1, c0,
@@ -352,15 +369,13 @@ def _floquet_step(c1, c0, tau, root, n: int) -> np.ndarray:
     ``U_m(cos x) = sin((m+1) x) / sin x``, at ``|tau| = cos x`` (``cosh x``
     above 1, with sinh, cosh, tanh) ``U_{n-2} / U_{n-1} = cos x - sin x /
     tan(n x)`` and ``U_{j-1}' / U_{j-1} = tau' (x / sin x) (j^2 h(j x) -
-    h(x))``, ``h(y) = (1 - y cot y) / y^2`` (``(y coth y - 1) / y^2``), a
-    series below 1e-3; limits at x = 0."""
+    h(x))`` (:func:`_cot_ratio`); limits at x = 0."""
 
     def terms(x, hyperbolic: bool):
         sin, cos, tan = (np.sinh, np.cosh, np.tanh) if hyperbolic else (np.sin, np.cos, np.tan)
         y = np.array([[1.0], [n], [n - 1]]) * x
-        t, y2 = tan(y), -(y * y) if hyperbolic else y * y
-        h = np.where(y < 1e-3, 1 / 3 + y2 / 45, (1 - y / t) / y2)
-        zero, s = x == 0, sin(x)
+        t, zero, s = tan(y), x == 0, sin(x)
+        h = _cot_ratio(y, t, hyperbolic)
         ratio = np.where(zero, (n - 1) / n, cos(x) - s / t[1])
         return ratio, np.where(zero, 1.0, x / s), np.array([[n * n], [(n - 1) ** 2]]) * h[1:] - h[0]
 
@@ -528,11 +543,9 @@ def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
 
 def _sine_cubed(x) -> np.ndarray:
     """``(x - sin x) / x^3``, by its series where the difference would cancel."""
-    x2, s = x * x, np.zeros_like(x)
-    for c in _SINE_SERIES:
-        s = s * x2 + c
+    x2 = x * x
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(x) < 2, s, (x - np.sin(x)) / (x * x2))
+        return np.where(np.abs(x) < 2, np.polyval(_SINE_SERIES, x2), (x - np.sin(x)) / (x * x2))
 
 
 def _fold(y, lo: int, m: int, n: int) -> np.ndarray:
@@ -606,30 +619,29 @@ def _top_eigenvectors(e, q) -> np.ndarray:
     return x
 
 
-def _checked_sums(d, e, lam, top, at, k: int, lo: int, m: int, n: int, folded, weights):
+def _checked_sums(d, e, lam, top, at, k: int, lo: int, m: int, n: int, f, g):
     """Which columns ``at`` of :func:`_top_pairs` keep :func:`_copy_sums` at
-    lam, and their normalised sums: those whose quotient with ``weights``
-    moves by at most ``_SUMS_ROUNDING`` times the largest weight from lam
-    to top, and whose sums by at most 16 times that in all."""
-    p = d.shape[0]
+    lam, and their quotients with the folded rows' weights ``f, g``: those
+    whose quotient moves by at most ``_SUMS_ROUNDING`` times the largest
+    weight from lam to top, and whose normalised sums by at most 16 times
+    that in all."""
     # only the rows up to two copies in and after the copies, of both sides
-    rows = np.r_[0 : lo + 2 * m, lo + n * m : k] % p
+    rows = np.r_[0 : lo + 2 * m, lo + n * m : k] % d.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         sq, ln = _copy_sums(*(y[rows].take(np.tile(at, 2), axis=1) for y in (d, e)), np.append(lam, top), lo, m, n)
         sq, ln = sq / sq.sum(axis=0), ln / sq.sum(axis=0)
         moved = [y[:, : at.size] - y[:, at.size :] for y in (sq, ln)]
-        f, g = (np.broadcast_to(w, (folded.size, d.shape[1])).take(at, axis=1) for w in weights(folded % p))
         change = np.abs((f * moved[0] + g * moved[1]).sum(axis=0)) / np.maximum(np.abs(f).max(axis=0), np.abs(g).max(axis=0))
         total = sum(np.abs(y).sum(axis=0) for y in moved)
-    good = (change <= _SUMS_ROUNDING) & (total <= 16 * _SUMS_ROUNDING)
-    return good, sq[:, : at.size][:, good], ln[:, : at.size][:, good]
+        good = (change <= _SUMS_ROUNDING) & (total <= 16 * _SUMS_ROUNDING)
+        return good, (f * sq[:, : at.size] + g * ln[:, : at.size]).sum(axis=0)[good]
 
 
 def _top_pairs(d, e, k: int, repeat=None, weights=None):
     """Top eigenvalue of each path S (rows 0..k-1 of ``d, e``, taken mod
-    their number p) and, given ``weights``, the :func:`_fold` of ``x_j^2``
-    and ``x_j x_{j+1}`` for a top eigenvector x of each, and the row each
-    folded row starts at.
+    their number p) and, given ``weights``, the quotient ``sum f_j x_j^2 +
+    g_j x_j x_{j+1}`` over ``sum x_j^2`` at a top eigenvector x of each, with
+    ``f, g = weights(rows)`` at the rows of :func:`_fold` (taken mod p).
 
     lam is :func:`_closed_form_tops` for ``repeat = (lo, m, n)`` (default
     ``(0, p, k // p)``) from the copies' band edge, or the blocks' around
@@ -638,17 +650,16 @@ def _top_pairs(d, e, k: int, repeat=None, weights=None):
     ``lam + w`` and one, or a diagonal entry, at or above ``lam - w``; lam +
     w is returned, else :func:`_top_eigenvalues` (Laguerre steps on the
     whole path, the same counts, then bisection on them).  For n >= 2 the
-    sums are :func:`_copy_sums` at lam where :func:`_checked_sums` keeps
-    them: x(lam) strays from the eigenvector in proportion to lam's distance
-    from the eigenvalue (a touch point by about 1.5e-16 / e_min per width at
-    word 01, e_min its least scaled edge, at any k), and the recurrence
-    amplifies that and its rounding alike where x decays across part of a
-    long period (1e11-fold at the tests' p=24 spec), which a bound on each
-    row's rounding misses; so the quotient
-    ``sum f_j x_j^2 + g_j x_j x_{j+1}`` over ``sum x_j^2`` (``weights(rows)``
-    gives f and g at the folded rows) must move little over one width.
-    Other columns take :func:`_top_eigenvectors`, ``_VECTOR_BATCH_BYTES`` of
-    (k, columns) at a time.
+    quotients come from :func:`_copy_sums` at lam where :func:`_checked_sums`
+    keeps them: x(lam) strays from the eigenvector in proportion to lam's
+    distance from the eigenvalue (a touch point by about 1.5e-16 / e_min
+    per width at word 01, e_min its least scaled edge, at any k), and the
+    recurrence amplifies that and its rounding alike where x decays across
+    part of a long period (1e11-fold at the tests' p=24 spec), which a bound
+    on each row's rounding misses; so the quotient must move little over one
+    width.  Other columns take :func:`_top_eigenvectors`,
+    ``_VECTOR_BATCH_BYTES`` of (k, columns) at a time.  The quotients take
+    no BLAS, whose rounding depends on its thread count.
     """
     p, n = d.shape
     lo, m, copies = (0, p, k // p) if repeat is None else repeat
@@ -662,12 +673,14 @@ def _top_pairs(d, e, k: int, repeat=None, weights=None):
     width, e2 = _bracket_width(lam, lam), e * e
     top, low = lam + width, d[:k].max(axis=0) >= lam - width
     lo, m, copies = (lo, m, copies) if copies >= 2 else (0, k, 1)
-    closed, folded = finite & (weights is None), np.r_[0 : lo + m, lo + copies * m : k]
-    squares, links = np.empty((2, folded.size, n))
-    if weights is not None and copies >= 2:
-        at = np.flatnonzero(finite)
-        good, sq, ln = _checked_sums(d, e, lam[at], top[at], at, k, lo, m, copies, folded, weights)
-        closed[at[good]], squares[:, at[good]], links[:, at[good]] = True, sq, ln
+    closed = finite & (weights is None)
+    if weights is not None:
+        quotients, folded = np.empty(n, dtype=complex), np.r_[0 : lo + m, lo + copies * m : k]
+        f, g = (np.broadcast_to(w, (folded.size, n)) for w in weights(folded % p))
+        if copies >= 2:
+            at = np.flatnonzero(finite)
+            good, sums = _checked_sums(d, e, lam[at], top[at], at, k, lo, m, copies, f.take(at, axis=1), g.take(at, axis=1))
+            closed[at[good]], quotients[at[good]] = True, sums
     # counts at lam - w where no diagonal entry certifies, and at lam + w where
     # no pivots are wanted, in one pass through blocks of rows
     below, above = np.flatnonzero(~low), np.flatnonzero(closed)
@@ -676,28 +689,28 @@ def _top_pairs(d, e, k: int, repeat=None, weights=None):
     low[below], closed[above] = counts[: below.size] >= 1, counts[below.size :] == 0
     ok = finite & low
     closed &= ok
-    if weights is None:
-        at = np.flatnonzero(~closed)
-        if at.size:
-            top[at] = _top_eigenvalues(d.take(at, axis=1), e.take(at, axis=1), k, start[at])
-        return top, None
     rest = np.flatnonzero(~closed)
+    if weights is None:
+        if rest.size:
+            top[rest] = _top_eigenvalues(d.take(rest, axis=1), e.take(rest, axis=1), k, start[rest])
+        return top, None
     for c in np.array_split(rest, -(-rest.size // max(2, _VECTOR_BATCH_BYTES // (8 * k)))) if rest.size else []:
         # a run of columns as a view: compressed paths hold k rows
         t = slice(c[0], c[-1] + 1) if c[-1] - c[0] + 1 == c.size else c
         dc, ec, e2c = d[:, t], e[:, t], e2[:, t]
         q = next(_ldl_pivots(dc, e2c, top[c], k, k))
-        f = np.flatnonzero(~(ok[c] & (q < 0).all(axis=0)))
-        if f.size:
-            top[c[f]] = _top_eigenvalues(dc[:, f], ec[:, f], k, start[c[f]])
-            q[:, f] = next(_ldl_pivots(dc[:, f], e2c[:, f], top[c[f]], k, k))
+        fail = np.flatnonzero(~(ok[c] & (q < 0).all(axis=0)))
+        if fail.size:
+            top[c[fail]] = _top_eigenvalues(dc[:, fail], ec[:, fail], k, start[c[fail]])
+            q[:, fail] = next(_ldl_pivots(dc[:, fail], e2c[:, fail], top[c[fail]], k, k))
         x = _top_eigenvectors(ec, q)
         # the pivots' array takes the links, then the squares
         np.multiply(x[:-1], x[1:], out=q[:-1])
         q[-1] = 0.0
-        links[:, c] = _fold(q, lo, m, copies)
-        squares[:, c] = _fold(np.multiply(x, x, out=q), lo, m, copies)
-    return top, (squares, links, folded)
+        links = g[:, t] * _fold(q, lo, m, copies)
+        squares = _fold(np.multiply(x, x, out=q), lo, m, copies)
+        quotients[c] = (f[:, t] * squares + links).sum(axis=0) / squares.sum(axis=0)
+    return top, quotients
 
 
 def _ldl_solve(q, mult, x):
@@ -746,15 +759,6 @@ def _couplings(spec: PeriodSpec, beta) -> np.ndarray:
     ``u_j = D_{j+1} / D_j``, the phase of ``conj(beta_j)`` (1 where 0)."""
     u = np.exp(-1j * np.angle(beta))
     return (spec.c * u + np.roll(spec.a, -1) * np.conj(u)).T
-
-
-def _touch_points(spec: PeriodSpec, coupling, squares, links) -> np.ndarray:
-    """T_k's Rayleigh quotients at the eigenvectors ``D x`` of its Hermitian
-    parts from the sums by residue mod p of ``x_j^2`` and ``x_j x_{j+1}``,
-    ``sum b_j x_j^2 + coupling_j x_j x_{j+1}`` (for a cycle, ``x_p = x_0``,
-    the symbol's, ``e^{i phi} = u_{p-1} D_{p-1}``), without BLAS, whose
-    rounding depends on its thread count."""
-    return (spec.b[:, None] * squares + coupling * links).sum(axis=0) / squares.sum(axis=0)
 
 
 def _cut_blocks(spec: PeriodSpec, thetas, d, e, beta, exponent, cut):
@@ -808,36 +812,27 @@ def _flat_ends(s, span, across, after, index, q, out_link, solve) -> np.ndarray:
     give T's quotients at the phases ``conj(+-gamma_j)``, ``(sum r_b^2 q_b
     +- sum r_b r_{b+1} after_b out_link_b) / sum r_b^2``, block b being
     entry ``index[b]`` of ``q`` and ``out_link`` (of :func:`_cut_blocks`),
-    ``after`` the next block's first entry.  ``solve(diagonal, edges,
-    weights, span)`` gives the sums of ``r_b^2`` and ``r_b r_{b+1}`` over
-    rows that share their entries, and the first block of each (indices or
-    a slice);
-    ``weights(rows)`` are those rows' terms of the quotients.
+    ``after`` the next block's first entry: ``solve(diagonal, edges,
+    weights)``, ``weights(rows)`` the rows' terms.  The other blocks sit at
+    -2 with no edges, so their entries of r, and their terms, vanish.
     """
     scale = np.frexp(np.maximum(np.abs(s * span), across).max(axis=0, initial=0.0))[1]
-    sign, on, shape = np.array([[-1.0], [1.0]]), span[:, None], (len(s), 2, s.shape[1])
     # the negated and the plain matrix of each column, side by side
-    bd = np.where(on, sign * np.ldexp(s, -scale)[:, None], -2.0)
+    bd = np.where(span[:, None], np.array([[-1.0], [1.0]]) * np.ldexp(s, -scale)[:, None], -2.0).reshape(len(s), -1)
 
     def weights(rows):
         """The rows' terms of the quotients of both signs, side by side."""
         link = after[rows] * out_link.ravel()[index[rows]]
         return np.hstack([q.ravel()[index[rows]]] * 2), np.hstack([-link, link])
 
-    squares, links, rows = solve(bd.reshape(len(s), -1), np.broadcast_to(np.ldexp(across, -scale)[:, None], shape).reshape(len(s), -1), weights, span)
-    joined = on & np.roll(on, -1, axis=0)
-    squares, links = (y.reshape(-1, *shape[1:]) for y in (squares, links))
-    by_entry = lambda w: np.stack([np.bincount(index[rows].ravel(), w[:, i].ravel(), q.size) for i in (0, 1)])
-    squares = by_entry(squares * on[rows]).reshape(2, *q.shape)
-    links = by_entry(links * joined[rows] * after[rows][:, None]).reshape(2, *q.shape)
-    return ((squares * q).sum(axis=1) + sign * (links * out_link).sum(axis=1)) / squares.sum(axis=1)
+    return solve(bd, np.tile(np.ldexp(across, -scale), 2), weights).reshape(2, -1)
 
 
 def truncation_support(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
     """Support function of W(T_k) at ``thetas``, in the shape of ``thetas``:
     the largest eigenvalue of the Hermitian part of ``e^{-i theta} T_k`` by
     :func:`_top_pairs`, the upper end of a certified bracket, no vectors."""
-    if k < 1:
+    if operator.index(k) < 1:
         raise ValueError("truncation size must be >= 1")
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size == 0:
@@ -847,15 +842,13 @@ def truncation_support(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
 
 
 def _spanning_pairs(d, e, k: int, repeat, weights, span):
-    """:func:`_top_pairs`' sums of the paths ``d, e`` with ``repeat``, less
-    the blocks of no ``span`` before and after the rest (at -2 and cut off
-    by zero edges, so the top vectors vanish there) where that leaves the
-    copies whole: the copies' sums then start at a spanning block."""
+    """:func:`_top_pairs`' quotients of the paths ``d, e`` with ``repeat``,
+    less the blocks of no ``span`` (at -2, cut off by zero edges) around the
+    rest where the copies stay whole, so their sums start at a spanning block."""
     lo, m, n = repeat
     first, end = span.argmax(axis=0).min(), k - span[::-1].argmax(axis=0).min()
     first, end = (first, end) if first <= lo and end >= lo + n * m else (0, k)
-    squares, links, rows = _top_pairs(d[first:end], e[first:end], end - first, (lo - first, m, n), lambda rows: weights(rows + first))[1]
-    return squares, links, rows + first
+    return _top_pairs(d[first:end], e[first:end], end - first, (lo - first, m, n), lambda rows: weights(rows + first))[1]
 
 
 def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
@@ -890,21 +883,19 @@ def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
     last_slot = cuts[: (k - 1) % p, 2 * n :].sum(axis=0)
     index = np.where(t == 0, n, np.where(t == count - 1, (3 * last_slot + 2) * n, 3 * n * (t % m))) + np.arange(n)
     take = lambda y: y.ravel()[index]
-    h = np.where(t < count, take(h), -np.inf)
+    h, s = np.where(t < count, take(h), -np.inf), take(s)
     best = h.max(axis=0)
     span = h >= best - _gap_tol(best)
     after = np.roll(take(head), -1, axis=0) * (t < count - 1)
     across = take(out_gamma) * after * span * np.roll(span, -1, axis=0)
-    s, q, out_link = take(s), q.reshape(-1, n), out_link.reshape(-1, n)
     ends = np.empty((2, n), dtype=complex)
     for size in set(m.tolist()):
         g = np.flatnonzero(m == size)
         rows = count[g].max()
         # blocks 1..count-2 repeat every ``size``; block 0 and one period head the copies
         repeat = 1 + size, size, max((count[g].min() - 3) // size - 1, 0)
-        solve = lambda bd, be, weights, span: _spanning_pairs(bd, be, rows, repeat, weights, span)
-        at = index[:rows, g] // n * g.size + np.arange(g.size)
-        ends[:, g] = _flat_ends(*(y[:rows, g] for y in (s, span, across, after)), at, q[:, g], out_link[:, g], solve)
+        solve = lambda bd, be, weights: _spanning_pairs(bd, be, rows, repeat, weights, span[:rows, g])
+        ends[:, g] = _flat_ends(*(y[:rows, g] for y in (s, span, across, after, index)), q, out_link, solve)
     return ends.T.ravel()
 
 
@@ -913,14 +904,11 @@ def _truncation_points(spec: PeriodSpec, k: int, cfg: SweepConfig) -> np.ndarray
     matrix: :func:`_top_pairs` on the real tridiagonal S(theta) similar to
     each Hermitian part, and where the top is degenerate (by the test of
     :func:`boundary_points`) both ends from :func:`_truncation_flat_ends`."""
-    if k < 1:
+    if operator.index(k) < 1:
         raise ValueError("truncation size must be >= 1")
     thetas = phi_grid(cfg.num_theta)
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
-    coupling = _couplings(spec, beta)
-    scaled_top, (squares, links, _) = _top_pairs(d, e, k, None, lambda rows: (spec.b[rows, None], coupling[rows]))
-    by_residue = lambda y: np.array([y[r :: spec.p].sum(axis=0) for r in range(spec.p)])
-    points = _touch_points(spec, coupling, by_residue(squares), by_residue(links))
+    scaled_top, points = _top_pairs(d, e, k, None, lambda rows: (spec.b[rows, None], _couplings(spec, beta)[rows]))
     top = np.ldexp(scaled_top, exponent)
     below = np.ldexp(top - _gap_tol(top), -exponent)
     flat = np.nonzero(_count_above(d, e * e, below, k) >= 2)[0]
@@ -981,8 +969,9 @@ def _cycle_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
     cut = (np.abs(beta) <= _edge_rounding(spec)).T
     x, (h, s, q, head, out_gamma, out_link) = _cut_blocks(spec, thetas, d, e, beta, exponent, cut)
-    # the split directions' points are replaced by their ends below
-    points = _touch_points(spec, _couplings(spec, beta), x * x, x * np.roll(x, -1, axis=0))
+    # T's quotients at the symbols' vectors D x; the split directions' are replaced by their ends below
+    squares, links = x * x, x * np.roll(x, -1, axis=0)
+    points = (spec.b[:, None] * squares + _couplings(spec, beta) * links).sum(axis=0) / squares.sum(axis=0)
     split = np.flatnonzero(cut.any(axis=0))
     m, col = cut[:, split].sum(axis=0), np.arange(split.size)
     best = h.max(axis=0, initial=-np.inf)
@@ -992,15 +981,15 @@ def _cycle_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
     across = out_gamma * after * span * span[nxt, col]
     ends = np.empty((2, split.size), dtype=complex)
 
-    def solve(bd, be, weights, span):
+    def solve(bd, be, weights):
         r = _perron_vectors(bd, be, _band_edges(bd, be))
-        return r * r, r * np.roll(r, -1, axis=0), slice(None)
+        (f, g), squares = weights(slice(None)), r * r
+        return (f * squares + g * (r * np.roll(r, -1, axis=0))).sum(axis=0) / squares.sum(axis=0)
 
     for size in set(m.tolist()):
         g = np.flatnonzero(m == size)
-        blocks = (y[:size, g] for y in (s, span, across, after))
         index = np.arange(size * g.size).reshape(size, -1)
-        ends[:, g] = _flat_ends(*blocks, index, q[:size, g], out_link[:size, g], solve)
+        ends[:, g] = _flat_ends(*(y[:size, g] for y in (s, span, across, after)), index, q[:size, g], out_link[:size, g], solve)
     points[split] = ends[1]
     return np.concatenate([points, ends[0]])
 

@@ -60,6 +60,29 @@ def test_sweep_config_validation():
     assert cfg.num_theta == 720 and cfg.num_phi == 720
 
 
+def test_sizes_must_be_integers(monkeypatch):
+    # a float size is refused before any sweep (12.5 angles once swept 13
+    # uneven ones, and a float k failed in range() deep inside); numpy
+    # integers are sizes
+    for bad in ({"num_theta": 12.5}, {"num_theta": 12.0}, {"num_phi": 2.5}):
+        with pytest.raises(TypeError):
+            SweepConfig(**bad)
+    cfg = SweepConfig(np.int64(12), np.int64(1))
+    calls = {"range": lambda k: truncation_range(WORD01, k, cfg), "support": lambda k: truncation_support(WORD01, k, [0.0, 1.0])}
+    expected = {name: call(20) for name, call in calls.items()}
+    np.testing.assert_array_equal(calls["range"](np.int64(20)).vertices, expected["range"].vertices)
+    np.testing.assert_array_equal(calls["support"](np.int64(20)), expected["support"])
+
+    def sweep_started(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(sweep, "_scaled_tridiagonals", sweep_started)
+    for call in calls.values():
+        for k in (20.0, 20.5):
+            with pytest.raises(TypeError):
+                call(k)
+
+
 def test_zero_matrix_is_single_point():
     poly = range_boundary(np.zeros((3, 3)), SweepConfig(90, 1))
     assert len(poly) == 1
@@ -1435,12 +1458,12 @@ SUMS_SPECS = {
 
 
 def inverse_iteration_columns(monkeypatch, d, e, k, weights, repeat=None):
-    """Columns of :func:`sweep._top_pairs` whose sums come from
-    :func:`sweep._top_eigenvectors` (made to return NaN)."""
-    with monkeypatch.context() as patch:
+    """Columns of :func:`sweep._top_pairs` whose quotients come from
+    :func:`sweep._top_eigenvectors` (made to return NaN, which the complex
+    division of their quotients flags as invalid)."""
+    with monkeypatch.context() as patch, np.errstate(invalid="ignore"):
         patch.setattr(sweep, "_top_eigenvectors", lambda e, q: np.full(q.shape, np.nan))
-        squares = sweep._top_pairs(d, e, k, repeat, lambda rows: [w[rows] for w in weights])[1][0]
-    return np.isnan(squares).any(axis=0)
+        return np.isnan(sweep._top_pairs(d, e, k, repeat, lambda rows: [w[rows] for w in weights])[1])
 
 
 def sums_refused(d, e, k, weights):
@@ -1483,9 +1506,8 @@ def truncation_top_points(spec, k, thetas):
     """Unscaled tops and the touch points of :func:`sweep._truncation_points` at ``thetas``."""
     d, e, beta, exponent = sweep._scaled_tridiagonals(spec, thetas)
     coupling = sweep._couplings(spec, beta)
-    top, (squares, links, _) = sweep._top_pairs(d, e, k, None, lambda rows: (spec.b[rows, None], coupling[rows]))
-    by_residue = lambda y: np.array([y[r :: spec.p].sum(axis=0) for r in range(spec.p)])
-    return np.ldexp(top, exponent), sweep._touch_points(spec, coupling, by_residue(squares), by_residue(links))
+    top, points = sweep._top_pairs(d, e, k, None, lambda rows: (spec.b[rows, None], coupling[rows]))
+    return np.ldexp(top, exponent), points
 
 
 @pytest.mark.parametrize("name", list(SUMS_SPECS))
@@ -1533,19 +1555,20 @@ def test_lifted_path_top_takes_inverse_iteration(monkeypatch):
     weights = rng.standard_normal((2, k, 6))
     edge = sweep._band_edges(d[lo : lo + m], e[lo : lo + m])
     taken = inverse_iteration_columns(monkeypatch, d, e, k, weights, (lo, m, n))
-    top, (squares, links, rows) = sweep._top_pairs(d, e, k, (lo, m, n), lambda rows: weights[:, rows])
+    top, quotients = sweep._top_pairs(d, e, k, (lo, m, n), lambda rows: weights[:, rows])
     lifted = top > edge
     assert lifted.any() and not taken[~lifted].all()
     assert np.all(taken[lifted])
-    np.testing.assert_array_equal(rows, np.r_[0 : lo + m, lo + n * m : k])
+    # the random weights of the folded rows catch a wrong fold
+    rows = np.r_[0 : lo + m, lo + n * m : k]
     for j in range(d.shape[1]):
         s = np.diag(d[:, j]) + np.diag(e[:-1, j], 1) + np.diag(e[:-1, j], -1)
         values, vectors = np.linalg.eigh(s)
         x = vectors[:, -1]
         assert abs(top[j] - values[-1]) <= 1e-13
-        want = [sweep._fold(y[:, None], lo, m, n)[:, 0] for y in (x * x, np.append(x[:-1] * x[1:], 0.0))]
-        np.testing.assert_allclose(squares[:, j] / squares[:, j].sum(), want[0], rtol=0, atol=1e-13)
-        np.testing.assert_allclose(links[:, j] / squares[:, j].sum(), want[1], rtol=0, atol=1e-13)
+        squares, links = (sweep._fold(y[:, None], lo, m, n)[:, 0] for y in (x * x, np.append(x[:-1] * x[1:], 0.0)))
+        want = (weights[0, rows, j] * squares + weights[1, rows, j] * links).sum() / squares.sum()
+        assert abs(quotients[j] - want) <= 1e-13
 
 
 LIFTED = PeriodSpec.parse("p=4;a=1j,0,0,0.5;b=1j,0.5,1j,0;c=0,0,0.5,1j")
@@ -1590,8 +1613,8 @@ def test_real_floquet_step_matches_the_complex_one(monkeypatch, n):
     # (1 / slope: infinite for both at n = 2, where U_0 = 1) and the ratio
     # U_{n-2} / U_{n-1} (-root sign ratio, the slope's term below 1e-16).
     # Interior phases keep every argument y of h = (1 - y cot y) / y^2 off
-    # 1e-3 .. 0.1, where both lose bits to the difference (the lifted
-    # steps' psi >= 0.25 likewise); at most 9.4 ulps apart, the ratio above
+    # 1e-3 .. 0.1, where the complex step loses bits to the difference (the
+    # lifted steps' psi >= 0.25 likewise); at most 9.4 ulps apart, the ratio above
     # the band, where cosh psi - sinh psi / tanh(n psi) cancels by e^(2 psi)
     eps = np.finfo(float).eps
     taus = {
@@ -1609,6 +1632,23 @@ def test_real_floquet_step_matches_the_complex_one(monkeypatch, n):
             infinite = np.isinf(reference)
             assert np.array_equal(np.isinf(real), infinite) and np.all(np.isfinite(reference) | (n == 2)), name
             np.testing.assert_allclose(real[~infinite], reference[~infinite], rtol=16 * eps, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("hyperbolic", [False, True])
+def test_cot_ratio_matches_mpmath(hyperbolic):
+    # h(y) = (1 - y cot y) / y^2, and (y coth y - 1) / y^2, of the real
+    # Newton step to 1e-15 relative against 50 digits on y in [1e-4, 1.5]:
+    # the difference cancels from 1e-3 (3e-11 off once) up to about 1, where
+    # the series takes over; over the whole grid, and one y at a time, as
+    # the series takes only the terms its largest argument needs
+    mp = pytest.importorskip("mpmath")
+    y = np.geomspace(1e-4, 1.5, 401)
+    t = np.tanh(y) if hyperbolic else np.tan(y)
+    with mp.workdps(50):
+        exact = [float((z * mp.coth(z) - 1 if hyperbolic else 1 - z * mp.cot(z)) / z**2) for z in map(mp.mpf, y)]
+    one_at_a_time = [sweep._cot_ratio(y[i : i + 1], t[i : i + 1], hyperbolic)[0] for i in range(y.size)]
+    for h in (sweep._cot_ratio(y, t, hyperbolic), one_at_a_time):
+        np.testing.assert_allclose(h, exact, rtol=1e-15, atol=0)
 
 
 def spied_steps(monkeypatch):
