@@ -14,11 +14,11 @@ similar to a real tridiagonal of copies of one period, whose characteristic
 polynomial has a closed form in the period's Floquet discriminant (Teschl,
 *Jacobi Operators and Completely Integrable Nonlinear Lattices*, ch. 7):
 real Newton steps on it give the top in O(p) per step and two Sturm counts
-certify it (where they fail, Laguerre steps on the whole path and bisection
-on the counts give it in O(k) per step); the touch point comes from
-closed-form Chebyshev sums over the copies in O(p), or where those round
-badly, from inverse iteration on the counts' O(k) factorization.  The
-symbols' union takes one O(p) solve per direction, at a twist known in
+certify it (where they fail, Laguerre steps on the whole path, the same
+counts and if need be bisection on them give it in O(k) per step); the touch
+point comes from closed-form Chebyshev sums over the copies in O(p), or where
+those round badly, from inverse iteration on the counts' O(k) factorization.
+The symbols' union takes one O(p) solve per direction, at a twist known in
 closed form: the band edge and the Perron vector of a real cycle.  Both take
 flat edges from one block core: where edges vanish the period splits into
 blocks, and the skew part compressed to the top blocks (a cycle for unions,
@@ -377,14 +377,15 @@ def _floquet_step(c1, c0, tau, root, n: int) -> np.ndarray:
         t, zero, s = tan(y), x == 0, sin(x)
         h = _cot_ratio(y, t, hyperbolic)
         ratio = np.where(zero, (n - 1) / n, cos(x) - s / t[1])
-        return ratio, np.where(zero, 1.0, x / s), np.array([[n * n], [(n - 1) ** 2]]) * h[1:] - h[0]
+        return np.vstack([ratio, np.where(zero, 1.0, x / s), np.array([[n * n], [(n - 1) ** 2]]) * h[1:] - h[0]])
 
     sign, a = np.where(tau[0] < 0, -1.0, 1.0), np.abs(tau[0])
-    ratio, sinc, bracket = terms(np.arccos(np.minimum(a, 1.0)), False)
-    if (above := np.flatnonzero(a > 1)).size:
-        for y, z in zip((ratio, sinc, bracket), terms(np.arccosh(a[above]), True)):
-            y[..., above] = z
-    slope, g = sign * tau[1] * sinc * bracket, root * sign * ratio
+    # rows ratio, sinc and bracket; each column in the band or above it, NaN columns in neither
+    terms_at = np.full((4, a.size), np.nan)
+    for at, hyperbolic in ((a <= 1, False), (a > 1, True)):
+        if at.any():
+            terms_at[:, at] = terms((np.arccosh if hyperbolic else np.arccos)(a[at]), hyperbolic)
+    slope, g = sign * tau[1] * terms_at[1] * terms_at[2:], root * sign * terms_at[0]
     return (c1[0] - g * c0[0]) / (slope[0] * c1[0] + c1[1] - g * (slope[1] * c0[0] + c0[1]))
 
 
@@ -405,8 +406,8 @@ def _closed_form_tops(d, e, k: int, start, lo: int, m: int, n: int) -> np.ndarra
     edge vanishes), whose top, about ``5 / ((n + 1)^2 tau')`` below the
     edge, is the edge to within a sixth of a width (tau cancels too much to
     place it better).  For n <= 1, Laguerre steps on the continuant of S
-    from ``start``, an upper bound, and one short Newton step: the first
-    step of :func:`_top_eigenvalues` too."""
+    from ``start``, an upper bound, and one short Newton step, as in the
+    fallback of :func:`_top_pairs`."""
     p, e2 = d.shape[0], e * e
     rows = lambda r: [j % p for j in r]
     if n <= 1:
@@ -513,26 +514,10 @@ def _count_above(d, e2, sigma, k: int) -> np.ndarray:
     return k - sum(np.count_nonzero(q < 0, axis=0) for q in pivots)
 
 
-def _top_eigenvalues(d, e, k: int, start=None) -> np.ndarray:
-    """Largest eigenvalue of each k-by-k S, certified by Sturm counts: the
-    search for the columns of :func:`_top_pairs` that fail its counts.
-
-    lam is :func:`_closed_form_tops` with one copy (Laguerre steps on the
-    whole path) from ``start``, an upper bound (default the Gershgorin
-    bound).  Where lam passes the counts of :func:`_top_pairs` the bracket is
-    ``[lam - w, lam + w]``, w its :func:`_bracket_width`, else from the
-    largest diagonal entry (a Rayleigh quotient) to the Gershgorin bound.
-    Midpoint bisection on the counts closes each to its
-    :func:`_bracket_width`; the upper end is returned.
-    """
-    rows = min(k, d.shape[0])
-    lo, hi, e2 = d[:rows].max(axis=0), _gershgorin(d, e)[:rows].max(axis=0), e * e
-    lam = _closed_form_tops(d, e, k, hi if start is None else start, 0, k, 1)
-    width = _bracket_width(lam, lam)
-    # both counts in one pass, each column twice
-    below, above = np.split(_count_above(np.tile(d, 2), np.tile(e2, 2), np.append(lam - width, lam + width), k), 2)
-    ok = ((lo >= lam - width) | (below >= 1)) & (above == 0)
-    lo, hi = np.where(ok, lam - width, lo), np.where(ok, lam + width, hi)
+def _bisected_tops(d, e, k: int, lo, hi) -> np.ndarray:
+    """Largest eigenvalue of each k-by-k S: the upper end of its bracket [lo,
+    hi] (overwritten) once bisection on the counts closes it to its width."""
+    e2 = e * e
     while (at := np.flatnonzero(hi - lo > _bracket_width(lo, hi))).size:
         sigma = np.minimum(lo[at] + (hi[at] - lo[at]) / 2, hi[at])
         # take, unlike d[:, at], keeps the rows the recurrence runs along contiguous
@@ -637,37 +622,44 @@ def _checked_sums(d, e, lam, top, at, k: int, lo: int, m: int, n: int, f, g):
         return good, (f * sq[:, : at.size] + g * ln[:, : at.size]).sum(axis=0)[good]
 
 
-def _top_pairs(d, e, k: int, repeat=None, weights=None):
+def _top_pairs(d, e, k: int, repeat=None, weights=None, start=None):
     """Top eigenvalue of each path S (rows 0..k-1 of ``d, e``, taken mod
     their number p) and, given ``weights``, the quotient ``sum f_j x_j^2 +
     g_j x_j x_{j+1}`` over ``sum x_j^2`` at a top eigenvector x of each, with
     ``f, g = weights(rows)`` at the rows of :func:`_fold` (taken mod p).
 
     lam is :func:`_closed_form_tops` for ``repeat = (lo, m, n)`` (default
-    ``(0, p, k // p)``) from the copies' band edge, or the blocks' around
-    them where higher (for n <= 1 the Gershgorin bound).  With w its
-    :func:`_bracket_width`, a count must find no eigenvalue at or above
-    ``lam + w`` and one, or a diagonal entry, at or above ``lam - w``; lam +
-    w is returned, else :func:`_top_eigenvalues` (Laguerre steps on the
-    whole path, the same counts, then bisection on them).  For n >= 2 the
-    quotients come from :func:`_copy_sums` at lam where :func:`_checked_sums`
-    keeps them: x(lam) strays from the eigenvector in proportion to lam's
-    distance from the eigenvalue (a touch point by about 1.5e-16 / e_min
-    per width at word 01, e_min its least scaled edge, at any k), and the
-    recurrence amplifies that and its rounding alike where x decays across
-    part of a long period (1e11-fold at the tests' p=24 spec), which a bound
-    on each row's rounding misses; so the quotient must move little over one
-    width.  Other columns take :func:`_top_eigenvectors`,
-    ``_VECTOR_BATCH_BYTES`` of (k, columns) at a time.  The quotients take
-    no BLAS, whose rounding depends on its thread count.
+    ``(0, p, k // p)``) from ``start``, by default the copies' band edge, or
+    the blocks' around them where higher (for n <= 1 the Gershgorin bound).
+    With w its :func:`_bracket_width`, a count must find no eigenvalue at or
+    above ``lam + w`` and one, or a diagonal entry, at or above ``lam - w``;
+    lam + w is returned.  Columns that fail take the fallback once: for n >=
+    2 this routine on the whole path as one copy from the same start
+    (Laguerre steps, the same counts), which, given ``start``, closes every
+    bracket to one width by :func:`_bisected_tops`, from ``[lam - w, lam +
+    w]`` where the counts pass, else (as for n <= 1) from the largest
+    diagonal entry, a Rayleigh quotient, to the Gershgorin bound.
+    For n >= 2 the quotients come from :func:`_copy_sums` at lam where
+    :func:`_checked_sums` keeps them: x(lam) strays from the eigenvector in
+    proportion to lam's distance from the eigenvalue (a touch point by about
+    1.5e-16 / e_min per width at word 01, e_min its least scaled edge, at
+    any k), and the recurrence amplifies that and its rounding alike where x
+    decays across part of a long period (1e11-fold at the tests' p=24 spec),
+    which a bound on each row's rounding misses; so the quotient must move
+    little over one width.  Other columns take :func:`_top_eigenvectors`,
+    ``_VECTOR_BATCH_BYTES`` of (k, columns) at a time, whose pivots make the
+    upper count.  The quotients take no BLAS, whose rounding depends on its
+    thread count.
     """
     p, n = d.shape
     lo, m, copies = (0, p, k // p) if repeat is None else repeat
-    start = _gershgorin(d, e)[:k].max(axis=0) if copies < 2 else _band_edges(d[lo : lo + m], e[lo : lo + m])
-    if repeat is not None and copies >= 2:
-        # the blocks around the copies of a compressed path, each its own top, may lift it
-        ends = d[np.r_[0:lo, lo + copies * m : k]].max(axis=0)
-        start = np.maximum(start, ends + 2 * np.finfo(float).eps * np.abs(ends) + PIVMIN)
+    fallback = start is not None
+    if not fallback:
+        start = _gershgorin(d, e)[:k].max(axis=0) if copies < 2 else _band_edges(d[lo : lo + m], e[lo : lo + m])
+        if repeat is not None and copies >= 2:
+            # the blocks around the copies of a compressed path, each its own top, may lift it
+            ends = d[np.r_[0:lo, lo + copies * m : k]].max(axis=0)
+            start = np.maximum(start, ends + 2 * np.finfo(float).eps * np.abs(ends) + PIVMIN)
     lam = _closed_form_tops(d, e, k, start, lo, m, copies)
     finite, lam = np.isfinite(lam), np.where(np.isfinite(lam), lam, start)
     width, e2 = _bracket_width(lam, lam), e * e
@@ -690,9 +682,17 @@ def _top_pairs(d, e, k: int, repeat=None, weights=None):
     ok = finite & low
     closed &= ok
     rest = np.flatnonzero(~closed)
+
+    def rescue(c):  # never on no columns: the whole-path descent runs its k rows on none too
+        dc, ec = d.take(c, axis=1), e.take(c, axis=1)
+        if copies >= 2:
+            return _top_pairs(dc, ec, k, (0, k, 1), None, start[c])[0]
+        entry, bound = dc[:k].max(axis=0), _gershgorin(dc, ec)[:k].max(axis=0)
+        return _bisected_tops(dc, ec, k, np.where(closed[c], lam[c] - width[c], entry), np.where(closed[c], top[c], bound))
+
     if weights is None:
-        if rest.size:
-            top[rest] = _top_eigenvalues(d.take(rest, axis=1), e.take(rest, axis=1), k, start[rest])
+        if (c := np.arange(n) if fallback else rest).size:
+            top[c] = rescue(c)
         return top, None
     for c in np.array_split(rest, -(-rest.size // max(2, _VECTOR_BATCH_BYTES // (8 * k)))) if rest.size else []:
         # a run of columns as a view: compressed paths hold k rows
@@ -701,7 +701,7 @@ def _top_pairs(d, e, k: int, repeat=None, weights=None):
         q = next(_ldl_pivots(dc, e2c, top[c], k, k))
         fail = np.flatnonzero(~(ok[c] & (q < 0).all(axis=0)))
         if fail.size:
-            top[c[fail]] = _top_eigenvalues(dc[:, fail], ec[:, fail], k, start[c[fail]])
+            top[c[fail]] = rescue(c[fail])
             q[:, fail] = next(_ldl_pivots(dc[:, fail], e2c[:, fail], top[c[fail]], k, k))
         x = _top_eigenvectors(ec, q)
         # the pivots' array takes the links, then the squares
@@ -805,17 +805,27 @@ def _cut_blocks(spec: PeriodSpec, thetas, d, e, beta, exponent, cut):
     return x, (h, s, q, head, out_gamma, out_link)
 
 
-def _flat_ends(s, span, across, after, index, q, out_link, solve) -> np.ndarray:
+def _flat_ends(blocks, index, length, cyclic: bool, solve) -> np.ndarray:
     """Both ends of each flat edge (columns), bottom ends first, from its
-    blocks (rows): the top vectors r of the skew part compressed to the
-    spanning blocks (diagonal ``s``, edges ``across``) and of its negation
-    give T's quotients at the phases ``conj(+-gamma_j)``, ``(sum r_b^2 q_b
-    +- sum r_b r_{b+1} after_b out_link_b) / sum r_b^2``, block b being
-    entry ``index[b]`` of ``q`` and ``out_link`` (of :func:`_cut_blocks`),
-    ``after`` the next block's first entry: ``solve(diagonal, edges,
-    weights)``, ``weights(rows)`` the rows' terms.  The other blocks sit at
-    -2 with no edges, so their entries of r, and their terms, vanish.
+    first ``length`` blocks (rows; block b is entry ``index[b]`` of each of
+    the ``blocks`` of :func:`_cut_blocks`), in a cycle (``cyclic``) or a
+    path.  The top vectors r of the skew part compressed to the blocks
+    within ``_gap_tol`` of the best (diagonal ``s``, edges ``across``:
+    ``out_gamma_b after_b``, ``after_b`` the next block's first entry) and
+    of its negation give T's quotients at the phases ``conj(+-gamma_j)``,
+    ``(sum r_b^2 q_b +- sum r_b r_{b+1} after_b out_link_b) / sum r_b^2``:
+    ``solve(diagonal, edges, weights, span)``, ``weights(rows)`` the rows'
+    terms, ``span`` those blocks.  The other blocks sit at -2 with no edges,
+    so their entries of r, and their terms, vanish.
     """
+    h, s, q, head, out_gamma, out_link = blocks
+    t = np.arange(len(index))[:, None]
+    take = lambda y: y.ravel()[index]
+    h, s = np.where(t < length, take(h), -np.inf), take(s)
+    best = h.max(axis=0)
+    span = h >= best - _gap_tol(best)
+    after = np.roll(take(head), -1, axis=0) * (cyclic | (t < length - 1))
+    across = take(out_gamma) * after * span * np.roll(span, -1, axis=0)
     scale = np.frexp(np.maximum(np.abs(s * span), across).max(axis=0, initial=0.0))[1]
     # the negated and the plain matrix of each column, side by side
     bd = np.where(span[:, None], np.array([[-1.0], [1.0]]) * np.ldexp(s, -scale)[:, None], -2.0).reshape(len(s), -1)
@@ -825,7 +835,7 @@ def _flat_ends(s, span, across, after, index, q, out_link, solve) -> np.ndarray:
         link = after[rows] * out_link.ravel()[index[rows]]
         return np.hstack([q.ravel()[index[rows]]] * 2), np.hstack([-link, link])
 
-    return solve(bd, np.tile(np.ldexp(across, -scale), 2), weights).reshape(2, -1)
+    return solve(bd, np.tile(np.ldexp(across, -scale), 2), weights, span).reshape(2, -1)
 
 
 def truncation_support(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
@@ -877,25 +887,19 @@ def _truncation_flat_ends(spec: PeriodSpec, k: int, thetas) -> np.ndarray:
     three = np.tile(np.arange(n), 3)
     cuts = cut[:, three] | (res == (lo - 1) % p) | (res == hi % p)
     d = np.where((res - lo) % p <= hi - lo, d[:, three], -4.0)
-    h, s, q, head, out_gamma, out_link = _cut_blocks(spec, thetas[three], d, e[:, three], beta[three], exponent, cuts)[1]
-    # T_k's blocks in order, as indices into those; its block j ends at cut edge j
-    t = np.arange(count.max())[:, None]
+    blocks = _cut_blocks(spec, thetas[three], d, e[:, three], beta[three], exponent, cuts)[1]
     last_slot = cuts[: (k - 1) % p, 2 * n :].sum(axis=0)
-    index = np.where(t == 0, n, np.where(t == count - 1, (3 * last_slot + 2) * n, 3 * n * (t % m))) + np.arange(n)
-    take = lambda y: y.ravel()[index]
-    h, s = np.where(t < count, take(h), -np.inf), take(s)
-    best = h.max(axis=0)
-    span = h >= best - _gap_tol(best)
-    after = np.roll(take(head), -1, axis=0) * (t < count - 1)
-    across = take(out_gamma) * after * span * np.roll(span, -1, axis=0)
     ends = np.empty((2, n), dtype=complex)
     for size in set(m.tolist()):
         g = np.flatnonzero(m == size)
         rows = count[g].max()
+        # T_k's blocks in order, as indices into those; its block j ends at cut edge j
+        t = np.arange(rows)[:, None]
+        index = np.where(t == 0, n, np.where(t == count[g] - 1, (3 * last_slot[g] + 2) * n, 3 * n * (t % size))) + g
         # blocks 1..count-2 repeat every ``size``; block 0 and one period head the copies
         repeat = 1 + size, size, max((count[g].min() - 3) // size - 1, 0)
-        solve = lambda bd, be, weights: _spanning_pairs(bd, be, rows, repeat, weights, span[:rows, g])
-        ends[:, g] = _flat_ends(*(y[:rows, g] for y in (s, span, across, after, index)), q, out_link, solve)
+        solve = lambda bd, be, weights, span: _spanning_pairs(bd, be, rows, repeat, weights, span)
+        ends[:, g] = _flat_ends(blocks, index, count[g], False, solve)
     return ends.T.ravel()
 
 
@@ -968,28 +972,22 @@ def _cycle_touch_points(spec: PeriodSpec, thetas) -> np.ndarray:
     """
     d, e, beta, exponent = _scaled_tridiagonals(spec, thetas)
     cut = (np.abs(beta) <= _edge_rounding(spec)).T
-    x, (h, s, q, head, out_gamma, out_link) = _cut_blocks(spec, thetas, d, e, beta, exponent, cut)
+    x, blocks = _cut_blocks(spec, thetas, d, e, beta, exponent, cut)
     # T's quotients at the symbols' vectors D x; the split directions' are replaced by their ends below
     squares, links = x * x, x * np.roll(x, -1, axis=0)
     points = (spec.b[:, None] * squares + _couplings(spec, beta) * links).sum(axis=0) / squares.sum(axis=0)
     split = np.flatnonzero(cut.any(axis=0))
-    m, col = cut[:, split].sum(axis=0), np.arange(split.size)
-    best = h.max(axis=0, initial=-np.inf)
-    span = h >= best - _gap_tol(best)
-    nxt = (np.arange(spec.p)[:, None] + 1) % m
-    after = head[nxt, col]
-    across = out_gamma * after * span * span[nxt, col]
+    m = cut[:, split].sum(axis=0)
     ends = np.empty((2, split.size), dtype=complex)
 
-    def solve(bd, be, weights):
+    def solve(bd, be, weights, span):
         r = _perron_vectors(bd, be, _band_edges(bd, be))
         (f, g), squares = weights(slice(None)), r * r
         return (f * squares + g * (r * np.roll(r, -1, axis=0))).sum(axis=0) / squares.sum(axis=0)
 
     for size in set(m.tolist()):
         g = np.flatnonzero(m == size)
-        index = np.arange(size * g.size).reshape(size, -1)
-        ends[:, g] = _flat_ends(*(y[:size, g] for y in (s, span, across, after)), index, q[:size, g], out_link[:size, g], solve)
+        ends[:, g] = _flat_ends(blocks, np.arange(size)[:, None] * split.size + g, size, True, solve)
     points[split] = ends[1]
     return np.concatenate([points, ends[0]])
 

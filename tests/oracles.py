@@ -4,6 +4,9 @@ period-01 proof ingredients (the symbol ellipses' boundary points and
 tangency parameters, the stadium's tangent lines, the special vector) for
 the tests."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from numrange import sweep
@@ -113,12 +116,31 @@ def mp_touch_point(spec, k: int, theta: float, top: float, dps: int = 40) -> com
         return complex(mp.fsum(mp.conj(u) * v for u, v in zip(x, tx)))
 
 
+def _cot_ratio_series(terms: int = 24) -> np.ndarray:
+    """Coefficients ``2^(2m) |B_2m| / (2m)!``, m = 1 .. terms, of ``h(x) =
+    (1 - x cot x) / x^2`` in x^2, highest first, from the exact Bernoulli
+    numbers of the Akiyama-Tanigawa algorithm: after its pass m, ``a[0]``
+    is B_m.  The series converges for |x| < pi; at |x| < 1 the terms fall
+    by pi^2 each, so 24 reach the rounding."""
+    a, bernoulli = [], []
+    for m in range(2 * terms + 1):
+        a.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        bernoulli.append(a[0])
+    return np.array([float(4**m * abs(bernoulli[2 * m]) / math.factorial(2 * m)) for m in range(terms, 0, -1)])
+
+
+_COT_RATIO_SERIES = _cot_ratio_series()
+
+
 def complex_floquet_step(c1, c0, tau, root, n: int) -> np.ndarray:
     """The Newton step of :func:`sweep._floquet_step` in complex arithmetic:
     ``phi = arccos |tau|``, imaginary above 1, and the same formulas at
-    that phi, the real parts taken at the end."""
+    that phi, the real parts taken at the end.  h(x) = (1 - x cot x) / x^2
+    takes its own series below |x| = 1, where the difference cancels."""
     sign, phi = np.where(tau[0] < 0, -1.0, 1.0), np.arccos(np.abs(tau[0]) + 0j)
-    h = lambda x: np.where(np.abs(x) < 1e-3, 1 / 3 + x * x / 45, (1 - x / np.tan(x)) / (x * x))
+    h = lambda x: np.where(np.abs(x) < 1, np.polyval(_COT_RATIO_SERIES, x * x), (1 - x / np.tan(x)) / (x * x))
     sinc = sign * tau[1] * np.where(phi == 0, 1.0, phi / np.sin(phi))
     slope = lambda j: (sinc * ((j + 1) ** 2 * h((j + 1) * phi) - h(phi))).real
     ratio = np.where(phi == 0, (n - 1) / n, np.cos(phi) - np.sin(phi) / np.tan(n * phi)).real

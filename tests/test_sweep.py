@@ -900,11 +900,11 @@ def test_truncation_support_input_shapes():
 
 
 def test_multisection_matches_bisection():
-    # without a start the Sturm search takes Laguerre steps from the
-    # Gershgorin bound, and it and the bisection oracle stop at a bracket of
-    # a few ulps around the top; a period of three rows with its wrap edge
-    # cut makes S a path of k // 3 tied blocks (3 at k = 9, 133 at k = 400),
-    # whose top is multiple
+    # the fallback from the Gershgorin bound: Laguerre steps on the whole
+    # path, the two counts and bisection on them; it and the bisection
+    # oracle stop at a bracket of a few ulps around the top; a period of
+    # three rows with its wrap edge cut makes S a path of k // 3 tied blocks
+    # (3 at k = 9, 133 at k = 400), whose top is multiple
     rng = np.random.default_rng(8)
     eps = np.finfo(float).eps
     cases = []
@@ -917,7 +917,7 @@ def test_multisection_matches_bisection():
     e[2] = 0.0
     cases += [(d, e, k) for k in (9, 400)]
     for d, e, k in cases:
-        multi = sweep._top_eigenvalues(d, e, k)
+        multi = sweep._top_pairs(d, e, k, (0, k, 1), None, sweep._gershgorin(d, e)[:k].max(axis=0))[0]
         plain = bisection_tops(d, e, k)
         assert np.all(np.abs(multi - plain) <= 2 * eps * (np.abs(plain) + 1))
         # both are upper ends of brackets: no eigenvalue at or above them
@@ -938,14 +938,15 @@ def assert_certified_tops(top, plain, d, e, k):
 
 @pytest.mark.parametrize("p", range(2, 9))
 def test_newton_tops_are_certified(p):
-    # the Sturm search from the band edge, over every grid size the sweeps use
+    # the fallback's whole-path search from the band edge, over every grid
+    # size the sweeps use
     rng = np.random.default_rng(900 + p)
     spec = random_spec(rng, p)
     for num_theta in (720, 192, 2):
         d, e = sweep._scaled_tridiagonals(spec, phi_grid(num_theta))[:2]
         start = sweep._band_edges(d, e)
         for k in sorted({1, 2, p - 1, p, p + 1, 120, 800}):
-            top = sweep._top_eigenvalues(d, e, k, start)
+            top = sweep._top_pairs(d, e, k, (0, k, 1), None, start)[0]
             assert_certified_tops(top, bisection_tops(d, e, k), d, e, k)
             # the band edge bounds every truncation's top
             assert np.all(top <= start)
@@ -1028,13 +1029,13 @@ def test_band_edge_is_the_top_of_the_maximising_twist_symbol(p):
 
 
 def test_newton_start_below_the_top_still_certifies():
-    # a start with an eigenvalue above it keeps the Gershgorin upper end,
-    # and those columns bisect
+    # a start with an eigenvalue above it fails the upper count, and those
+    # columns bisect from the Gershgorin bound
     d, e = sweep._scaled_tridiagonals(WORD01, phi_grid(720))[:2]
     for k in (5, 300):
         plain = bisection_tops(d, e, k)
         for offset in (1e-3, 1e-14, 0.0):
-            top = sweep._top_eigenvalues(d, e, k, plain - offset)
+            top = sweep._top_pairs(d, e, k, (0, k, 1), None, plain - offset)[0]
             assert_certified_tops(top, plain, d, e, k)
 
 
@@ -1141,8 +1142,8 @@ def test_split_spec_sweeps_only_open_brackets(monkeypatch):
     # every angle is flat; the compressed skew parts are grouped by the cut
     # edges per period, and the four of theta = pi/2 and 3pi/2 (all edges
     # vanish there) make an 800-block call of their own, every bracket open;
-    # the closed form certifies every column, so none reaches the Sturm search
-    passes, searched = sturm_passes(monkeypatch), searched_columns(monkeypatch)
+    # the closed form certifies every column, so none reaches the fallback
+    passes, searched = sturm_passes(monkeypatch), fallback_calls(monkeypatch)
     calls, pairs = [], sweep._top_pairs
 
     def record(d, e, k, *rest):
@@ -1157,7 +1158,7 @@ def test_split_spec_sweeps_only_open_brackets(monkeypatch):
     assert max(counts) <= 720
     # bisection swept about 50 * (720 + 1310) columns of 800 rows
     assert sum(counts) <= 16 * 720
-    assert sum(searched) == 0
+    assert not searched
 
     # the open columns' own call, on compressed paths of 800 blocks
     def all_open(d, e):
@@ -1300,28 +1301,51 @@ def test_truncation_vector_chunks_change_no_bit(monkeypatch):
         np.testing.assert_allclose(points, chunked, rtol=0, atol=1e-14)
 
 
-def searched_columns(monkeypatch):
-    """Columns of every call of :func:`sweep._top_eigenvalues`, in the order they run."""
-    columns, tops = [], sweep._top_eigenvalues
+def fallback_calls(monkeypatch):
+    """``(d, e, k, top, passes)`` per call of the fallback of
+    :func:`sweep._top_pairs`, in the order they end: itself on the whole
+    path as one copy (given a start; a :func:`sweep._bisected_tops` within
+    belongs to that call), or from a path of one copy
+    :func:`sweep._bisected_tops`; passes counts its
+    :func:`sweep._count_above` calls."""
+    calls, active = [], []
+    pairs, bisect, count = sweep._top_pairs, sweep._bisected_tops, sweep._count_above
 
-    def record(d, e, k, start=None):
-        columns.append(d.shape[1])
-        return tops(d, e, k, start)
+    def spy(function, entry):
+        def call(d, e, k, *args):
+            if active or not entry(args):
+                return function(d, e, k, *args)
+            active.append(0)
+            try:
+                top = function(d, e, k, *args)
+            finally:
+                passes = active.pop()
+            calls.append((d, e, k, top[0] if isinstance(top, tuple) else top, passes))
+            return top
 
-    monkeypatch.setattr(sweep, "_top_eigenvalues", record)
-    return columns
+        return call
+
+    def counted(*args):
+        if active:
+            active[-1] += 1
+        return count(*args)
+
+    monkeypatch.setattr(sweep, "_top_pairs", spy(pairs, lambda args: len(args) > 2 and args[2] is not None))
+    monkeypatch.setattr(sweep, "_bisected_tops", spy(bisect, lambda args: True))
+    monkeypatch.setattr(sweep, "_count_above", counted)
+    return calls
 
 
 def fallback_columns(monkeypatch, d, e, k):
     """Columns of :func:`sweep._top_pairs` from the band edge that go to
-    :func:`sweep._top_eigenvalues`, and its tops and the vectors of
+    its fallback, and its tops and the vectors of
     :func:`sweep._top_eigenvectors` (every column for paths of one copy,
     None if no column takes them)."""
-    columns, vectors, solve = searched_columns(monkeypatch), [], sweep._top_eigenvectors
+    calls, vectors, solve = fallback_calls(monkeypatch), [], sweep._top_eigenvectors
     monkeypatch.setattr(sweep, "_top_eigenvectors", lambda e, q: vectors.append(solve(e, q)) or vectors[-1])
     top = sweep._top_pairs(d, e, k, None, lambda rows: (d[rows], e[rows]))[0]
     monkeypatch.undo()
-    return sum(columns), top, np.hstack(vectors) if vectors else None
+    return sum(d.shape[1] for d, *_ in calls), top, np.hstack(vectors) if vectors else None
 
 
 def closed_form_fails(d, e, k):
@@ -1350,7 +1374,7 @@ def closed_form_fails(d, e, k):
 )
 def test_rayleigh_core_and_its_fallback_match_dense(monkeypatch, text, k, fallback):
     # exactly the columns whose closed-form top fails a count go to the
-    # Sturm search, and with it the points are those of the dense sweep
+    # fallback, and with it the points are those of the dense sweep
     spec, cfg = PeriodSpec.parse(text), SweepConfig(96, 1)
     d, e = sweep._scaled_tridiagonals(spec, phi_grid(cfg.num_theta))[:2]
     fails = closed_form_fails(d, e, k).sum()
@@ -1372,39 +1396,62 @@ def test_sturm_fallback_takes_few_counts(monkeypatch, k, fallback):
     # most two bisection passes; bisection from the Gershgorin bracket took
     # about 52
     spec, eps = seeded_spec(124, 24), np.finfo(float).eps
-    calls, tops, count = [], sweep._top_eigenvalues, sweep._count_above
-
-    def record(d, e, k, start=None):
-        passes = []
-        monkeypatch.setattr(sweep, "_count_above", lambda *args: passes.append(args) or count(*args))
-        top = tops(d, e, k, start)
-        monkeypatch.setattr(sweep, "_count_above", count)
-        calls.append((d, e, top, len(passes)))
-        return top
-
-    monkeypatch.setattr(sweep, "_top_eigenvalues", record)
+    calls = fallback_calls(monkeypatch)
     _truncation_points(spec, k, SweepConfig(720, 1))
     monkeypatch.undo()
     assert sum(d.shape[1] for d, *_ in calls) == fallback
-    for d, e, top, passes in calls:
+    for d, e, k, top, passes in calls:
         assert passes <= 4
         plain = bisection_tops(d, e, k)
         assert np.all(np.abs(top - plain) <= 2 * eps * (np.abs(plain) + 1))
 
 
+def pushed_tops(monkeypatch, num_theta):
+    """The closed form's tops pushed far below (a count above fails), above
+    (the count below fails) or to NaN, in turn with unpushed columns; the
+    columns of each call of :func:`sweep._closed_form_tops` on one copy
+    (the whole-path descent)."""
+    tops, descents = sweep._closed_form_tops, []
+    push = np.resize([0.0, -1e-3, 1e-3, np.nan], num_theta)
+
+    def pushed(d, e, k, start, lo, m, n):
+        if n <= 1:
+            descents.append(d.shape[1])
+        return tops(d, e, k, start, lo, m, n) + push[: d.shape[1]]
+
+    monkeypatch.setattr(sweep, "_closed_form_tops", pushed)
+    return descents
+
+
 def test_closed_form_failures_take_the_sturm_search(monkeypatch):
-    # closed-form tops pushed far below (a count above fails), above (the
-    # count below fails) or to NaN go to the Sturm search, and the points
-    # stay those of the dense sweep
+    # pushed closed-form tops go to the fallback, and the points stay those
+    # of the dense sweep
     spec, cfg, k = PeriodSpec.parse("p=3;a=1,0.5j,0.3;b=0.2j,0,1;c=0.4,1,0.7j"), SweepConfig(96, 1), 40
-    tops = sweep._closed_form_tops
-    push = np.resize([0.0, -1e-3, 1e-3, np.nan], cfg.num_theta)
-    monkeypatch.setattr(sweep, "_closed_form_tops", lambda *args: tops(*args) + push[: args[0].shape[1]])
-    searched = searched_columns(monkeypatch)
+    pushed_tops(monkeypatch, cfg.num_theta)
+    calls = fallback_calls(monkeypatch)
     points, dense = _truncation_points(spec, k, cfg), boundary_points(build_truncation(spec, k), cfg)
-    assert sum(searched) == 72
+    assert sum(d.shape[1] for d, *_ in calls) == 72
     assert hausdorff(convex_hull(points), convex_hull(dense)) <= 1e-13
     np.testing.assert_allclose(points[: cfg.num_theta], dense[: cfg.num_theta], rtol=0, atol=1e-13)
+
+
+def test_one_copy_failures_descend_once(monkeypatch):
+    # below two copies the closed form is the whole-path descent itself, so
+    # the columns it leaves bisect at once: one descent on every column, none
+    # again on the 72 pushed ones; the tops stay certified and the touch
+    # points those of the dense sweep
+    spec, cfg, k = PeriodSpec.parse("p=3;a=1,0.5j,0.3;b=0.2j,0,1;c=0.4,1,0.7j"), SweepConfig(96, 1), 5
+    d, e, beta = sweep._scaled_tridiagonals(spec, phi_grid(cfg.num_theta))[:3]
+    descents = pushed_tops(monkeypatch, cfg.num_theta)
+    calls = fallback_calls(monkeypatch)
+    weights = lambda rows: (spec.b[rows, None], sweep._couplings(spec, beta)[rows])
+    top, points = sweep._top_pairs(d, e, k, None, weights)
+    monkeypatch.undo()
+    assert descents == [cfg.num_theta]
+    assert sum(d.shape[1] for d, *_ in calls) == 72
+    assert_certified_tops(top, bisection_tops(d, e, k), d, e, k)
+    dense = boundary_points(build_truncation(spec, k), cfg)
+    np.testing.assert_allclose(points, dense[: cfg.num_theta], rtol=0, atol=1e-13)
 
 
 STRESS_SPECS = {
@@ -1423,7 +1470,7 @@ STRESS_SPECS = {
 def test_closed_form_tops_match_bisection(name):
     # wherever the closed form from the band edge is used (both counts pass)
     # its tops are within a few eps of bisection's; only columns with k < p
-    # and a vanishing edge may fail the counts, and the Sturm search
+    # and a vanishing edge may fail the counts, and the fallback
     # certifies those (the diagonal certifies the lower end where S = 0)
     spec, eps = STRESS_SPECS[name], np.finfo(float).eps
     p = spec.p
@@ -1612,13 +1659,15 @@ def test_real_floquet_step_matches_the_complex_one(monkeypatch, n):
     # steps); three probes isolate U_{n-1}' / U_{n-1}, U_{n-2}' / U_{n-2}
     # (1 / slope: infinite for both at n = 2, where U_0 = 1) and the ratio
     # U_{n-2} / U_{n-1} (-root sign ratio, the slope's term below 1e-16).
-    # Interior phases keep every argument y of h = (1 - y cot y) / y^2 off
-    # 1e-3 .. 0.1, where the complex step loses bits to the difference (the
-    # lifted steps' psi >= 0.25 likewise); at most 9.4 ulps apart, the ratio above
-    # the band, where cosh psi - sinh psi / tanh(n psi) cancels by e^(2 psi)
+    # "small" phases put the arguments y of h = (1 - y cot y) / y^2 (phi,
+    # (n-1) phi, n phi) in 1e-3 .. 0.1, where 1 - y cot y cancels and both
+    # steps take a series for h, the oracle one of its own; at most 9.4 ulps
+    # apart, the ratio above the band, where cosh psi - sinh psi / tanh(n psi)
+    # cancels by e^(2 psi)
     eps = np.finfo(float).eps
     taus = {
         "interior": np.cos(np.array([0.5, 0.75, 1.25]) * np.pi / n),
+        "small": np.cos(np.concatenate([np.array([2e-3, 1e-2, 8e-2]) / n, [3e-3, 3e-2]])),
         "edge": np.ones(1),
         "series": np.cos(np.array([1e-4, 1e-6, 1e-7]) / n),
         "above": lifted_taus(monkeypatch),
@@ -1784,7 +1833,8 @@ def test_multisection_memory_is_bounded_for_long_periods():
     k = 4000
     d, e = rng.uniform(-1.0, 0.0, (k, 2)), rng.uniform(0.0, 0.5, (k, 2))
     tops = []
-    assert _traced_peak(lambda: tops.append(sweep._top_eigenvalues(d, e, k))) < 16 * 2**20
+    start = sweep._gershgorin(d, e).max(axis=0)
+    assert _traced_peak(lambda: tops.append(sweep._top_pairs(d, e, k, (0, k, 1), None, start)[0])) < 16 * 2**20
     assert not sweep._count_above(d, e * e, tops[0], k).any()
     tol = 2 * (2 * np.finfo(float).eps * np.abs(tops[0]) + sweep.PIVMIN)
     assert np.all(sweep._count_above(d, e * e, tops[0] - tol, k) >= 1)
